@@ -171,6 +171,13 @@ def measure_sim_event_rate(
     before timing starts, an untimed warm-up round absorbs remaining
     one-time costs, and ``config.bench_runs`` measured rounds are
     reduced to their median.
+
+    A kernel event is not a fixed unit of work. Since the link and
+    switch became callback-driven servers, a one-way packet costs 8
+    events instead of 15 and each does more, so ``sim_events_per_s``
+    cannot be compared with values measured before that change,
+    including older ``BENCH_sim_perf.json`` files;
+    ``sim_requests_per_s`` can.
     """
     config = config or DEFAULT_CONFIG
     spec = standard_workloads()["web_server"]

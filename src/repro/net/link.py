@@ -1,17 +1,22 @@
 """Point-to-point links with bandwidth, propagation delay, and loss.
 
-A :class:`Link` joins two endpoints. Each direction has its own transmit
-queue and serializer process, so the link models both serialization
-delay (``size_bits / bandwidth``) and propagation delay, plus optional
-random drop for failure-injection tests.
+A :class:`Link` joins two endpoints. Each direction is a FIFO transmit
+server, so the link models both serialization delay
+(``size_bits / bandwidth``) and propagation delay, plus optional random
+drop for failure-injection tests. The server is a queue and a busy flag
+driven by timeout callbacks: taking a packet up is one zero-delay
+timeout, serializing it a second, and propagating it a third that runs
+while the server serializes the next packet, so a packet crosses a link
+in three kernel events.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 from ..obs import Tracer
-from ..sim import Environment, Store
+from ..sim import Environment
 from .packet import Packet
 
 
@@ -33,7 +38,18 @@ class LinkStats:
 
 
 class _Direction:
-    """One direction of a full-duplex link."""
+    """One direction of a full-duplex link: a FIFO transmit server.
+
+    The server takes packets up one at a time, each in the callback of
+    a zero-delay timeout. :meth:`send` schedules one when the server is
+    idle; the end of a serialization or a drop schedules one when
+    packets wait, each queued with the instant it was enqueued, where
+    its hop span starts. Taking a packet up, the server drops it if the
+    link is down or the loss dice say so, and otherwise serializes it.
+    When serialization ends it counts the packet, schedules the next
+    take-up and starts the packet's propagation. A packet being taken
+    up, serialized or propagated rides as its timeout's value.
+    """
 
     def __init__(
         self,
@@ -53,22 +69,67 @@ class _Direction:
         self.drop_probability = drop_probability
         self.rng = rng
         self.up = True
-        self.queue: Store = Store(env)
         self.stats = LinkStats()
-        #: Enqueue timestamps for traced packets only, so the hop span
-        #: covers queueing + serialization + propagation.
-        self._enqueue_ts = {}
-        env.process(self._serializer())
+        self._waiting: Deque[Tuple[Packet, float]] = deque()
+        self._busy = False
 
-    def note_enqueue(self, packet: Packet) -> None:
-        """Remember when a traced packet entered the transmit queue."""
-        if self.env.tracer is not None and Tracer.context(packet)[0]:
-            self._enqueue_ts[id(packet)] = self.env.now
+    def send(self, packet: Packet) -> None:
+        """Enqueue ``packet`` for transmission."""
+        if self._busy:
+            self._waiting.append((packet, self.env.now))
+        else:
+            self._busy = True
+            self.env.timeout(0, (packet, self.env.now)).callbacks.append(
+                self._take)
 
-    def _trace_hop(self, packet: Packet, enqueued_at,
+    def _take_next(self) -> None:
+        if self._waiting:
+            self.env.timeout(0, self._waiting.popleft()).callbacks.append(
+                self._take)
+        else:
+            self._busy = False
+
+    def _take(self, event) -> None:
+        """Serialize the packet taken up, or drop it and move on."""
+        packet, enqueued_at = event.value
+        stats = self.stats
+        if not self.up:
+            stats.packets_dropped += 1
+            stats.packets_dropped_down += 1
+            self._trace_hop(packet, enqueued_at, dropped="link_down")
+            self._take_next()
+        elif (self.drop_probability > 0 and self.rng is not None
+              and self.rng.random() < self.drop_probability):
+            stats.packets_dropped += 1
+            self._trace_hop(packet, enqueued_at, dropped="loss")
+            self._take_next()
+        else:
+            size_bytes = packet.size_bytes
+            self.env.timeout(size_bytes * 8 / self.bandwidth_bps,
+                             (packet, enqueued_at, size_bytes)
+                             ).callbacks.append(self._serialized)
+
+    def _serialized(self, event) -> None:
+        hop = event.value
+        self.stats.packets_sent += 1
+        self.stats.bytes_sent += hop[2]
+        # Take-up first: with zero propagation delay both events fall in
+        # this instant, and the next packet must be reached before this
+        # one is delivered (DESIGN.md §14).
+        self._take_next()
+        self.env.timeout(self.propagation_delay, hop).callbacks.append(
+            self._propagated)
+
+    def _propagated(self, event) -> None:
+        packet, enqueued_at, _ = event.value
+        packet.stamp(self.name, self.env.now)
+        self._trace_hop(packet, enqueued_at)
+        self.deliver(packet)
+
+    def _trace_hop(self, packet: Packet, enqueued_at: float,
                    dropped: Optional[str] = None) -> None:
         tracer = self.env.tracer
-        if tracer is None or enqueued_at is None:
+        if tracer is None:
             return
         trace_id, parent = Tracer.context(packet)
         if not trace_id:
@@ -80,34 +141,6 @@ class _Direction:
             "net.link", "net", trace_id=trace_id, parent=parent,
             node=self.name, start=enqueued_at, tags=tags,
         ))
-
-    def _serializer(self):
-        while True:
-            packet = yield self.queue.get()
-            enqueued_at = (self._enqueue_ts.pop(id(packet), None)
-                           if self._enqueue_ts else None)
-            if not self.up:
-                self.stats.packets_dropped += 1
-                self.stats.packets_dropped_down += 1
-                self._trace_hop(packet, enqueued_at, dropped="link_down")
-                continue
-            if self.drop_probability > 0 and self.rng is not None:
-                if self.rng.random() < self.drop_probability:
-                    self.stats.packets_dropped += 1
-                    self._trace_hop(packet, enqueued_at, dropped="loss")
-                    continue
-            yield self.env.timeout(packet.size_bits / self.bandwidth_bps)
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += packet.size_bytes
-            # Propagation happens "in flight": schedule delivery without
-            # blocking the serializer for the next packet.
-            self.env.process(self._propagate(packet, enqueued_at))
-
-    def _propagate(self, packet: Packet, enqueued_at=None):
-        yield self.env.timeout(self.propagation_delay)
-        packet.stamp(self.name, self.env.now)
-        self._trace_hop(packet, enqueued_at)
-        self.deliver(packet)
 
 
 class Link:
@@ -158,8 +191,8 @@ class Link:
         """Bring the whole link up or down (both directions).
 
         While down, queued and newly enqueued packets are dropped the
-        instant the serializer reaches them; no traffic crosses in
-        either direction until the link is brought back up.
+        instant the server reaches them; no traffic crosses in either
+        direction until the link is brought back up.
         """
         self._ab.up = up
         self._ba.up = up
@@ -176,11 +209,9 @@ class Link:
     def send(self, from_endpoint: str, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission from ``from_endpoint``."""
         if from_endpoint == self.a:
-            self._ab.note_enqueue(packet)
-            self._ab.queue.put(packet)
+            self._ab.send(packet)
         elif from_endpoint == self.b:
-            self._ba.note_enqueue(packet)
-            self._ba.queue.put(packet)
+            self._ba.send(packet)
         else:
             raise ValueError(f"{from_endpoint!r} is not an endpoint of this link")
 

@@ -2,15 +2,20 @@
 
 The switch receives packets from attached links, looks up the egress
 port by destination node name, charges a fixed switching latency, and
-forwards out of per-port FIFO queues.
+forwards out of per-port FIFO queues. Every port feeds one switching
+pipeline, a FIFO server driven by timeout callbacks: it takes packets
+up one at a time, each through a zero-delay timeout, switches each for
+the switching latency and routes it only then, so a partition set in
+the meantime still drops it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from collections import deque
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 from ..obs import Tracer
-from ..sim import Environment, Store
+from ..sim import Environment
 from .link import Link
 from .packet import Packet
 
@@ -37,13 +42,13 @@ class Switch:
         self.switching_latency = switching_latency
         self._links: Dict[str, Link] = {}  # peer node -> link
         self._table: Dict[str, str] = {}  # dst node -> peer node (port)
-        self._pipeline: Store = Store(env)
         #: Node -> partition-group index; None means no active partition.
         self._partition: Optional[Dict[str, int]] = None
-        #: Pipeline-entry timestamps for traced packets only.
-        self._entry_ts: Dict[int, float] = {}
+        #: Packets waiting for the pipeline, each with the instant it
+        #: arrived (where its hop span starts).
+        self._waiting: Deque[Tuple[Packet, float]] = deque()
+        self._busy = False
         self.stats = SwitchStats()
-        env.process(self._forwarder())
 
     def attach_link(self, link: Link, peer: str) -> None:
         """Attach a link whose far endpoint is node ``peer``."""
@@ -92,15 +97,45 @@ class Switch:
             return False
         return self._partition.get(src, 0) != self._partition.get(dst, 0)
 
-    def _receive(self, packet: Packet) -> None:
-        if self.env.tracer is not None and Tracer.context(packet)[0]:
-            self._entry_ts[id(packet)] = self.env.now
-        self._pipeline.put(packet)
+    # -- the pipeline ----------------------------------------------------
 
-    def _trace_hop(self, packet: Packet, entered_at,
+    def _receive(self, packet: Packet) -> None:
+        if self._busy:
+            self._waiting.append((packet, self.env.now))
+        else:
+            self._busy = True
+            self.env.timeout(0, (packet, self.env.now)).callbacks.append(
+                self._take)
+
+    def _take(self, event) -> None:
+        self.env.timeout(self.switching_latency,
+                         event.value).callbacks.append(self._switched)
+
+    def _switched(self, event) -> None:
+        """Route the packet whose switching is done, then take the next."""
+        packet, entered_at = event.value
+        peer = self._table.get(packet.dst)
+        if peer is None:
+            self.stats.packets_dropped_unknown += 1
+            self._trace_hop(packet, entered_at, "dropped_unknown")
+        elif self._crosses_partition(packet.src, peer):
+            self.stats.packets_dropped_partition += 1
+            self._trace_hop(packet, entered_at, "dropped_partition")
+        else:
+            packet.stamp(self.name, self.env.now)
+            self.stats.packets_forwarded += 1
+            self._trace_hop(packet, entered_at, "forwarded")
+            self._links[peer].send(self.name, packet)
+        if self._waiting:
+            self.env.timeout(0, self._waiting.popleft()).callbacks.append(
+                self._take)
+        else:
+            self._busy = False
+
+    def _trace_hop(self, packet: Packet, entered_at: float,
                    verdict: str) -> None:
         tracer = self.env.tracer
-        if tracer is None or entered_at is None:
+        if tracer is None:
             return
         trace_id, parent = Tracer.context(packet)
         if not trace_id:
@@ -110,23 +145,3 @@ class Switch:
             node=self.name, start=entered_at,
             tags={"verdict": verdict, "dst": packet.dst},
         ))
-
-    def _forwarder(self):
-        while True:
-            packet = yield self._pipeline.get()
-            entered_at = (self._entry_ts.pop(id(packet), None)
-                          if self._entry_ts else None)
-            yield self.env.timeout(self.switching_latency)
-            peer = self._table.get(packet.dst)
-            if peer is None:
-                self.stats.packets_dropped_unknown += 1
-                self._trace_hop(packet, entered_at, "dropped_unknown")
-                continue
-            if self._crosses_partition(packet.src, peer):
-                self.stats.packets_dropped_partition += 1
-                self._trace_hop(packet, entered_at, "dropped_partition")
-                continue
-            packet.stamp(self.name, self.env.now)
-            self.stats.packets_forwarded += 1
-            self._trace_hop(packet, entered_at, "forwarded")
-            self._links[peer].send(self.name, packet)

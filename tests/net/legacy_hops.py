@@ -1,0 +1,118 @@
+"""The Store- and process-based link and switch, kept as a test oracle.
+
+``repro.net`` models each link direction and the switch pipeline as
+FIFO servers driven by timeout callbacks. This module keeps the earlier
+implementation of the same model: a serializer process per direction
+pulling packets from a :class:`~repro.sim.Store`, one propagation
+process per packet, and a forwarder process behind a ``Store`` in the
+switch. Everything else (ports, routes, partitions, counters, hop
+spans) is inherited from ``repro.net``. ``tests/net/test_hop_oracle.py``
+drives both with the same random traffic and requires identical
+results. Only tests import it.
+"""
+
+from __future__ import annotations
+
+from repro import net
+from repro.net import Packet
+from repro.net.link import _Direction as _ServerDirection
+from repro.obs import Tracer
+from repro.sim import Store
+
+
+class _Direction(_ServerDirection):
+    """One direction of a full-duplex link, served by a process."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.queue: Store = Store(self.env)
+        #: Enqueue timestamps for traced packets only, so the hop span
+        #: covers queueing + serialization + propagation.
+        self._enqueue_ts = {}
+        self.env.process(self._serializer())
+
+    def send(self, packet: Packet) -> None:
+        if self.env.tracer is not None and Tracer.context(packet)[0]:
+            self._enqueue_ts[id(packet)] = self.env.now
+        self.queue.put(packet)
+
+    def _serializer(self):
+        while True:
+            packet = yield self.queue.get()
+            enqueued_at = (self._enqueue_ts.pop(id(packet), None)
+                           if self._enqueue_ts else None)
+            if not self.up:
+                self.stats.packets_dropped += 1
+                self.stats.packets_dropped_down += 1
+                self._trace_hop(packet, enqueued_at, dropped="link_down")
+                continue
+            if self.drop_probability > 0 and self.rng is not None:
+                if self.rng.random() < self.drop_probability:
+                    self.stats.packets_dropped += 1
+                    self._trace_hop(packet, enqueued_at, dropped="loss")
+                    continue
+            yield self.env.timeout(packet.size_bits / self.bandwidth_bps)
+            self.stats.packets_sent += 1
+            self.stats.bytes_sent += packet.size_bytes
+            # Propagation happens "in flight": schedule delivery without
+            # blocking the serializer for the next packet.
+            self.env.process(self._propagate(packet, enqueued_at))
+
+    def _propagate(self, packet: Packet, enqueued_at):
+        yield self.env.timeout(self.propagation_delay)
+        packet.stamp(self.name, self.env.now)
+        self._trace_hop(packet, enqueued_at)
+        self.deliver(packet)
+
+
+class Link(net.Link):
+    """A full-duplex link whose directions are serializer processes."""
+
+    def __init__(self, env, a: str, b: str, bandwidth_bps: float = 10e9,
+                 propagation_delay: float = 500e-9,
+                 drop_probability: float = 0.0, rng=None) -> None:
+        super().__init__(env, a, b, bandwidth_bps, propagation_delay,
+                         drop_probability, rng)
+        self._ab = _Direction(env, f"{a}->{b}", bandwidth_bps,
+                              propagation_delay, self._to_b,
+                              drop_probability, rng)
+        self._ba = _Direction(env, f"{b}->{a}", bandwidth_bps,
+                              propagation_delay, self._to_a,
+                              drop_probability, rng)
+
+
+class Switch(net.Switch):
+    """A switch whose pipeline is a forwarder process behind a Store."""
+
+    def __init__(self, env, name: str = "switch",
+                 switching_latency: float = 800e-9) -> None:
+        super().__init__(env, name, switching_latency)
+        self._pipeline: Store = Store(env)
+        #: Pipeline-entry timestamps for traced packets only.
+        self._entry_ts = {}
+        env.process(self._forwarder())
+
+    def _receive(self, packet: Packet) -> None:
+        if self.env.tracer is not None and Tracer.context(packet)[0]:
+            self._entry_ts[id(packet)] = self.env.now
+        self._pipeline.put(packet)
+
+    def _forwarder(self):
+        while True:
+            packet = yield self._pipeline.get()
+            entered_at = (self._entry_ts.pop(id(packet), None)
+                          if self._entry_ts else None)
+            yield self.env.timeout(self.switching_latency)
+            peer = self._table.get(packet.dst)
+            if peer is None:
+                self.stats.packets_dropped_unknown += 1
+                self._trace_hop(packet, entered_at, "dropped_unknown")
+                continue
+            if self._crosses_partition(packet.src, peer):
+                self.stats.packets_dropped_partition += 1
+                self._trace_hop(packet, entered_at, "dropped_partition")
+                continue
+            packet.stamp(self.name, self.env.now)
+            self.stats.packets_forwarded += 1
+            self._trace_hop(packet, entered_at, "forwarded")
+            self._links[peer].send(self.name, packet)

@@ -111,6 +111,88 @@ def test_partition_requires_two_groups():
         network.partition(["a", "b"])
 
 
+def at(env, when, action):
+    """Run ``action()`` at simulated time ``when``."""
+    def body(env):
+        yield env.timeout(when)
+        action()
+    env.process(body(env))
+
+
+def test_link_down_mid_burst_finishes_the_packet_on_the_wire():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0)
+    link.attach("b", lambda p: arrivals.append((p.payload, env.now)))
+    for index in range(3):  # 1000 B each: 8 us of serialization
+        link.send("a", Packet("a", "b", HeaderStack([UDPHeader()]),
+                              payload=index, payload_bytes=992))
+    at(env, 4e-6, lambda: link.set_state(False))
+
+    env.run(until=7.5e-6)
+    # The queued packets are only dropped once the serializer reaches
+    # them, when the packet on the wire is done.
+    assert link.stats("a").packets_dropped_down == 0
+    env.run()
+    assert arrivals == [(0, pytest.approx(8e-6))]
+    stats = link.stats("a")
+    assert stats.packets_sent == 1
+    assert stats.packets_dropped_down == stats.packets_dropped == 2
+
+
+def test_packet_in_flight_survives_link_down():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=10e-6)
+    link.attach("b", lambda p: arrivals.append(env.now))
+    link.send("a", make_packet("a", "b", payload_bytes=992))
+    at(env, 12e-6, lambda: link.set_state(False))  # serialized at 8 us
+    env.run()
+    assert arrivals == [pytest.approx(18e-6)]
+    assert link.stats("a").packets_dropped == 0
+
+
+def test_link_cut_in_the_instant_of_a_send_drops_the_packet():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b")
+    link.attach("b", arrivals.append)
+    link.send("a", make_packet("a", "b"))
+    link.set_state(False)
+    env.run()
+    # The server reaches the packet after the cut, later in the instant.
+    assert arrivals == []
+    assert link.stats("a").packets_dropped_down == 1
+
+
+def test_link_restored_in_the_instant_of_a_send_delivers_the_packet():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b")
+    link.attach("b", arrivals.append)
+    link.set_state(False)
+    link.send("a", make_packet("a", "b"))
+    link.set_state(True)
+    env.run()
+    assert len(arrivals) == 1
+    assert link.stats("a").packets_dropped_down == 0
+
+
+def test_partition_drops_packet_inside_the_switch_pipeline():
+    env = Environment()
+    network, received = make_network(
+        env, bandwidth_bps=10e9, propagation_delay=1e-6,
+        switching_latency=2e-6)
+    # 1250 B: 1 us serialization + 1 us propagation, so the packet
+    # enters the switch at 2 us and leaves it at 4 us.
+    network.send_from("a", make_packet("a", "c", payload_bytes=1242))
+    at(env, 3e-6, lambda: network.partition(["a", "b"], ["c"]))
+    env.run()
+    assert received == []
+    assert network.switch.stats.packets_dropped_partition == 1
+    assert network.switch.stats.packets_forwarded == 0
+
+
 def test_link_set_state_both_directions():
     env = Environment()
     arrivals = []

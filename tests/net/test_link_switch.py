@@ -113,6 +113,38 @@ def test_network_latency_components():
     assert arrival[0] == pytest.approx(1e-6 + 1e-6 + 2e-6 + 1e-6 + 1e-6)
 
 
+def test_switch_serves_simultaneous_arrivals_in_arrival_order():
+    env = Environment()
+    network = Network(env, switching_latency=2e-6)
+    received = []
+    for name in ("a", "b", "c"):
+        network.add_node(name).attach(received.append)
+    first, second = make_packet("a", "c"), make_packet("b", "c")
+    network.send_from("a", first)
+    network.send_from("b", second)
+    env.run()
+    # Equal sizes over identical uplinks: both reach the switch at once,
+    # and its one pipeline switches them one after the other.
+    assert dict(first.trace)["a->switch"] == dict(second.trace)["b->switch"]
+    left_first, left_second = (dict(first.trace)["switch"],
+                               dict(second.trace)["switch"])
+    assert left_second - left_first == pytest.approx(2e-6)
+    assert received == [first, second]
+
+
+def test_one_way_packet_costs_eight_kernel_events():
+    env = Environment()
+    network = Network(env)
+    network.add_node("m1")
+    network.add_node("m2").attach(lambda p: None)
+    assert env._eid == 0  # building the network schedules nothing
+    network.send_from("m1", make_packet("m1", "m2"))
+    env.run()
+    # Take-up, serialization and propagation on each of the two links,
+    # plus take-up and switching in the switch.
+    assert env._eid == 8
+
+
 def test_network_duplicate_node_rejected():
     env = Environment()
     network = Network(env)
