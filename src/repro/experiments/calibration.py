@@ -106,7 +106,7 @@ class ExperimentConfig:
     contention_requests: int = 600
     contention_concurrency: int = 4
     #: Direct engine executions per measurement in the perf benchmark
-    #: (reference vs fast-path interpreter comparison).
+    #: (reference interpreter vs JIT comparison).
     perf_requests: int = 400
     #: End-to-end simulated requests in the perf benchmark's
     #: events-per-second measurement.

@@ -2,18 +2,17 @@
 
 Unlike the other experiment drivers, this one measures the *simulator
 itself*: lambda executions per wall-clock second under the reference
-interpreter, the pre-decoded fast-path engine, the source-codegen JIT,
-and memoized replay, plus end-to-end simulation events per second. It
-backs the perf-regression harness in ``benchmarks/test_sim_perf.py``
-(which asserts the fast path stays at least 3x faster than the
-reference interpreter, the JIT at least 2x faster than the fast path,
-and writes ``BENCH_sim_perf.json``).
+interpreter, the source-codegen JIT, and memoized replay, plus
+end-to-end simulation events per second. It backs the perf-regression
+harness in ``benchmarks/test_sim_perf.py`` (which asserts the JIT stays
+at least 6x faster than the reference interpreter and writes
+``BENCH_sim_perf.json``).
 
 All numbers here are host wall-clock rates. Simulated results are
-unaffected by the engine choice — the differential suites in
-``tests/isa/test_fastpath.py`` and ``tests/isa/test_jit.py`` prove
-result equality — so this driver never compares against paper figures;
-its "paper" column is the reference engine.
+unaffected by the engine choice — the differential suite in
+``tests/isa/test_jit.py`` proves result equality — so this driver never
+compares against paper figures; its "paper" column is the reference
+engine.
 """
 
 from __future__ import annotations
@@ -23,15 +22,15 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..hw.memo import ExecutionMemoCache, make_key
-from ..isa import FastInterpreter, Interpreter, JitInterpreter
+from ..isa import Interpreter, JitInterpreter
 from ..serverless import Testbed, closed_loop
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, ExperimentConfig
 from .harness import ExperimentReport
 
-#: The regression gates enforced by benchmarks/test_sim_perf.py.
-MIN_FASTPATH_SPEEDUP = 3.0
-MIN_JIT_SPEEDUP = 2.0  # JIT over fastpath
+#: The regression gate enforced by benchmarks/test_sim_perf.py: JIT
+#: over the reference interpreter.
+MIN_JIT_SPEEDUP = 6.0
 
 
 def _webserver_inputs(n: int) -> List[Tuple[Dict, Dict]]:
@@ -66,24 +65,21 @@ def _time_executions(engine, program, inputs, memory) -> float:
 def measure_engine_rates(
     config: Optional[ExperimentConfig] = None,
 ) -> Dict[str, float]:
-    """Lambda executions per second across all three engine tiers.
+    """Lambda executions per second under both engine tiers.
 
-    Every engine runs the identical web-server request stream against
-    its own persistent memory; the compiled tiers are warmed once so
-    the one-time compile is not billed to the steady-state rate.
+    Both engines run the identical web-server request stream against
+    their own persistent memory; the JIT is warmed once so the one-time
+    compile is not billed to the steady-state rate.
     """
     config = config or DEFAULT_CONFIG
     program = standard_workloads()["web_server"].nic_factory()
     inputs = _webserver_inputs(config.perf_requests)
 
     reference = Interpreter()
-    fast = FastInterpreter()
     jit = JitInterpreter()
     warm_headers, warm_meta = _webserver_inputs(1)[0]
-    for engine in (fast, jit):
-        engine.run(program, headers={k: dict(v)
-                                     for k, v in warm_headers.items()},
-                   meta=dict(warm_meta), memory=_fresh_memory(program))
+    jit.run(program, headers={k: dict(v) for k, v in warm_headers.items()},
+            meta=dict(warm_meta), memory=_fresh_memory(program))
 
     runs = max(1, config.bench_runs)
 
@@ -95,15 +91,12 @@ def measure_engine_rates(
         )
 
     reference_s = median_seconds(reference)
-    fast_s = median_seconds(fast)
     jit_s = median_seconds(jit)
     n = float(len(inputs))
     return {
         "reference_exec_per_s": n / reference_s,
-        "fastpath_exec_per_s": n / fast_s,
-        "fastpath_speedup": reference_s / fast_s,
         "jit_exec_per_s": n / jit_s,
-        "jit_speedup": fast_s / jit_s,
+        "jit_speedup": reference_s / jit_s,
         "jit_fallbacks": float(jit.stats.fallbacks),
     }
 
@@ -119,7 +112,7 @@ def measure_memo_rates(
     """
     config = config or DEFAULT_CONFIG
     program = standard_workloads()["kv_client"].nic_factory()
-    fast = FastInterpreter()
+    jit = JitInterpreter()
     memo = ExecutionMemoCache(max_entries=64)
     memory = _fresh_memory(program)
     headers = {"LambdaHeader": {"wid": 2, "request_id": 7, "seq": 0,
@@ -133,8 +126,8 @@ def measure_memo_rates(
         key = make_key(program, program.entry, h, m, payload_digest=b"")
         if memo.get(key) is not None:
             return
-        result, wrote = fast.execute(program, headers=h, meta=m,
-                                     memory=memory)
+        result, wrote = jit.execute(program, headers=h, meta=m,
+                                    memory=memory)
         if wrote:
             memo.invalidate()
         else:
@@ -225,7 +218,6 @@ def collect(config: Optional[ExperimentConfig] = None) -> Dict[str, Any]:
     metrics.update(measure_sim_event_rate(config))
     metrics["perf_requests"] = config.perf_requests
     metrics["perf_sim_requests"] = config.perf_sim_requests
-    metrics["min_required_speedup"] = MIN_FASTPATH_SPEEDUP
     metrics["min_required_jit_speedup"] = MIN_JIT_SPEEDUP
     # Methodology stamp: every rate above is the median of this many
     # warm rounds, with one-time deploy/compile cost excluded.
@@ -241,16 +233,11 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     rows = [
         ["reference interpreter (exec/s)",
          metrics["reference_exec_per_s"], "baseline"],
-        ["fast-path engine (exec/s)",
-         metrics["fastpath_exec_per_s"],
-         f">= {MIN_FASTPATH_SPEEDUP:.0f}x baseline"],
-        ["fast-path speedup (x)", metrics["fastpath_speedup"],
-         f">= {MIN_FASTPATH_SPEEDUP:.0f}"],
         ["jit engine (exec/s)", metrics["jit_exec_per_s"],
-         f">= {MIN_JIT_SPEEDUP:.0f}x fast path"],
-        ["jit speedup over fast path (x)", metrics["jit_speedup"],
+         f">= {MIN_JIT_SPEEDUP:.0f}x baseline"],
+        ["jit speedup (x)", metrics["jit_speedup"],
          f">= {MIN_JIT_SPEEDUP:.0f}"],
-        ["memo replay (exec/s)", metrics["memo_replay_per_s"], "-"],
+        ["memo replay (exec/s)", metrics["memo_replay_per_s"], "> jit"],
         ["memo hit rate", f"{metrics['memo_hit_rate'] * 100:.1f}%",
          "~100%"],
         ["simulation events/s", metrics["sim_events_per_s"], "-"],

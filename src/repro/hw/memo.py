@@ -6,14 +6,15 @@ the KV cache). A pure execution — one that does not write any
 persistent memory object — is a deterministic function of (program,
 request headers, match metadata, payload), so its
 :class:`~repro.isa.interpreter.ExecutionResult` can be replayed instead
-of re-interpreted.
+of re-executed.
 
 Soundness rests on two rules enforced by :class:`SmartNIC`:
 
-* **Only pure executions are cached.** The fast-path engine reports
+* **Only pure executions are cached.** The JIT engine reports
   whether a run wrote persistent memory (``STORE``/``STORED``/
   ``MEMCPY``/intrinsics declared with ``writes_memory=True``); impure
-  runs are never memoised.
+  runs are never memoised. A run the JIT could not lower falls back
+  to the reference interpreter and always counts as impure.
 * **Any write to persistent memory invalidates the whole cache.** That
   includes impure lambda executions, RDMA message completion, firmware
   installs, and direct test access via ``SmartNIC.lambda_memory`` —

@@ -13,7 +13,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import Firmware
 from ..isa import (
-    FastInterpreter,
     Interpreter,
     JitInterpreter,
     Region,
@@ -49,11 +48,12 @@ PIPELINE_OVERHEAD_CYCLES = 300
 #: instructions, i.e. 30 per segment.
 REORDER_CYCLES_PER_SEGMENT = 30
 
-#: Execution-engine tiers, slowest to fastest. All three are
-#: cycle-exact and verdict-identical (differentially proven); they only
-#: differ in host wall-clock speed. "jit" transparently degrades to
-#: fastpath for programs the JIT cannot lower.
-ENGINE_TIERS = ("interpreter", "fastpath", "jit")
+#: Execution-engine tiers: the reference interpreter (the executable
+#: specification) and the JIT. Both are cycle-exact and
+#: verdict-identical (differentially proven); they only differ in host
+#: wall-clock speed. "jit" transparently degrades to the interpreter
+#: for programs it cannot lower.
+ENGINE_TIERS = ("interpreter", "jit")
 
 
 class NicStats:
@@ -186,11 +186,10 @@ class SmartNIC:
         host_handler: Optional[Callable[[Packet], None]] = None,
         rng=None,
         firmware_swap_seconds: float = 2.0,
-        use_fast_path: bool = True,
         enable_memo: bool = True,
         memo_entries: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
-        engine: Optional[str] = None,
+        engine: str = "jit",
         shedder=None,
     ) -> None:
         if scheduler is None:
@@ -219,36 +218,22 @@ class SmartNIC:
         #: Service-seconds sitting in NPU run queues right now (cycle
         #: counts are known at dispatch, so this tally is exact).
         self._queued_service_seconds = 0.0
-        #: Reference interpreter — kept as the executable specification
-        #: (and the engine when ``engine="interpreter"``).
-        self.interpreter = Interpreter(clock_hz=clock_hz)
-        # Resolve the engine tier: the explicit ``engine`` knob wins;
-        # otherwise the legacy ``use_fast_path`` flag picks the fastest
-        # tier (jit) or the reference interpreter.
-        if engine is None:
-            engine = "jit" if use_fast_path else "interpreter"
         if engine not in ENGINE_TIERS:
             raise ValueError(
                 f"unknown engine {engine!r} (choose from {ENGINE_TIERS})"
             )
         self.engine_tier = engine
-        self.use_fast_path = engine != "interpreter"
-        #: The execution engine for the resolved tier. "fastpath" is the
-        #: pre-decoded threaded-code engine; "jit" compiles each lambda
-        #: to Python source (falling back to fastpath per program). Both
-        #: are cycle- and result-identical to ``interpreter`` (proved by
-        #: tests/isa/test_fastpath.py and tests/isa/test_jit.py).
-        if engine == "jit":
-            self.engine = JitInterpreter(clock_hz=clock_hz)
-        elif engine == "fastpath":
-            self.engine = FastInterpreter(clock_hz=clock_hz)
-        else:
-            self.engine = self.interpreter
-        #: Result memoization is only sound with the compiled tiers,
-        #: which report whether an execution wrote persistent memory.
+        #: The execution engine: "jit" compiles each lambda to Python
+        #: source (falling back to the interpreter per program) and is
+        #: cycle- and result-identical to the reference "interpreter"
+        #: (proved by tests/isa/test_jit.py).
+        self.engine = (JitInterpreter(clock_hz=clock_hz) if engine == "jit"
+                       else Interpreter(clock_hz=clock_hz))
+        #: Result memoization is only sound with the JIT, which reports
+        #: whether an execution wrote persistent memory.
         self.memo: Optional[ExecutionMemoCache] = (
             ExecutionMemoCache(memo_entries)
-            if (self.use_fast_path and enable_memo) else None
+            if (engine == "jit" and enable_memo) else None
         )
 
         self.islands: List[Island] = []
@@ -576,25 +561,25 @@ class SmartNIC:
                  trace_tags: Optional[Dict[str, Any]] = None):
         """Run the firmware against one parsed request.
 
-        Uses the pre-decoded fast-path engine, consulting the execution
-        memo cache first: a pure execution of a byte-identical request
-        is replayed instead of re-interpreted. The key is computed from
-        the *pre-execution* inputs (the lambda mutates ``headers`` and
-        ``meta`` in place) and any execution that writes persistent
-        memory flushes the cache, so stateful lambdas never replay
-        stale results.
+        Uses the configured engine tier. Under the JIT, the execution
+        memo cache is consulted first: a pure execution of a
+        byte-identical request is replayed instead of re-run. The key
+        is computed from the *pre-execution* inputs (the lambda mutates
+        ``headers`` and ``meta`` in place) and any execution that
+        writes persistent memory flushes the cache, so stateful lambdas
+        never replay stale results.
         """
         program = self.firmware.program
-        if not self.use_fast_path:
+        if self.engine_tier == "interpreter":
             if trace_tags is not None:
                 trace_tags["engine"] = "interpreter"
                 trace_tags["memo"] = "off"
-            return self.interpreter.run(
+            return self.engine.run(
                 program, headers=headers, meta=meta,
                 memory=self._lambda_memory,
             )
         if trace_tags is not None:
-            trace_tags["engine"] = self.engine_tier
+            trace_tags["engine"] = "jit"
             trace_tags["memo"] = "off" if self.memo is None else "miss"
         memo = self.memo
         key = None
@@ -611,25 +596,15 @@ class SmartNIC:
             memory=self._lambda_memory,
         )
         if trace_tags is not None:
-            # The JIT may degrade to fastpath per program; report the
-            # tier that actually ran (memo hits keep the configured tier).
-            trace_tags["engine"] = getattr(
-                self.engine, "last_tier", self.engine_tier)
-        self._publish_compile_stats()
+            # The JIT may degrade to the interpreter per program; report
+            # the tier that actually ran (memo hits keep "jit").
+            trace_tags["engine"] = self.engine.last_tier
+        self.stats.record_compile_stats(self.engine_tier, self.engine.stats)
         if wrote_memory:
             self._state_written()
         elif memo is not None:
             memo.put(key, result)
         return result
-
-    def _publish_compile_stats(self) -> None:
-        """Mirror engine compile-cache counters into the metrics registry."""
-        stats = getattr(self.engine, "stats", None)
-        if stats is not None:
-            self.stats.record_compile_stats(self.engine_tier, stats)
-        fallback = getattr(self.engine, "fallback", None)
-        if fallback is not None and getattr(fallback, "stats", None) is not None:
-            self.stats.record_compile_stats("fastpath", fallback.stats)
 
     @staticmethod
     def _payload_digest(packet: Packet) -> Any:

@@ -1,11 +1,10 @@
 """Lambda-IR -> native Python JIT: per-lambda source code generation.
 
-The third (and fastest) execution tier. The reference
-:class:`~repro.isa.interpreter.Interpreter` decodes every instruction on
-every run; the :mod:`~repro.isa.fastpath` engine pre-decodes into
-threaded-code closures but still pays one Python call, one step-limit
-check, and several attribute lookups *per instruction*. This module
-removes that last per-instruction overhead by compiling a
+The fast execution tier. The reference
+:class:`~repro.isa.interpreter.Interpreter` is the executable
+specification: it decodes every instruction on every run, a long
+if/elif chain plus per-operand dispatch. This module removes that
+per-instruction overhead by compiling a
 :class:`~repro.isa.program.LambdaProgram` into real Python source:
 
 * one generated Python function per lambda IR function;
@@ -22,25 +21,26 @@ removes that last per-instruction overhead by compiling a
   instruction-by-instruction when an execution actually crosses the
   limit — so the raise happens at the exact instruction, after the
   exact persistent-memory side effects, with the exact message;
-* the source is ``compile()``d once per program and cached next to the
-  fastpath compile cache (weakly keyed, signature-guarded).
+* the source is ``compile()``d once per program and cached (weakly
+  keyed, guarded by :func:`program_signature`).
 
 Semantics are **cycle-exact and verdict-identical** to the reference
 interpreter — including error messages, region-access accounting,
 persistent-memory-write tracking for the NIC's memo cache, and the step
-limit — proven by the same differential harness the fastpath uses
+limit — proven differentially against the interpreter
 (``tests/isa/test_jit.py`` plus the hypothesis fuzz suite).
 
 Programs the JIT cannot lower (unknown opcodes, CFGs the verifier's
-fixpoint cannot settle) transparently fall back to the fastpath engine;
-fallbacks are counted in :class:`CompileCacheStats` so the tier split
-stays observable.
+fixpoint cannot settle) transparently fall back to the reference
+interpreter; fallbacks are counted in :class:`CompileCacheStats` so the
+tier split stays observable.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -51,18 +51,15 @@ from .instructions import (
     REGION_ACCESS_CYCLES,
     is_register,
 )
-from .fastpath import (
-    CompileCacheStats,
-    FastInterpreter,
-    FastState,
-    program_signature,
-)
 from .interpreter import (
     BULK_BURST_BYTES,
     DEFAULT_STEP_LIMIT,
     EmittedPacket,
     ExecutionError,
     ExecutionResult,
+    Interpreter,
+    Machine,
+    VERDICT_FALLTHROUGH,
     _ALU_OPS,
     _BRANCH_OPS,
     _INTRINSICS,
@@ -76,7 +73,65 @@ from .verify.intervals import interval_states
 
 class JitLoweringError(Exception):
     """The program uses a construct the JIT cannot lower (the engine
-    falls back to the fastpath tier for such programs)."""
+    falls back to the reference interpreter for such programs)."""
+
+
+@dataclass
+class CompileCacheStats:
+    """Compile-cache counters for the JIT tier."""
+
+    hits: int = 0       # lookups answered by a live compilation
+    misses: int = 0     # compilations (first-time or staleness recompiles)
+    fallbacks: int = 0  # programs the JIT could not lower
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+
+class FastState(Machine):
+    """Machine state plus the accounting the reference loop keeps in
+    local variables.
+
+    Subclassing :class:`Machine` keeps intrinsics working unchanged —
+    they receive this state object and use the same ``read`` /
+    ``memory`` / ``meta`` API as under the reference interpreter.
+    """
+
+    def __init__(
+        self,
+        program: LambdaProgram,
+        headers: Optional[Dict[str, Dict[str, Any]]],
+        meta: Optional[Dict[str, Any]],
+        memory: Optional[Dict[str, bytearray]],
+        step_limit: int,
+    ) -> None:
+        super().__init__(program, headers, meta, memory)
+        self.cycles = 0
+        self.executed = 0
+        self.region_accesses: Dict[Any, int] = {}
+        self.verdict = VERDICT_FALLTHROUGH
+        self.return_value: Any = None
+        self.step_limit = step_limit
+        #: Set by stores, memcpy and memory-writing intrinsics; the
+        #: memo cache treats such executions as invalidation points.
+        self.wrote_memory = False
+
+
+def program_signature(program: LambdaProgram) -> Tuple:
+    """Cheap structural fingerprint used to detect stale compilations.
+
+    Catches the mutations that actually occur in this codebase —
+    optimisation passes changing function bodies and memory
+    stratification moving objects between regions. (In-place
+    same-length instruction surgery is not detected; recompile
+    explicitly after such edits.)
+    """
+    return (
+        tuple((name, len(fn.body)) for name, fn in program.functions.items()),
+        tuple((name, obj.region) for name, obj in program.objects.items()),
+        program.entry,
+    )
 
 
 #: Block id sentinel meaning "fall off the end of the function".
@@ -940,12 +995,13 @@ def compile_jit(program: LambdaProgram) -> JitProgram:
 class JitInterpreter:
     """Drop-in engine executing JIT-compiled lambda programs.
 
-    Mirrors the :class:`~repro.isa.fastpath.FastInterpreter` interface
-    (``execute``/``run``/``compiled_for``) with the same weakly-keyed,
-    signature-guarded compile cache. Programs that fail to lower fall
-    back — permanently, until their structure changes — to an internal
-    fastpath engine; :attr:`stats` counts hits/misses/fallbacks so the
-    NIC can surface tier behaviour as metrics.
+    Offers the :class:`~repro.isa.interpreter.Interpreter` ``run``
+    interface plus ``execute`` (which also reports persistent-memory
+    writes) over a weakly-keyed, signature-guarded compile cache.
+    Programs that fail to lower fall back — permanently, until their
+    structure changes — to the reference interpreter; :attr:`stats`
+    counts hits/misses/fallbacks so the NIC can surface tier behaviour
+    as metrics.
     """
 
     tier = "jit"
@@ -956,8 +1012,7 @@ class JitInterpreter:
         self.step_limit = step_limit
         self.stats = CompileCacheStats()
         #: The fallback tier for programs the JIT cannot lower.
-        self.fallback = FastInterpreter(clock_hz=clock_hz,
-                                        step_limit=step_limit)
+        self.fallback = Interpreter(clock_hz=clock_hz, step_limit=step_limit)
         self._compiled: "weakref.WeakKeyDictionary[LambdaProgram, Tuple]" = (
             weakref.WeakKeyDictionary()
         )
@@ -975,10 +1030,10 @@ class JitInterpreter:
         try:
             compiled: Optional[JitProgram] = JitProgram(program)
         except Exception:
-            # Any lowering failure degrades to the (differentially
-            # proven) fastpath tier rather than breaking execution; the
-            # JIT test suite asserts zero fallbacks on all registered
-            # workloads so codegen regressions still surface in CI.
+            # Any lowering failure degrades to the reference interpreter
+            # rather than breaking execution; the JIT test suite asserts
+            # zero fallbacks on all registered workloads so codegen
+            # regressions still surface in CI.
             compiled = None
             self.stats.fallbacks += 1
         self._compiled[program] = (signature, compiled)
@@ -1000,9 +1055,11 @@ class JitInterpreter:
         """Run to completion; returns (result, wrote_persistent_memory)."""
         compiled = self.compiled_for(program)
         if compiled is None:
-            self.last_tier = "fastpath"
-            return self.fallback.execute(program, headers, meta, memory,
-                                         entry)
+            self.last_tier = "interpreter"
+            # The interpreter does not track writes: count the run as
+            # memory-writing so the memo never replays it.
+            return self.fallback.run(program, headers, meta, memory,
+                                     entry), True
         self.last_tier = "jit"
         st = FastState(program, headers, meta, memory, self.step_limit)
         compiled.entry(entry or program.entry)(st)
@@ -1075,7 +1132,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         try:
             compiled = JitProgram(program)
         except JitLoweringError as error:
-            print(f"# {program.name}: fallback to fastpath ({error})")
+            print(f"# {program.name}: fallback to interpreter ({error})")
             continue
         print(compiled.source)
     return 0

@@ -11,8 +11,8 @@ the extension safe to enable:
   one on fuzzed request streams — same verdicts, return values, header
   and metadata mutations, emitted packets, response payloads, and
   persistent-memory effects — under both the reference interpreter and
-  the fast-path engine. (Cycle counts legitimately drop: fewer
-  instructions execute.)
+  the JIT. (Cycle counts legitimately drop: fewer instructions
+  execute.)
 """
 
 import copy
@@ -27,9 +27,9 @@ from repro.compiler import (
     STANDARD_PASSES,
     compile_unit,
 )
-from repro.isa import FastInterpreter, Interpreter
+from repro.isa import Interpreter, JitInterpreter
 from repro.workloads.registry import fig9_workloads
-from tests.isa.test_fastpath import fresh_memory, fuzz_inputs
+from tests.isa.test_jit import fresh_memory, fuzz_inputs
 
 
 def build_unit():
@@ -75,20 +75,15 @@ def observable(outcome):
 
 def run_one(engine, program, headers, meta, memory):
     try:
-        if isinstance(engine, FastInterpreter):
-            result, _ = engine.execute(
-                program, headers=copy.deepcopy(headers), meta=dict(meta),
-                memory=memory)
-        else:
-            result = engine.run(
-                program, headers=copy.deepcopy(headers), meta=dict(meta),
-                memory=memory)
+        result = engine.run(
+            program, headers=copy.deepcopy(headers), meta=dict(meta),
+            memory=memory)
         return ("ok", asdict(result))
     except Exception as error:
         return ("err", type(error).__name__, str(error))
 
 
-@pytest.mark.parametrize("engine_cls", [Interpreter, FastInterpreter])
+@pytest.mark.parametrize("engine_cls", [Interpreter, JitInterpreter])
 def test_extended_firmware_is_observationally_identical(firmwares,
                                                         engine_cls):
     standard, extended = firmwares

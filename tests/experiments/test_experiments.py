@@ -159,23 +159,22 @@ def test_experiments_deterministic_for_fixed_seed():
 
 
 def test_perf_report_shapes():
-    """The perf driver measures real rates and a >1x fast-path win.
+    """The perf driver measures real rates and a >1x JIT win.
 
-    The hard >=3x regression gate lives in benchmarks/test_sim_perf.py;
+    The hard >=6x regression gate lives in benchmarks/test_sim_perf.py;
     here we only require structural sanity plus a nontrivial speedup so
     a loaded CI host cannot flake this tier-1 test.
     """
     metrics = perf.collect(FAST_CONFIG)
-    for key in ("reference_exec_per_s", "fastpath_exec_per_s",
-                "jit_exec_per_s", "memo_replay_per_s",
-                "sim_events_per_s", "sim_requests_per_s"):
+    for key in ("reference_exec_per_s", "jit_exec_per_s",
+                "memo_replay_per_s", "sim_events_per_s",
+                "sim_requests_per_s"):
         assert metrics[key] > 0, key
-    assert metrics["fastpath_speedup"] > 1.0
     assert metrics["jit_speedup"] > 1.0
     assert metrics["jit_fallbacks"] == 0
     assert metrics["memo_hit_rate"] > 0.9
     report = perf.run(FAST_CONFIG)
-    assert len(report.rows) == 9
+    assert len(report.rows) == 7
     assert "Perf" in report.format()
 
 

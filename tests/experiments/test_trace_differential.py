@@ -5,8 +5,8 @@ randomness, or mutates packet routing — so a traced run and an
 untraced run of the same seeded scenario must be *byte-identical* in
 every observable output (exact float latencies, event count, final
 sim time, per-component counters). Each parametrised case exercises a
-different execution path: every engine tier (JIT — the default —
-pre-decoded fast path, reference interpreter), memoization on/off,
+different execution path: both engine tiers (the default JIT and the
+reference interpreter), memoization on/off,
 the host (bare-metal) backend, and the RDMA/memcached path.
 """
 
@@ -18,10 +18,7 @@ from repro.workloads import standard_workloads
 CASES = [
     ("jit-memo", "web_server", "lambda-nic", {}),
     ("jit-explicit", "web_server", "lambda-nic", {"engine": "jit"}),
-    ("fastpath", "web_server", "lambda-nic", {"engine": "fastpath"}),
     ("interpreter", "web_server", "lambda-nic", {"engine": "interpreter"}),
-    ("legacy-interpreter-knob", "web_server", "lambda-nic",
-     {"use_fast_path": False}),
     ("jit-no-memo", "web_server", "lambda-nic", {"enable_memo": False}),
     ("bare-metal-host", "web_server", "bare-metal", {}),
     ("rdma-kv", "kv_client", "lambda-nic", {}),
@@ -88,14 +85,13 @@ def test_traced_run_is_byte_identical(name, workload, backend, nic_kwargs):
 
 
 def test_engine_tiers_are_byte_identical_end_to_end():
-    """All three engine tiers yield the same simulation, exactly —
-    the cycle-exactness proof lifted to the whole testbed."""
+    """Both engine tiers yield the same simulation, exactly — the
+    cycle-exactness proof lifted to the whole testbed."""
     fingerprints = {
         engine: _run_fingerprint("web_server", "lambda-nic",
                                  {"engine": engine}, False)
-        for engine in ("interpreter", "fastpath", "jit")
+        for engine in ("interpreter", "jit")
     }
-    assert fingerprints["jit"] == fingerprints["fastpath"]
     assert fingerprints["jit"] == fingerprints["interpreter"]
 
 

@@ -13,6 +13,7 @@ from repro.compiler import CompilationUnit, compile_unit
 from repro.hw import ExecutionMemoCache, SmartNIC
 from repro.hw.memo import make_key
 from repro.isa import AccessMode, ExecutionResult, ProgramBuilder
+import repro.isa.jit as jit_module
 from repro.net import (
     EthernetHeader,
     HeaderStack,
@@ -255,9 +256,9 @@ def _drive(nic_kwargs, n=30):
 
 def test_fast_path_and_memo_match_reference_engine_end_to_end():
     """Same packet stream, three engine configs, identical simulation."""
-    reference = _drive({"use_fast_path": False})
-    fast = _drive({"use_fast_path": True, "enable_memo": False})
-    memoized = _drive({"use_fast_path": True, "enable_memo": True})
+    reference = _drive({"engine": "interpreter"})
+    fast = _drive({"engine": "jit", "enable_memo": False})
+    memoized = _drive({"engine": "jit", "enable_memo": True})
     assert reference[1] == fast[1] == memoized[1]
     ref_nic, fast_nic, memo_nic = reference[0], fast[0], memoized[0]
     assert (ref_nic.stats.requests_served == fast_nic.stats.requests_served
@@ -266,6 +267,35 @@ def test_fast_path_and_memo_match_reference_engine_end_to_end():
         == memo_nic.stats.latencies
     assert ref_nic.stats.total_cycles == fast_nic.stats.total_cycles \
         == memo_nic.stats.total_cycles
+
+
+def test_jit_fallback_matches_reference_and_is_never_memoised(monkeypatch):
+    """A program the JIT cannot lower runs on the reference interpreter:
+    the simulation is unchanged and, since the interpreter does not
+    track writes, no result is ever stored in the memo."""
+    reference = _drive({"engine": "interpreter"})
+
+    def explode(program):
+        raise jit_module.JitLoweringError("forced for test")
+
+    monkeypatch.setattr(jit_module, "JitProgram", explode)
+    fallback = _drive({"engine": "jit", "enable_memo": True})
+    assert fallback[1] == reference[1]
+    ref_nic, nic = reference[0], fallback[0]
+    assert nic.stats.latencies == ref_nic.stats.latencies
+    assert nic.stats.total_cycles == ref_nic.stats.total_cycles
+    assert nic.engine.last_tier == "interpreter"
+    assert nic.engine.stats.fallbacks == 1
+    assert len(nic.memo) == 0
+    assert nic.memo.stats.hits == 0
+
+
+@pytest.mark.parametrize("engine", ["fast" "path", "JIT"])
+def test_unknown_engine_is_rejected(engine):
+    """The retired pre-decoded tier and other unknown names are refused,
+    and the error names the two valid tiers."""
+    with pytest.raises(ValueError, match=r"\('interpreter', 'jit'\)"):
+        make_setup(engine=engine)
 
 
 # -- cache unit behaviour ----------------------------------------------------

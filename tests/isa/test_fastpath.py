@@ -1,155 +1,113 @@
-"""Differential suite: the pre-decoded engine vs the reference interpreter.
+"""Differential suite: the JIT's interpreter fallback vs the reference.
 
-The fast-path engine must be *indistinguishable* from the reference
-interpreter: same verdicts, return values, cycle counts, instruction
-counts, region-access profiles, emitted packets, header/meta mutations,
-response payloads, persistent-memory effects — and the same errors with
-the same messages. These tests check that equivalence property-style:
-seeded fuzzed request streams over every registered workload (and the
-composed multi-lambda firmware), plus targeted cases for the paths
-where the two implementations are structured differently (calls,
-labels, step limits, staleness after program mutation).
+When a program fails to lower, :class:`JitInterpreter` serves it from
+the reference :class:`Interpreter` instead, until the program's
+structure changes. That path must be *indistinguishable* from running
+the reference interpreter directly: same verdicts, return values, cycle
+counts, instruction counts, region-access profiles, emitted packets,
+header/meta mutations, response payloads, persistent-memory effects —
+and the same errors with the same messages. The one documented
+difference is the write flag, which is always ``True`` on a fallback
+run so the execution memo never replays it.
+
+Every test here forces lowering to fail and counts the attempts, so the
+cached failure (one lowering attempt per program signature) is checked
+alongside the results. The module name is historical; the test ids are
+kept stable.
 """
 
-import copy
 import random
 from dataclasses import asdict
 
 import pytest
 
-from repro.compiler import CompilationUnit, compile_unit
 from repro.isa import (
-    FastInterpreter,
     Interpreter,
+    JitInterpreter,
     Op,
     ProgramBuilder,
     Region,
-    compile_program,
     program_signature,
 )
-from repro.workloads.registry import fig9_workloads, standard_workloads
+import repro.isa.jit as jit_module
+from tests.isa.test_jit import (
+    all_workload_programs,
+    build,
+    composed_firmware_program,
+    fresh_memory,
+    fuzz_inputs,
+    run_both,
+)
 
 
-def all_workload_programs():
-    """Every registered NIC lambda, by a stable unique name."""
-    programs = {}
-    for name, spec in standard_workloads().items():
-        programs[f"std:{name}"] = spec.nic_program()
-    for name, spec in fig9_workloads().items():
-        programs[f"fig9:{name}"] = spec.nic_program()
-    return programs
+@pytest.fixture(autouse=True)
+def lowering_attempts(monkeypatch):
+    """Make every JIT lowering fail; returns the list of attempted programs."""
+    attempts = []
+
+    def refuse(program):
+        attempts.append(program)
+        raise jit_module.JitLoweringError("forced for test")
+
+    monkeypatch.setattr(jit_module, "JitProgram", refuse)
+    return attempts
 
 
-def composed_firmware_program(optimize):
-    unit = CompilationUnit()
-    for index, (_, spec) in enumerate(sorted(fig9_workloads().items())):
-        unit.add_lambda(spec.nic_program(), wid=index + 1,
-                        route_port=f"p{index}")
-    return compile_unit(unit, optimize=optimize).program
-
-
-def fuzz_inputs(rng, n):
-    """Seeded request stream exercising every workload's branches."""
-    inputs = []
-    for i in range(n):
-        headers = {
-            "LambdaHeader": {
-                "wid": rng.randrange(1, 6),
-                "request_id": rng.randrange(1 << 16),
-                "seq": rng.randrange(8),
-                "is_response": rng.choice([0, 1]),
-                "total_segments": rng.randrange(1, 5),
-            }
-        }
-        meta = {
-            "has_LambdaHeader": 1,
-            "ingress_port": rng.randrange(4),
-            "service_response": rng.choice([0, 0, 1]),
-            "service_status": rng.choice([0, 1]),
-            "rdma_len": rng.choice([0, 1024, 4096]),
-        }
-        inputs.append((headers, meta))
-    return inputs
-
-
-def fresh_memory(program):
-    return {obj.name: bytearray(obj.size_bytes)
-            for obj in program.objects.values()}
-
-
-def run_both(program, headers, meta, ref_memory, fast_memory,
-             reference=None, fast=None, entry=None):
-    """Run one input through both engines; returns (outcome, outcome)."""
-    reference = reference or Interpreter()
-    fast = fast or FastInterpreter()
-    try:
-        ref = ("ok", asdict(reference.run(
-            program, headers=copy.deepcopy(headers), meta=dict(meta),
-            memory=ref_memory, entry=entry)))
-    except Exception as error:
-        ref = ("err", type(error).__name__, str(error))
-    try:
-        result, _ = fast.execute(
-            program, headers=copy.deepcopy(headers), meta=dict(meta),
-            memory=fast_memory, entry=entry)
-        fst = ("ok", asdict(result))
-    except Exception as error:
-        fst = ("err", type(error).__name__, str(error))
-    return ref, fst
-
-
-@pytest.mark.parametrize("key", sorted(all_workload_programs()))
-def test_every_workload_differentially(key):
-    """Fuzzed request sequence against shared persistent memory."""
-    program = all_workload_programs()[key]
-    rng = random.Random(hash(key) & 0xFFFF)
-    reference, fast = Interpreter(), FastInterpreter()
-    ref_memory = fresh_memory(program)
-    fast_memory = {k: bytearray(v) for k, v in ref_memory.items()}
-    for headers, meta in fuzz_inputs(rng, 60):
-        ref, fst = run_both(program, headers, meta, ref_memory,
-                            fast_memory, reference, fast)
-        assert ref == fst, f"{key}: {ref} != {fst}"
-    # Persistent state evolved identically across the whole sequence.
-    assert ref_memory == fast_memory
-
-
-@pytest.mark.parametrize("optimize", [False, True])
-def test_composed_firmware_differentially(optimize):
-    """The multi-lambda compiled firmware image, pre/post optimizer."""
-    program = composed_firmware_program(optimize)
-    rng = random.Random(1234)
-    reference, fast = Interpreter(), FastInterpreter()
-    ref_memory = fresh_memory(program)
-    fast_memory = {k: bytearray(v) for k, v in ref_memory.items()}
-    for headers, meta in fuzz_inputs(rng, 40):
-        ref, fst = run_both(program, headers, meta, ref_memory,
-                            fast_memory, reference, fast)
-        assert ref == fst
-    assert ref_memory == fast_memory
-
-
-def build(body_fn, objects=(), name="test"):
-    builder = ProgramBuilder(name)
-    for obj_name, size in objects:
-        builder.object(obj_name, size)
-    fn = builder.function(name)
-    body_fn(fn)
-    builder.close(fn)
-    return builder.build()
+def assert_fell_back(engine, lowerings=1):
+    assert engine.last_tier == "interpreter"
+    assert engine.stats.fallbacks == lowerings
+    assert engine.stats.misses == lowerings
 
 
 def assert_identical(program, headers=None, meta=None, entry=None,
                      objects=True):
     ref_memory = fresh_memory(program) if objects else None
-    fast_memory = ({k: bytearray(v) for k, v in ref_memory.items()}
-                   if objects else None)
-    ref, fst = run_both(program, headers or {}, meta or {},
-                        ref_memory, fast_memory, entry=entry)
-    assert ref == fst, f"{ref} != {fst}"
+    fallback_memory = ({k: bytearray(v) for k, v in ref_memory.items()}
+                       if objects else None)
+    engine = JitInterpreter()
+    ref, fb = run_both(program, headers or {}, meta or {}, ref_memory,
+                       fallback_memory, jit=engine, entry=entry)
+    assert ref == fb, f"{ref} != {fb}"
+    assert_fell_back(engine)
     if objects:
-        assert ref_memory == fast_memory
+        assert ref_memory == fallback_memory
     return ref
+
+
+@pytest.mark.parametrize("key", sorted(all_workload_programs()))
+def test_every_workload_differentially(key, lowering_attempts):
+    """Fuzzed request sequence against shared persistent memory."""
+    program = all_workload_programs()[key]
+    rng = random.Random(hash(key) & 0xFFFF)
+    reference, engine = Interpreter(), JitInterpreter()
+    ref_memory = fresh_memory(program)
+    fallback_memory = {k: bytearray(v) for k, v in ref_memory.items()}
+    for headers, meta in fuzz_inputs(rng, 60):
+        ref, fb = run_both(program, headers, meta, ref_memory,
+                           fallback_memory, reference, engine)
+        assert ref == fb, f"{key}: {ref} != {fb}"
+    # Persistent state evolved identically across the whole sequence.
+    assert ref_memory == fallback_memory
+    # One lowering attempt for the whole stream: the failure is cached.
+    assert lowering_attempts == [program]
+    assert_fell_back(engine)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_composed_firmware_differentially(optimize, lowering_attempts):
+    """The multi-lambda compiled firmware image, pre/post optimizer."""
+    program = composed_firmware_program(optimize)
+    rng = random.Random(1234)
+    reference, engine = Interpreter(), JitInterpreter()
+    ref_memory = fresh_memory(program)
+    fallback_memory = {k: bytearray(v) for k, v in ref_memory.items()}
+    for headers, meta in fuzz_inputs(rng, 40):
+        ref, fb = run_both(program, headers, meta, ref_memory,
+                           fallback_memory, reference, engine)
+        assert ref == fb
+    assert ref_memory == fallback_memory
+    assert lowering_attempts == [program]
+    assert_fell_back(engine)
 
 
 def test_calls_returns_and_cycle_parity():
@@ -192,16 +150,18 @@ def test_memory_region_accounting_parity():
 
 
 def test_error_parity_step_limit():
+    """The fallback interpreter inherits the JIT engine's step limit."""
     def body(f):
         f.label("spin")
         f.jmp("spin")
 
     program = build(body)
-    reference = Interpreter(step_limit=500)
-    fast = FastInterpreter(step_limit=500)
-    ref, fst = run_both(program, {}, {}, None, None, reference, fast)
-    assert ref[0] == "err" and ref == fst
+    engine = JitInterpreter(step_limit=500)
+    ref, fb = run_both(program, {}, {}, None, None,
+                       Interpreter(step_limit=500), engine)
+    assert ref[0] == "err" and ref == fb
     assert "step limit 500" in ref[2]
+    assert_fell_back(engine)
 
 
 def test_error_parity_step_limit_through_trailing_label():
@@ -214,114 +174,107 @@ def test_error_parity_step_limit_through_trailing_label():
 
     program = build(body)
     # Two real instructions execute; limit of 2 trips at the label.
-    reference = Interpreter(step_limit=2)
-    fast = FastInterpreter(step_limit=2)
-    ref, fst = run_both(program, {}, {}, None, None, reference, fast)
-    assert ref[0] == "err" and ref == fst
+    ref, fb = run_both(program, {}, {}, None, None,
+                       Interpreter(step_limit=2), JitInterpreter(step_limit=2))
+    assert ref[0] == "err" and ref == fb
     # One above the limit, both complete.
-    reference = Interpreter(step_limit=3)
-    fast = FastInterpreter(step_limit=3)
-    ref, fst = run_both(program, {}, {}, None, None, reference, fast)
-    assert ref[0] == "ok" and ref == fst
+    ref, fb = run_both(program, {}, {}, None, None,
+                       Interpreter(step_limit=3), JitInterpreter(step_limit=3))
+    assert ref[0] == "ok" and ref == fb
 
 
 def test_error_parity_missing_header():
     program = build(lambda f: f.hload("r1", "Nope", "field").ret("r1"))
-    ref, fst = run_both(program, {}, {}, None, None)
-    assert ref[0] == "err" and ref == fst
+    ref, fb = run_both(program, {}, {}, None, None)
+    assert ref[0] == "err" and ref == fb
     assert "Nope.field not present" in ref[2]
 
 
 def test_error_parity_foreign_object():
     program = build(lambda f: f.load("r1", "buf", 0).ret("r1"),
                     objects=[("buf", 64)])
-    reference, fast = Interpreter(), FastInterpreter()
-    ref, fst = run_both(program, {}, {}, {}, {}, reference, fast)
-    assert ref[0] == "err" and ref == fst
+    ref, fb = run_both(program, {}, {}, {}, {})
+    assert ref[0] == "err" and ref == fb
     assert "foreign object" in ref[2]
 
 
 def test_error_parity_out_of_bounds():
     program = build(lambda f: f.store("buf", 9999, "r1"),
                     objects=[("buf", 64)])
-    ref, fst = run_both(program, {}, {}, None, None)
-    assert ref[0] == "err" and ref == fst
+    ref, fb = run_both(program, {}, {}, None, None)
+    assert ref[0] == "err" and ref == fb
     assert "out of bounds" in ref[2]
 
 
 def test_error_parity_unknown_intrinsic():
     program = build(lambda f: f.emit(Op.INTRINSIC, "nonsense"))
-    ref, fst = run_both(program, {}, {}, None, None)
-    assert ref[0] == "err" and ref == fst
+    ref, fb = run_both(program, {}, {}, None, None)
+    assert ref[0] == "err" and ref == fb
     assert "unknown intrinsic" in ref[2]
 
 
 def test_wrote_memory_flag():
+    """A fallback run always counts as memory-writing, pure or not."""
     pure = build(lambda f: f.load("r1", "buf", 0).mstore("v", "r1").forward(),
                  objects=[("buf", 64)])
     impure = build(lambda f: f.mov("r1", 7).store("buf", 0, "r1").forward(),
                    objects=[("buf", 64)])
-    fast = FastInterpreter()
-    _, wrote = fast.execute(pure, headers={}, meta={})
-    assert wrote is False
-    _, wrote = fast.execute(impure, headers={}, meta={})
+    engine = JitInterpreter()
+    _, wrote = engine.execute(pure, headers={}, meta={})
     assert wrote is True
+    _, wrote = engine.execute(impure, headers={}, meta={})
+    assert wrote is True
+    assert_fell_back(engine, lowerings=2)
 
 
-def test_recompiles_when_region_changes():
-    """Memory stratification after compilation must not use stale code."""
+def test_recompiles_when_region_changes(lowering_attempts):
+    """Stratification after a failed lowering retries it and re-costs."""
     def body(f):
         f.load("r1", "buf", 0)
         f.ret("r1")
 
     program = build(body, objects=[("buf", 64)])
-    fast = FastInterpreter()
+    engine = JitInterpreter()
     reference = Interpreter()
-    first_fast = fast.run(program, memory=fresh_memory(program))
+    first = engine.run(program, memory=fresh_memory(program))
     first_ref = reference.run(program, memory=fresh_memory(program))
-    assert asdict(first_fast) == asdict(first_ref)
+    assert asdict(first) == asdict(first_ref)
 
     program.objects["buf"].region = Region.EMEM  # stratification pass
-    second_fast = fast.run(program, memory=fresh_memory(program))
+    second = engine.run(program, memory=fresh_memory(program))
     second_ref = reference.run(program, memory=fresh_memory(program))
-    assert asdict(second_fast) == asdict(second_ref)
-    assert second_fast.cycles != first_fast.cycles
-    assert list(second_fast.region_accesses) == [Region.EMEM]
+    assert asdict(second) == asdict(second_ref)
+    assert second.cycles != first.cycles
+    assert list(second.region_accesses) == [Region.EMEM]
+    assert lowering_attempts == [program, program]
+    assert_fell_back(engine, lowerings=2)
 
 
-def test_recompiles_when_body_changes():
+def test_recompiles_when_body_changes(lowering_attempts):
     program = build(lambda f: f.mov("r0", 1).ret("r0"))
-    fast = FastInterpreter()
-    assert fast.run(program).return_value == 1
+    engine = JitInterpreter()
+    assert engine.run(program).return_value == 1
+    stale_signature = program_signature(program)
     fn = program.functions["test"]
-    stale_signature = fast.compiled_for(program).signature
     fn.body = fn.body[:1] + fn.body  # prepend another mov
     assert program_signature(program) != stale_signature
-    assert fast.run(program).instructions_executed == \
+    assert engine.run(program).instructions_executed == \
         Interpreter().run(program).instructions_executed
+    assert len(lowering_attempts) == 2
+    assert_fell_back(engine, lowerings=2)
 
 
-def test_compile_cache_reused_for_unchanged_program():
+def test_compile_cache_reused_for_unchanged_program(lowering_attempts):
     program = build(lambda f: f.mov("r0", 1).ret("r0"))
-    fast = FastInterpreter()
-    fast.run(program)
-    first = fast.compiled_for(program)
-    fast.run(program)
-    assert fast.compiled_for(program) is first
-
-
-def test_compile_program_layout():
-    builder = ProgramBuilder("main")
-    helper = builder.function("h")
-    helper.nop(3)
-    builder.close(helper)
-    main = builder.function("main")
-    main.call("h").ret(0)
-    builder.close(main)
-    compiled = compile_program(builder.build())
-    # Every function gets its real instructions plus an implicit return.
-    assert len(compiled.code) == (3 + 1) + (2 + 1)
-    assert set(compiled.offsets) == {"h", "main"}
+    engine = JitInterpreter()
+    engine.run(program)
+    assert engine.compiled_for(program) is None
+    engine.run(program)
+    assert engine.compiled_for(program) is None
+    # The failure is cached against the unchanged signature.
+    assert lowering_attempts == [program]
+    assert engine.stats.hits == 3
+    assert_fell_back(engine)
 
 
 def test_alternate_entry_point_parity():

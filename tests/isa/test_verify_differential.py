@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.isa import ExecutionError, Interpreter, IsolationError
 from repro.isa.verify import verify_program
-from tests.isa.test_fastpath import all_workload_programs, fresh_memory
+from tests.isa.test_jit import all_workload_programs, fresh_memory
 
 _PROGRAMS = all_workload_programs()
 _REPORTS = {}
@@ -24,7 +24,7 @@ def report_for(key):
 
 
 def request_streams():
-    """Hypothesis strategy mirroring the fast-path fuzz inputs."""
+    """Hypothesis strategy mirroring the JIT suite's fuzz inputs."""
     headers = st.fixed_dictionaries({
         "LambdaHeader": st.fixed_dictionaries({
             "wid": st.integers(1, 5),
@@ -87,7 +87,7 @@ def test_wcet_is_tight_for_the_builtin_workloads():
     """
     import random
 
-    from tests.isa.test_fastpath import fuzz_inputs
+    from tests.isa.test_jit import fuzz_inputs
 
     for key in ("std:web_server", "std:kv_client"):
         program = _PROGRAMS[key]

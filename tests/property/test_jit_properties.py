@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import FastInterpreter, Interpreter, JitInterpreter
+from repro.isa import Interpreter, JitInterpreter
 from repro.serverless import Testbed, closed_loop
 from repro.workloads import web_server_spec
 from repro.workloads.registry import fig9_workloads, standard_workloads
@@ -77,25 +77,25 @@ def outcome(engine, program, headers, meta, memory):
 def test_jit_matches_reference_on_random_packets(key, headers, meta,
                                                  memory_seed):
     """Random packets, random pre-seeded persistent state: the JIT is
-    byte-identical to the reference (results, errors, memory, and the
-    wrote-memory flag agrees with the fastpath tier's)."""
+    byte-identical to the reference (results, errors, memory), and a
+    successful run that changed persistent memory reports the write —
+    the direction the memo cache's soundness depends on."""
     program = program_for(key)
     rng = random.Random(memory_seed)
     ref_memory = {
         obj.name: bytearray(rng.randrange(256) for _ in range(obj.size_bytes))
         for obj in program.objects.values()
     }
+    before = {k: bytes(v) for k, v in ref_memory.items()}
     jit_memory = {k: bytearray(v) for k, v in ref_memory.items()}
-    fast_memory = {k: bytearray(v) for k, v in ref_memory.items()}
 
     jit = JitInterpreter()
     ref, _ = outcome(Interpreter(), program, headers, meta, ref_memory)
     jt, jit_wrote = outcome(jit, program, headers, meta, jit_memory)
-    fast, fast_wrote = outcome(FastInterpreter(), program, headers, meta,
-                               fast_memory)
     assert ref == jt, f"{key}: {ref} != {jt}"
     assert ref_memory == jit_memory
-    assert jit_wrote == fast_wrote
+    if jt[0] == "ok" and jit_memory != before:
+        assert jit_wrote is True
     assert jit.stats.fallbacks == 0
 
 
