@@ -147,7 +147,6 @@ def shard_worker(spec: ShardSpec) -> Dict[str, Any]:
         "mean": (sum(latencies) / len(latencies)) if latencies else 0.0,
         "sim_duration": load.duration,
         "events": tb.env._eid,
-        "pool_reused": tb.env.pool.reused if tb.env.pool else 0,
         "registry": registry,
         "latencies": list(load.latencies) if params.get("ship_latencies")
         else None,

@@ -14,7 +14,6 @@ makes every run bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-import sys
 from collections import deque
 from typing import Any, Callable, Iterable, List, Optional
 
@@ -22,11 +21,6 @@ from typing import Any, Callable, Iterable, List, Optional
 #: event, so the module-attribute lookups are worth avoiding.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: Reference counting is how the event pool proves a processed timeout
-#: has no external holders (CPython only; on other runtimes the pool
-#: simply never recycles, which is merely slower, never wrong).
-_getrefcount = getattr(sys, "getrefcount", None)
 
 #: Scheduling priority for bookkeeping events that must run before any
 #: ordinary event at the same timestamp (e.g. process initialisation).
@@ -133,34 +127,35 @@ class Timeout(Event):
 
     Timeouts are the single highest-churn allocation in the simulator
     (every service time, link delay, and think-time gap creates one),
-    so environments recycle them through a bounded :class:`EventPool`:
-    once a timeout has been processed and provably has no remaining
-    holders, its object is reset and reused by a later
-    :meth:`Environment.timeout` call instead of allocating afresh.
+    so the class declares ``__slots__``; every
+    :meth:`Environment.timeout` call builds a fresh object, and a
+    processed timeout is freed as soon as its last holder drops it.
     """
 
-    __slots__ = ("_delay", "_cancelled", "_pooled")
+    __slots__ = ("_delay", "_cancelled")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
+        # Event.__init__ inlined: one call frame less on the kernel's
+        # highest-churn allocation.
+        self.env = env
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self.defused = False
         self._delay = delay
         self._cancelled = False
-        self._pooled = env._pool is not None
-        self._ok = True
-        self._value = value
         env.schedule(self, delay=delay)
 
     def cancel(self) -> None:
         """Cancel a pending timeout: its callbacks will never run.
 
-        The timeout stays on the calendar until its timestamp is
-        reached, at which point the scheduler discards it (returning it
-        to the event pool when possible) without invoking callbacks or
-        advancing the clock for it. Only the exclusive owner of a
-        timeout may cancel it — anything still waiting on the event
-        (a parked process, a condition) would wait forever.
+        The timeout stays on the calendar until its timestamp is reached,
+        where the scheduler discards it without invoking callbacks or
+        advancing the clock for it. Only the exclusive owner of a timeout
+        may cancel it — anything still waiting on the event (a parked
+        process, a condition) would wait forever.
         """
         if self.callbacks is None:
             raise SimulationError("cannot cancel a processed timeout")
@@ -174,49 +169,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
-
-
-class EventPool:
-    """A bounded free-list of recycled :class:`Timeout` events.
-
-    The scheduler returns a processed timeout here only when a
-    refcount probe proves nothing else references it, so reuse can
-    never resurrect an event some condition value or process still
-    holds. Released events are scrubbed (callbacks detached, value
-    cleared) before they enter the free list, and the list is bounded
-    by ``max_size`` — a burst of simultaneous timeouts cannot pin
-    memory forever.
-    """
-
-    __slots__ = ("max_size", "_free", "reused", "recycled", "discarded")
-
-    def __init__(self, max_size: int = 4096) -> None:
-        if max_size < 0:
-            raise ValueError("max_size must be >= 0")
-        self.max_size = max_size
-        self._free: List[Timeout] = []
-        #: Times a timeout was served from the free list.
-        self.reused = 0
-        #: Times a processed timeout was returned to the free list.
-        self.recycled = 0
-        #: Times a recyclable timeout was dropped because the pool was full.
-        self.discarded = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def _release(self, event: Timeout) -> None:
-        """Scrub ``event`` and add it to the free list (or drop it)."""
-        event.callbacks = None
-        event._value = _PENDING
-        event._ok = True
-        event.defused = False
-        event._cancelled = False
-        if len(self._free) < self.max_size:
-            self._free.append(event)
-            self.recycled += 1
-        else:
-            self.discarded += 1
 
 
 class ConditionValue:
@@ -349,25 +301,15 @@ class Environment:
     (O(1) deque ops instead of O(log n) sifts) while preserving the
     exact global (time, priority, insertion-order) processing order,
     so runs remain bit-for-bit identical to the single-heap kernel.
-
-    ``event_pool`` enables :class:`Timeout` recycling through a
-    bounded :class:`EventPool` (on by default; pass ``False`` for the
-    allocate-always legacy behaviour, which the perf harness uses as
-    its regression baseline).
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 event_pool: bool = True, pool_size: int = 4096) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[tuple] = []
         #: Immediate (delay == 0) events, processed at ``_now`` in
         #: (priority, eid) order ahead of any later heap entry.
         self._now_urgent: "deque" = deque()
         self._now_normal: "deque" = deque()
-        self._pool: Optional[EventPool] = (
-            EventPool(pool_size) if event_pool and _getrefcount is not None
-            else None
-        )
         #: Count of not-yet-reaped cancelled timeouts; lets the hot
         #: loop skip the cancellation check entirely in the (typical)
         #: run where nothing is ever cancelled.
@@ -414,19 +356,31 @@ class Environment:
                       (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf``."""
+        """Time of the next event that will run, or ``inf``.
+
+        Cancelled timeouts at a queue head are discarded first, as
+        :meth:`step` would discard them.
+        """
+        queue = self._queue
+        if self._n_cancelled:
+            for pending in (self._now_urgent, self._now_normal):
+                while pending and pending[0][1].__class__ is Timeout \
+                        and pending[0][1]._cancelled:
+                    pending.popleft()
+                    self._n_cancelled -= 1
+            while queue and queue[0][3].__class__ is Timeout \
+                    and queue[0][3]._cancelled:
+                _heappop(queue)
+                self._n_cancelled -= 1
         if self._now_urgent or self._now_normal:
             return self._now
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Process the next event on the calendar."""
         queue = self._queue
         urgent = self._now_urgent
         normal = self._now_normal
-        pool = self._pool
         while True:
             from_heap = False
             if queue:
@@ -449,11 +403,7 @@ class Environment:
                     event = _heappop(queue)[3]
                     etime = head[0]
                     from_heap = True
-                # ``head`` is the very tuple heappop just removed; drop
-                # the binding so the recycle probe's refcount isn't
-                # inflated by it.
-                head = None
-                if not from_heap:
+                else:
                     event = cand.popleft()[1]
             elif urgent:
                 event = urgent.popleft()[1]
@@ -466,9 +416,6 @@ class Environment:
                 # Discarded without running callbacks or advancing the
                 # clock — a cancelled timeout was never here.
                 self._n_cancelled -= 1
-                if pool is not None and event._pooled \
-                        and _getrefcount(event) == 2:
-                    pool._release(event)
                 continue
             if from_heap:
                 self._now = etime
@@ -480,22 +427,6 @@ class Environment:
             # Nobody handled the failure: surface it to the caller of run().
             exc = event._value
             raise exc
-        # Recycle the processed timeout if nothing else can see it:
-        # exactly two references means the local above plus the probe's
-        # own argument — no condition value, process target, or user
-        # variable still holds the object.
-        if pool is not None and event.__class__ is Timeout \
-                and event._pooled and _getrefcount(event) == 2:
-            free = pool._free
-            if len(free) < pool.max_size:
-                event.callbacks = None
-                event._value = _PENDING
-                event._ok = True
-                event.defused = False
-                free.append(event)
-                pool.recycled += 1
-            else:
-                pool.discarded += 1
 
     def run(self, until: Any = None) -> Any:
         """Run until the calendar empties, time ``until``, or event ``until``.
@@ -537,31 +468,12 @@ class Environment:
 
     # -- convenience constructors -----------------------------------------
 
-    @property
-    def pool(self) -> Optional[EventPool]:
-        """The timeout recycling pool (None when disabled)."""
-        return self._pool
-
     def event(self) -> Event:
         """A fresh, untriggered event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now."""
-        pool = self._pool
-        if pool is not None and pool._free:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            event = pool._free.pop()
-            pool.reused += 1
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event.defused = False
-            event._delay = delay
-            event._cancelled = False
-            self.schedule(event, delay=delay)
-            return event
         return Timeout(self, delay, value)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:

@@ -1,9 +1,12 @@
 """Property-based tests for the simulation kernel."""
 
+import heapq
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import NORMAL, URGENT, Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -114,3 +117,131 @@ def test_resource_work_conserving(n_users, capacity):
         env.process(user(env))
     env.run()
     assert env.now == math.ceil(n_users / capacity)
+
+
+# -- scheduling-order oracle ----------------------------------------------
+#
+# The kernel keeps zero-delay events in per-priority FIFO deques beside
+# its timestamp heap. This oracle replays random schedules through a
+# plain single heap keyed on (time, priority, insertion) and checks the
+# kernel processes exactly the same events in exactly the same order.
+#
+# A node is (kind, priority, delay, cancel_now, cancel_pick, children):
+# ``kind`` "timeout" goes through ``env.timeout`` (NORMAL priority and
+# cancellable), "event" is a bare event scheduled at ``priority``;
+# ``cancel_now`` cancels a timeout as soon as it is made; when the node
+# fires, ``cancel_pick`` (if set) cancels one still-pending timeout and
+# ``children`` are scheduled from inside the callback.
+
+_ORACLE_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+def _oracle_node(children):
+    return st.tuples(
+        st.sampled_from(["timeout", "event"]),
+        st.sampled_from([URGENT, NORMAL]),
+        _ORACLE_DELAYS,
+        st.booleans(),
+        st.none() | st.integers(min_value=0, max_value=7),
+        children,
+    )
+
+
+_ORACLE_SCHEDULES = st.lists(
+    st.recursive(
+        _oracle_node(st.just(())),
+        lambda kids: _oracle_node(st.lists(kids, max_size=3).map(tuple)),
+        max_leaves=30,
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _pick(pending_labels, pick):
+    return pending_labels[pick % len(pending_labels)]
+
+
+def _run_kernel(schedule):
+    env = Environment()
+    log = []
+    labels = itertools.count()
+    timeouts = {}
+
+    def fire(event, node):
+        log.append((env.now, event.value))
+        pick, children = node[4], node[5]
+        if pick is not None:
+            pending = [label for label, timeout in sorted(timeouts.items())
+                       if not timeout.processed and not timeout.cancelled]
+            if pending:
+                timeouts[_pick(pending, pick)].cancel()
+        for child in children:
+            launch(child)
+
+    def launch(node):
+        kind, priority, delay, cancel_now = node[:4]
+        label = next(labels)
+        if kind == "timeout":
+            event = env.timeout(delay, label)
+            timeouts[label] = event
+        else:
+            event = env.event()
+            event._ok = True
+            event._value = label
+            env.schedule(event, priority, delay)
+        event.callbacks.append(lambda ev, node=node: fire(ev, node))
+        if kind == "timeout" and cancel_now:
+            event.cancel()
+
+    for node in schedule:
+        launch(node)
+    env.run()
+    return log, env.now
+
+
+def _run_reference(schedule):
+    # Entry: [time, priority, insertion, label, node, cancelled, fired].
+    heap = []
+    log = []
+    labels = itertools.count()
+    insertion = itertools.count()
+    timeouts = {}
+    now = 0.0
+
+    def launch(node):
+        kind, priority, delay, cancel_now = node[:4]
+        label = next(labels)
+        entry = [now + delay, NORMAL if kind == "timeout" else priority,
+                 next(insertion), label, node, False, False]
+        heapq.heappush(heap, entry)
+        if kind == "timeout":
+            timeouts[label] = entry
+            entry[5] = cancel_now
+
+    for node in schedule:
+        launch(node)
+    while heap:
+        entry = heapq.heappop(heap)
+        if entry[5]:
+            continue  # cancelled: never fires, never moves the clock
+        now = entry[0]
+        entry[6] = True
+        log.append((now, entry[3]))
+        pick, children = entry[4][4], entry[4][5]
+        if pick is not None:
+            pending = [label for label, other in sorted(timeouts.items())
+                       if not other[6] and not other[5]]
+            if pending:
+                timeouts[_pick(pending, pick)][5] = True
+        for child in children:
+            launch(child)
+    return log, now
+
+
+@given(schedule=_ORACLE_SCHEDULES)
+@settings(max_examples=300, deadline=None)
+def test_kernel_order_matches_single_heap_reference(schedule):
+    """Heap plus immediate deques process events in the same
+    (time, priority, insertion) order as one reference heap, including
+    events scheduled from callbacks and cancelled timeouts."""
+    assert _run_kernel(schedule) == _run_reference(schedule)

@@ -181,6 +181,25 @@ def test_peek_empty_is_inf():
     assert env.peek() == float("inf")
 
 
+def test_peek_skips_cancelled_timeouts():
+    """``peek`` never names an instant the clock will not reach."""
+    env = Environment()
+    doomed = env.timeout(5.0)
+    doomed.cancel()
+    assert env.peek() == float("inf")
+    env.run()
+    assert env.now == 0.0
+
+    env = Environment()
+    env.timeout(0.0).cancel()
+    env.timeout(3.0).cancel()
+    env.timeout(7.0)
+    assert env.peek() == 7.0
+    env.run()
+    assert env.now == 7.0
+    assert env._n_cancelled == 0
+
+
 def test_all_of_waits_for_all():
     env = Environment()
     times = []
