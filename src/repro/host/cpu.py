@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..obs import CounterAttribute, MetricsRegistry
+from ..obs import CounterAttribute, MetricsRegistry, NodeStats
 from ..sim import Environment, Event
 from .params import CpuParams
 
 
-class CpuStats:
+class CpuStats(NodeStats):
     """CPU accounting, backed by a typed metrics registry.
 
     Attribute-compatible with the dataclass it replaces — see
@@ -34,25 +34,16 @@ class CpuStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  node: str = "") -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = {"node": node} if node else None
+        super().__init__(registry, node)
         self._per_task = self.registry.counter(
             "cpu_task_busy_seconds_total", "CPU time charged per task")
 
     def add_task_busy(self, task: str, cpu_seconds: float) -> None:
-        labels = dict(self.labels or {})
-        labels["task"] = task
-        self._per_task.inc(cpu_seconds, labels=labels)
+        self._count(self._per_task, "task", task, cpu_seconds)
 
     @property
     def per_task_busy(self) -> Dict[str, float]:
-        node = (self.labels or {}).get("node")
-        out: Dict[str, float] = {}
-        for labels, value in self._per_task.items():
-            if node is not None and labels.get("node") != node:
-                continue
-            out[labels["task"]] = value
-        return out
+        return self._by_name(self._per_task, "task")
 
     def utilization(self, elapsed: float, n_threads: int) -> float:
         """Machine-wide CPU utilisation over ``elapsed`` (0..1)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from ..net import (
     EthernetHeader,
@@ -24,7 +24,7 @@ from ..net import (
 )
 from ..net.network import Node
 from ..net.packet import DEADLINE_META
-from ..obs import CounterAttribute, MetricsRegistry, Tracer
+from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
 from ..sim import Environment, Resource
 from .cpu import HostCPU
 from .params import HostParams
@@ -55,7 +55,7 @@ class Deployment:
         return self.runtime.package_bytes(self.code_bytes)
 
 
-class ServerStats:
+class ServerStats(LambdaStats):
     """Per-server accounting, backed by a typed metrics registry.
 
     Attribute-compatible with the dataclass it replaces — see
@@ -85,34 +85,9 @@ class ServerStats:
     shed = CounterAttribute(
         "host_shed_total", "requests rejected by the host load shedder")
 
-    def __init__(self, registry: Optional["MetricsRegistry"] = None,
-                 node: str = "") -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = {"node": node} if node else None
-        self._latency_histogram = self.registry.histogram(
-            "host_latency_seconds", "arrival-to-response latency")
-        self._per_lambda = self.registry.counter(
-            "host_lambda_requests_total", "requests served per lambda")
-
-    @property
-    def latencies(self) -> List[float]:
-        """Live latency list (a histogram view; appends flow through)."""
-        return self._latency_histogram.raw(self.labels)
-
-    def count_lambda(self, name: str) -> None:
-        labels = dict(self.labels or {})
-        labels["lambda"] = name
-        self._per_lambda.inc(labels=labels)
-
-    @property
-    def per_lambda_requests(self) -> Dict[str, int]:
-        node = (self.labels or {}).get("node")
-        out: Dict[str, int] = {}
-        for labels, value in self._per_lambda.items():
-            if node is not None and labels.get("node") != node:
-                continue
-            out[labels["lambda"]] = int(value)
-        return out
+    LATENCY_METRIC = ("host_latency_seconds", "arrival-to-response latency")
+    PER_LAMBDA_METRIC = ("host_lambda_requests_total",
+                         "requests served per lambda")
 
 
 class RequestContext:

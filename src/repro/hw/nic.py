@@ -32,7 +32,7 @@ from ..net import (
 )
 from ..net.network import Node
 from ..net.packet import DEADLINE_META
-from ..obs import CounterAttribute, MetricsRegistry, Tracer
+from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
 from ..sim import Environment
 from ..transport import ReorderBuffer
 from .memo import ExecutionMemoCache, make_key
@@ -56,15 +56,13 @@ REORDER_CYCLES_PER_SEGMENT = 30
 ENGINE_TIERS = ("interpreter", "jit")
 
 
-class NicStats:
+class NicStats(LambdaStats):
     """Per-NIC accounting, backed by a typed metrics registry.
 
     Attribute-compatible with the dataclass it replaces: counters read
-    and ``+=`` like plain ints/floats (:class:`CounterAttribute`),
-    ``latencies`` is the live observation list of a registry histogram,
-    and ``per_lambda_requests`` is a dict view over a labelled counter
-    (writers use :meth:`count_lambda`). Passing a shared registry plus
-    a ``node`` label folds many NICs into one scrape surface.
+    and ``+=`` like plain ints/floats (:class:`CounterAttribute`);
+    ``latencies``, ``count_lambda`` and ``per_lambda_requests`` come
+    from :class:`~repro.obs.LambdaStats`.
     """
 
     requests_served = CounterAttribute(
@@ -104,14 +102,13 @@ class NicStats:
     shed = CounterAttribute(
         "nic_shed_total", "requests rejected by the NIC load shedder")
 
+    LATENCY_METRIC = ("nic_latency_seconds", "on-NIC serve latency")
+    PER_LAMBDA_METRIC = ("nic_lambda_requests_total",
+                         "requests served per lambda")
+
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  node: str = "") -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = {"node": node} if node else None
-        self._latency_histogram = self.registry.histogram(
-            "nic_latency_seconds", "on-NIC serve latency")
-        self._per_lambda = self.registry.counter(
-            "nic_lambda_requests_total", "requests served per lambda")
+        super().__init__(registry, node)
         # Engine compile-cache statistics, per tier. The counters live
         # on the engine objects (CompileCacheStats); these gauges mirror
         # the current totals into the registry so tier behaviour —
@@ -135,37 +132,13 @@ class NicStats:
 
     def compile_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier compile-cache totals as plain dicts (tests/REPL)."""
-        node = (self.labels or {}).get("node")
         out: Dict[str, Dict[str, int]] = {}
         for gauge, field in ((self._compile_hits, "hits"),
                              (self._compile_misses, "misses"),
                              (self._compile_fallbacks, "fallbacks")):
-            for labels, value in gauge.items():
-                if node is not None and labels.get("node") != node:
-                    continue
-                out.setdefault(labels["tier"], {})[field] = int(value)
+            for tier, value in self._by_name(gauge, "tier", int).items():
+                out.setdefault(tier, {})[field] = value
         return out
-
-    @property
-    def latencies(self) -> List[float]:
-        """Live latency list (a histogram view; appends flow through)."""
-        return self._latency_histogram.raw(self.labels)
-
-    def count_lambda(self, name: str) -> None:
-        labels = dict(self.labels or {})
-        labels["lambda"] = name
-        self._per_lambda.inc(labels=labels)
-
-    @property
-    def per_lambda_requests(self) -> Dict[str, int]:
-        node = (self.labels or {}).get("node")
-        out: Dict[str, int] = {}
-        for labels, value in self._per_lambda.items():
-            if node is not None and labels.get("node") != node:
-                continue
-            out[labels["lambda"]] = int(value)
-        return out
-
 
 class SmartNIC:
     """An ASIC-based SmartNIC in the style of the Netronome Agilio CX.

@@ -26,17 +26,29 @@ class Header:
 
     BYTES: ClassVar[int] = 0
     FIELD_RANGES: ClassVar[Dict[str, Tuple[int, int]]] = {}
+    #: The header's type name, set once per class.
+    name: ClassVar[str] = "Header"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.__name__
 
     @property
     def size_bytes(self) -> int:
         return self.BYTES
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
     def field_names(self) -> list:
-        return [f.name for f in fields(self)]
+        """The dataclass field names, as a fresh list."""
+        names = _FIELD_NAMES.get(type(self))
+        if names is None:
+            names = _FIELD_NAMES[type(self)] = tuple(
+                f.name for f in fields(self))
+        return list(names)
+
+
+#: Field names per header class, filled on first use (``dataclass``
+#: runs after ``__init_subclass__``, so the fields are not known there).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 
 
 @dataclass
@@ -200,20 +212,30 @@ def declared_field_range(header: str, field_name: str) -> Optional[Tuple[int, in
 
 
 class HeaderStack:
-    """An ordered collection of headers with name-based access."""
+    """An ordered collection of headers with name-based access.
+
+    The wire size is kept as a running total of the per-class ``BYTES``
+    that every mutation updates, so ``size_bytes`` is O(1) per hop.
+    """
 
     def __init__(self, headers=()) -> None:
         self._headers = list(headers)
+        size = 0
+        for header in self._headers:
+            size += header.BYTES
+        self._size = size
 
     def push(self, header: Header) -> None:
         """Append ``header`` as the innermost header."""
         self._headers.append(header)
+        self._size += header.BYTES
 
     def insert_after(self, name: str, header: Header) -> None:
         """Insert ``header`` right after the header named ``name``."""
         for index, existing in enumerate(self._headers):
             if existing.name == name:
                 self._headers.insert(index + 1, header)
+                self._size += header.BYTES
                 return
         raise KeyError(f"no header named {name!r}")
 
@@ -235,6 +257,7 @@ class HeaderStack:
         """Remove and return the first header of type ``name``."""
         for index, existing in enumerate(self._headers):
             if existing.name == name:
+                self._size -= existing.BYTES
                 return self._headers.pop(index)
         raise KeyError(f"no header named {name!r}")
 
@@ -249,13 +272,21 @@ class HeaderStack:
 
     @property
     def size_bytes(self) -> int:
-        return sum(header.size_bytes for header in self._headers)
+        return self._size
 
     def copy(self) -> "HeaderStack":
-        """Shallow-ish copy: header objects are re-instantiated."""
-        import copy as _copy
-
-        return HeaderStack([_copy.copy(header) for header in self._headers])
+        """Shallow-ish copy: every header is a new object with the same
+        field values (what ``copy.copy`` does for these dataclasses)."""
+        headers = []
+        for header in self._headers:
+            cls = type(header)
+            clone = cls.__new__(cls)
+            clone.__dict__.update(header.__dict__)
+            headers.append(clone)
+        stack = HeaderStack.__new__(HeaderStack)
+        stack._headers = headers
+        stack._size = self._size
+        return stack
 
     def __repr__(self) -> str:
         names = "/".join(header.name for header in self._headers)

@@ -21,7 +21,9 @@ from .metrics import (
     Gauge,
     Histogram,
     LabelSet,
+    LambdaStats,
     MetricsRegistry,
+    NodeStats,
     percentile_of,
 )
 from .tracer import (
@@ -44,7 +46,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LabelSet",
+    "LambdaStats",
     "MetricsRegistry",
+    "NodeStats",
     "Span",
     "TraceCollection",
     "Tracer",

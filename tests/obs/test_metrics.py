@@ -3,7 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.host.cpu import CpuStats
+from repro.host.server import ServerStats
+from repro.hw.nic import NicStats
 from repro.obs import (
     Counter,
     CounterAttribute,
@@ -123,6 +128,99 @@ def test_counter_attribute_shares_registry_with_labels():
 
 def test_counter_attribute_class_access_returns_descriptor():
     assert isinstance(_Stats.served, CounterAttribute)
+
+
+# -- bound counters on the stats classes ------------------------------------
+
+
+def test_bound_counters_move_only_their_own_labelset():
+    registry = MetricsRegistry()
+    a = NicStats(registry, node="m2-nic")
+    b = NicStats(registry, node="m3-nic")
+    a.requests_served += 1
+    a.requests_served += 2
+    b.requests_served += 5
+    a.busy_seconds += 0.5
+    counter = registry.counter("nic_requests_served_total")
+    assert a.requests_served == counter.value({"node": "m2-nic"}) == 3
+    assert b.requests_served == counter.value({"node": "m3-nic"}) == 5
+    assert a.busy_seconds == registry.counter(
+        "nic_busy_seconds_total").value({"node": "m2-nic"}) == 0.5
+    assert b.busy_seconds == 0.0
+    # Writes through the registry are seen by the bound attribute too.
+    counter.inc(4, labels={"node": "m3-nic"})
+    assert b.requests_served == 9 and a.requests_served == 3
+
+
+@given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
+                max_size=60))
+def test_bound_float_counter_is_bit_identical_to_counter_inc(amounts):
+    # The reference is what ``+=`` meant before the handles were bound:
+    # read the value, add, and Counter.inc the difference.
+    stats = CpuStats(node="m2-bm")
+    reference = Counter("reference")
+    labels = {"node": "m2-bm"}
+    for amount in amounts:
+        stats.busy_seconds += amount
+        current = reference.value(labels)
+        delta = (current + amount) - current
+        if delta:
+            reference.inc(delta, labels=labels)
+    assert stats.busy_seconds.hex() == reference.value(labels).hex()
+
+
+def test_bound_counter_decrease_raises_and_keeps_value():
+    stats = ServerStats(node="m2-bm")
+    stats.requests_served += 7
+    with pytest.raises(ValueError):
+        stats.requests_served = 6
+    assert stats.requests_served == 7
+    assert stats.registry.counter("host_requests_served_total").value(
+        {"node": "m2-bm"}) == 7
+
+
+def test_registry_copy_and_merge_see_bound_writes():
+    registry = MetricsRegistry()
+    stats = NicStats(registry, node="m2-nic")
+    stats.responses_sent += 2
+    snapshot = registry.copy()
+    merged = registry.merge(MetricsRegistry())
+    stats.responses_sent += 1
+    name = "nic_responses_sent_total"
+    assert snapshot.counter(name).value({"node": "m2-nic"}) == 2
+    assert merged.counter(name).value({"node": "m2-nic"}) == 2
+    assert registry.copy().counter(name).value({"node": "m2-nic"}) == 3
+    assert stats.responses_sent == 3
+
+
+def test_per_name_views_read_as_before():
+    registry = MetricsRegistry()
+    nic = NicStats(registry, node="m2-nic")
+    other = NicStats(registry, node="m3-nic")
+    for name in ("a", "b", "a"):
+        nic.count_lambda(name)
+    other.count_lambda("a")
+    assert nic.per_lambda_requests == {"a": 2, "b": 1}
+    assert other.per_lambda_requests == {"a": 1}
+    assert isinstance(nic.per_lambda_requests["a"], int)
+    unlabelled = NicStats()
+    unlabelled.count_lambda("a")
+    assert unlabelled.per_lambda_requests == {"a": 1}
+
+    server = ServerStats(registry, node="m2-bm")
+    server.latencies.append(0.25)
+    server.latencies.append(0.5)
+    assert server.latencies is server.latencies
+    hist = registry.histogram("host_latency_seconds")
+    assert hist.observations({"node": "m2-bm"}) == [0.25, 0.5]
+
+    cpu = CpuStats(registry, node="m2-bm")
+    cpu.add_task_busy("kernel", 1e-3)
+    cpu.add_task_busy("kernel", 2e-3)
+    cpu.add_task_busy("fn", 0.5)
+    assert cpu.per_task_busy == {"kernel": 1e-3 + 2e-3, "fn": 0.5}
+    assert registry.counter("cpu_task_busy_seconds_total").value(
+        {"node": "m2-bm", "task": "kernel"}) == 1e-3 + 2e-3
 
 
 # -- histograms -------------------------------------------------------------
