@@ -7,18 +7,23 @@ profiles, emitted packets, mutated headers/meta, persistent-memory
 contents, and the memory-write flag the memo cache keys off. A second
 group proves memo soundness at the NIC level: JIT-executed writes
 invalidate the memo cache and bump the state epoch, while pure repeats
-replay from it.
+replay from it. A third sweeps the step limit across random
+straight-line programs, so every limit trips mid-segment on the JIT's
+per-instruction slow path.
 """
 
 import copy
 import random
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import Interpreter, JitInterpreter
+from repro.isa import Interpreter, JitInterpreter, Op, ProgramBuilder, Region
+from repro.isa.interpreter import Machine
+from repro.isa.jit import _STRAIGHTLINE_OPS
 from repro.serverless import Testbed, closed_loop
 from repro.workloads import web_server_spec
 from repro.workloads.registry import fig9_workloads, standard_workloads
@@ -97,6 +102,131 @@ def test_jit_matches_reference_on_random_packets(key, headers, meta,
     if jt[0] == "ok" and jit_memory != before:
         assert jit_wrote is True
     assert jit.stats.fallbacks == 0
+
+
+_REGS = ["r1", "r2", "r3", "r4"]
+#: Objects of the step-trip programs: (name, size, region).
+_OBJECTS = (("a", 32, Region.EMEM), ("b", 16, Region.CTM))
+
+
+@st.composite
+def straightline_instruction(draw):
+    """One random instruction of any opcode in ``_STRAIGHTLINE_OPS``."""
+    op = draw(st.sampled_from(sorted(_STRAIGHTLINE_OPS, key=lambda o: o.value)))
+    reg = st.sampled_from(_REGS)
+    obj, size, _ = draw(st.sampled_from(_OBJECTS))
+    offset = draw(st.one_of(st.integers(0, size - 1), reg))
+    memref = ("mem", obj, offset)
+    if op in (Op.SHL, Op.SHR):
+        return (op, draw(reg), draw(reg), draw(st.integers(0, 8)))
+    if op in (Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.MIN,
+              Op.MAX):
+        return (op, draw(reg), draw(reg),
+                draw(st.one_of(reg, st.integers(0, 255))))
+    if op is Op.MOV:
+        return (op, draw(reg), draw(st.one_of(reg, st.integers(0, 40))))
+    if op in (Op.NOP, Op.EMIT):
+        return (op,)
+    if op is Op.RESOLVE:
+        return (op, "r5", memref)
+    if op is Op.LOAD:
+        return (op, draw(reg), "r5", memref)
+    if op is Op.LOADD:
+        return (op, draw(reg), memref)
+    if op is Op.STORE:
+        return (op, "r5", memref, draw(reg))
+    if op is Op.STORED:
+        return (op, memref, draw(reg))
+    if op is Op.MEMCPY:
+        src, src_size, _ = draw(st.sampled_from(_OBJECTS))
+        n = draw(st.integers(0, min(size, src_size)))
+        return (op, ("mem", obj, draw(st.integers(0, size - n))),
+                ("mem", src, draw(st.integers(0, src_size - n))),
+                draw(st.one_of(st.just(n), reg)))
+    if op is Op.HLOAD:
+        return (op, draw(reg), ("hdr", "LambdaHeader", "request_id"))
+    if op is Op.HSTORE:
+        return (op, ("hdr", "LambdaHeader",
+                     draw(st.sampled_from(["seq", "wid"]))), draw(reg))
+    if op is Op.MLOAD:
+        return (op, draw(reg), ("meta", "ingress_port"))
+    if op is Op.MSTORE:
+        return (op, ("meta", draw(st.sampled_from(["out", "ingress_port"]))),
+                draw(reg))
+    if op in (Op.HASH, Op.CRC):
+        return (op, draw(reg), draw(reg))
+    assert op is Op.INTRINSIC, op
+    # grayscale rewrites its object in place (writes_memory=True).
+    return (op, "grayscale", ("mem", obj, 0),
+            draw(st.one_of(st.integers(0, size // 4), reg)))
+
+
+@st.composite
+def straightline_program(draw):
+    builder = ProgramBuilder("trip")
+    for name, size, _ in _OBJECTS:
+        builder.object(name, size)
+    fn = builder.function("trip")
+    for reg in _REGS:
+        fn.mov(reg, draw(st.integers(0, 24)))
+    for op, *args in draw(st.lists(straightline_instruction(), min_size=1,
+                                   max_size=12)):
+        fn.emit(op, *args)
+    fn.forward()
+    builder.close(fn)
+    program = builder.build()
+    for name, _, region in _OBJECTS:
+        program.objects[name].region = region
+    return program
+
+
+def _state_after(engine, program, headers, meta, memory):
+    """Outcome plus the machine state left behind, even after a raise."""
+    machines = []
+    original_init = Machine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        machines.append(self)
+
+    with mock.patch.object(Machine, "__init__", recording_init):
+        try:
+            outcome = ("ok", asdict(engine.run(program, headers=headers,
+                                               meta=meta, memory=memory)))
+        except Exception as error:
+            outcome = ("err", type(error).__name__, str(error))
+    (machine,) = machines
+    return (outcome, machine.headers, machine.meta,
+            [asdict(packet) for packet in machine.emitted],
+            {name: bytes(data) for name, data in memory.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=straightline_program(),
+       memory_seed=st.integers(0, 2**32 - 1))
+def test_step_trip_matches_reference_at_every_limit(program, memory_seed):
+    """Every step limit from 0 to the instruction count: the JIT's trip
+    path leaves the same error, memory, headers, meta and emitted
+    packets behind as the reference interpreter."""
+    from repro.workloads.intrinsics import install_intrinsics
+
+    install_intrinsics()
+    rng = random.Random(memory_seed)
+    memory = {obj.name: bytearray(rng.randrange(256)
+                                  for _ in range(obj.size_bytes))
+              for obj in program.objects.values()}
+    headers = {"LambdaHeader": {"wid": 1, "request_id": rng.randrange(64),
+                                "seq": 0}}
+    meta = {"ingress_port": rng.randrange(4)}
+    for limit in range(program.instruction_count + 1):
+        states = [
+            _state_after(engine, program, copy.deepcopy(headers),
+                         dict(meta),
+                         {k: bytearray(v) for k, v in memory.items()})
+            for engine in (Interpreter(step_limit=limit),
+                           JitInterpreter(step_limit=limit))
+        ]
+        assert states[0] == states[1], f"step limit {limit}"
 
 
 def _jit_nic(builder_fn, name):
