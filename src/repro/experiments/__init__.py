@@ -9,7 +9,6 @@ from . import (
     micro_reorder,
     migration_storm,
     overload_storm,
-    perf,
     scale_sweep,
     table1_nic_types,
     table3_resources,
@@ -38,7 +37,6 @@ ALL_EXPERIMENTS = {
     "fault_recovery": fault_recovery.run,
     "migration_storm": migration_storm.run,
     "overload_storm": overload_storm.run,
-    "perf": perf.run,
     "scale_sweep": scale_sweep.run,
     "verify": verify_lambdas.run,
 }
@@ -67,7 +65,6 @@ __all__ = [
     "micro_reorder",
     "migration_storm",
     "overload_storm",
-    "perf",
     "run_all",
     "run_scenario",
     "scale_sweep",

@@ -105,12 +105,6 @@ class ExperimentConfig:
     #: Requests in the Figure-8/Table-2 contention runs.
     contention_requests: int = 600
     contention_concurrency: int = 4
-    #: Direct engine executions per measurement in the perf benchmark
-    #: (reference interpreter vs JIT comparison).
-    perf_requests: int = 400
-    #: End-to-end simulated requests in the perf benchmark's
-    #: events-per-second measurement.
-    perf_sim_requests: int = 300
     #: Sharded scale sweep (experiments/scale_sweep.py). The CLI's
     #: full run targets the ROADMAP's 10⁷-request scale; the
     #: experiment-table entry and CI use ``scale_differential_requests``
@@ -122,9 +116,6 @@ class ExperimentConfig:
     scale_rate_rps: float = 2000.0
     scale_differential_requests: int = 2000
     scale_workload: str = "web_server"
-    #: Perf-benchmark methodology (BENCH_sim_perf.json): report the
-    #: median of this many warm runs rather than a single cold sample.
-    bench_runs: int = 3
     #: Run with span tracing enabled; traced experiments attach a
     #: :class:`repro.obs.TraceCollection` to their report.
     trace: bool = False
@@ -140,9 +131,6 @@ FAST_CONFIG = ExperimentConfig(
     image_throughput_requests=6,
     contention_requests=120,
     contention_concurrency=4,
-    perf_requests=120,
-    perf_sim_requests=80,
     scale_requests=4000,
     scale_differential_requests=800,
-    bench_runs=2,
 )

@@ -10,6 +10,7 @@ bytearrays, so lambdas like the web server genuinely move bytes.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -128,7 +129,13 @@ def intrinsic_wcet(name: str) -> Optional[IntrinsicWcetFn]:
 
 
 class Machine:
-    """Mutable execution state for one lambda invocation."""
+    """Mutable execution state for one lambda invocation.
+
+    Besides registers, packet state and memory it carries the run's
+    accounting — cycles, executed instructions, region accesses, the
+    verdict and return value, the step limit, and whether persistent
+    memory was written — so both engines drive the same object.
+    """
 
     def __init__(
         self,
@@ -136,6 +143,7 @@ class Machine:
         headers: Optional[Dict[str, Dict[str, Any]]] = None,
         meta: Optional[Dict[str, Any]] = None,
         memory: Optional[Dict[str, bytearray]] = None,
+        step_limit: int = DEFAULT_STEP_LIMIT,
     ) -> None:
         self.program = program
         self.registers: Dict[str, int] = {f"r{i}": 0 for i in range(16)}
@@ -152,6 +160,34 @@ class Machine:
         self.memory = memory
         self.response_payload: bytes = b""
         self.emitted: List[EmittedPacket] = []
+        self.cycles = 0
+        self.executed = 0
+        self.region_accesses: Dict[Region, int] = {}
+        self.verdict = VERDICT_FALLTHROUGH
+        self.return_value: Any = None
+        self.step_limit = step_limit
+        #: Set by stores, memcpy and memory-writing intrinsics; the
+        #: memo cache treats such executions as invalidation points.
+        self.wrote_memory = False
+
+    def result(self) -> ExecutionResult:
+        return ExecutionResult(
+            verdict=self.verdict,
+            return_value=self.return_value,
+            cycles=self.cycles,
+            instructions_executed=self.executed,
+            region_accesses=self.region_accesses,
+            emitted=self.emitted,
+            headers=self.headers,
+            meta=self.meta,
+            response_payload=self.response_payload,
+        )
+
+    def step_limit_exceeded(self) -> None:
+        raise ExecutionError(
+            f"step limit {self.step_limit} exceeded in "
+            f"{self.program.name!r} (runaway lambda?)"
+        )
 
     # -- operand access ----------------------------------------------------
 
@@ -190,6 +226,13 @@ class Machine:
 
     # -- memory ------------------------------------------------------------
 
+    def charge_access(self, obj: str, words: int = 1) -> None:
+        """Bill ``words`` accesses to the region holding object ``obj``."""
+        region = self.program.object(obj).region
+        self.region_accesses[region] = \
+            self.region_accesses.get(region, 0) + words
+        self.cycles += REGION_ACCESS_CYCLES[region] * words
+
     def _object_bytes(self, name: str) -> bytearray:
         try:
             return self.memory[name]
@@ -215,6 +258,93 @@ class Machine:
         )
 
 
+def hash32(kind: str, value: Any) -> int:
+    """The 32-bit result of ``HASH``/``CRC`` (``kind``) over ``value``.
+
+    CRC-32 of the operand's repr: unlike the built-in ``hash``, which
+    salts strings per process, it is the same in every run.
+    """
+    return zlib.crc32(repr((kind, value)).encode())
+
+
+def execute_straightline(m: Machine, instruction: Instruction) -> None:
+    """Reference semantics for one instruction that is not control flow.
+
+    Charges region accesses and intrinsic cycles to ``m``; the caller
+    does the step check and bills the opcode's base cycles first.
+    """
+    op = instruction.op
+    args = instruction.args
+    if op in _ALU_OPS:
+        a = m.read(args[1])
+        b = m.read(args[2]) if len(args) > 2 else None
+        m.write_register(args[0], _ALU_OPS[op](a, b))
+    elif op is Op.MOV:
+        m.write_register(args[0], m.read(args[1]))
+    elif op is Op.NOP:
+        pass
+    elif op is Op.RESOLVE:
+        _, obj, offset = args[1]
+        m.write_register(args[0], ("addr", obj, m.read(offset)))
+    elif op in (Op.LOAD, Op.LOADD):
+        _, obj, offset = args[-1]
+        offset_value = m.read(offset)
+        m.charge_access(obj)
+        m.write_register(args[0], m.load_word(obj, offset_value))
+    elif op in (Op.STORE, Op.STORED):
+        _, obj, offset = args[-2] if op is Op.STORE else args[0]
+        offset_value = m.read(offset)
+        m.charge_access(obj)
+        m.store_word(obj, offset_value, m.read(args[-1]))
+        m.wrote_memory = True
+    elif op is Op.MEMCPY:
+        (_, dst_obj, dst_off), (_, src_obj, src_off), length = args
+        n = m.read(length)
+        dst_off_v = m.read(dst_off)
+        src_off_v = m.read(src_off)
+        # Bulk copies go through the DMA engine in 64 B bursts, paying
+        # one access charge per burst rather than per word.
+        bursts = max(1, math.ceil(n / BULK_BURST_BYTES))
+        m.charge_access(src_obj, bursts)
+        m.charge_access(dst_obj, bursts)
+        src_bytes = m._object_bytes(src_obj)
+        dst_bytes = m._object_bytes(dst_obj)
+        if src_off_v + n > len(src_bytes) or dst_off_v + n > len(dst_bytes):
+            raise ExecutionError("memcpy out of bounds")
+        dst_bytes[dst_off_v:dst_off_v + n] = src_bytes[src_off_v:src_off_v + n]
+        m.wrote_memory = True
+    elif op is Op.HLOAD:
+        _, header, field_name = args[1]
+        m.write_register(args[0], m.read_header(header, field_name))
+    elif op is Op.HSTORE:
+        _, header, field_name = args[0]
+        m.write_header(header, field_name, m.read(args[1]))
+    elif op is Op.MLOAD:
+        m.write_register(args[0], m.meta.get(args[1][1], 0))
+    elif op is Op.MSTORE:
+        m.meta[args[0][1]] = m.read(args[1])
+    elif op is Op.EMIT:
+        m.emitted.append(
+            EmittedPacket(
+                headers={k: dict(v) for k, v in m.headers.items()},
+                meta=dict(m.meta),
+                payload=m.response_payload,
+            )
+        )
+    elif op in (Op.HASH, Op.CRC):
+        m.write_register(args[0], hash32(op.value, m.read(args[1])))
+    elif op is Op.INTRINSIC:
+        name = args[0]
+        fn = _INTRINSICS.get(name)
+        if fn is None:
+            raise ExecutionError(f"unknown intrinsic {name!r}")
+        m.cycles += fn(m, args[1:])
+        if intrinsic_writes_memory(name):
+            m.wrote_memory = True
+    else:
+        raise ExecutionError(f"unhandled opcode {op!r}")
+
+
 class Interpreter:
     """Executes lambda programs to completion with cycle accounting."""
 
@@ -231,26 +361,12 @@ class Interpreter:
         memory: Optional[Dict[str, bytearray]] = None,
         entry: Optional[str] = None,
     ) -> ExecutionResult:
-        machine = Machine(program, headers, meta, memory)
-        entry_name = entry or program.entry
-        function = program.function(entry_name)
-
-        region_accesses: Dict[Region, int] = {}
-        cycles = 0
-        executed = 0
-        verdict = VERDICT_FALLTHROUGH
-        return_value: Any = None
+        m = Machine(program, headers, meta, memory, self.step_limit)
+        function = program.function(entry or program.entry)
 
         # Call stack of (function, labels, pc).
         frame = [function, function.labels(), 0]
         stack: List[list] = []
-
-        def region_of(obj_name: str) -> Region:
-            return program.object(obj_name).region
-
-        def charge_access(region: Region, words: int = 1) -> int:
-            region_accesses[region] = region_accesses.get(region, 0) + words
-            return REGION_ACCESS_CYCLES[region] * words
 
         while True:
             function, labels, pc = frame
@@ -260,30 +376,21 @@ class Interpreter:
                     frame = stack.pop()
                     continue
                 break
-            if executed >= self.step_limit:
-                raise ExecutionError(
-                    f"step limit {self.step_limit} exceeded in "
-                    f"{program.name!r} (runaway lambda?)"
-                )
+            if m.executed >= m.step_limit:
+                m.step_limit_exceeded()
             instruction = function.body[pc]
             frame[2] = pc + 1
             op = instruction.op
             args = instruction.args
             if op is Op.LABEL:
                 continue
-            executed += 1
-            cycles += BASE_CYCLES[op]
+            m.executed += 1
+            m.cycles += BASE_CYCLES[op]
 
-            if op in _ALU_OPS:
-                a = machine.read(args[1])
-                b = machine.read(args[2]) if len(args) > 2 else None
-                machine.write_register(args[0], _ALU_OPS[op](a, b))
-            elif op is Op.MOV:
-                machine.write_register(args[0], machine.read(args[1]))
-            elif op is Op.JMP:
+            if op is Op.JMP:
                 frame[2] = labels[args[0]]
             elif op in _BRANCH_OPS:
-                if _BRANCH_OPS[op](machine.read(args[0]), machine.read(args[1])):
+                if _BRANCH_OPS[op](m.read(args[0]), m.read(args[1])):
                     frame[2] = labels[args[2]]
             elif op is Op.CALL:
                 stack.append(frame)
@@ -291,100 +398,20 @@ class Interpreter:
                 frame = [callee, callee.labels(), 0]
             elif op is Op.RET:
                 if args:
-                    return_value = machine.read(args[0])
-                    machine.registers["r0"] = return_value
-                if stack:
-                    frame = stack.pop()
-                else:
+                    m.return_value = m.read(args[0])
+                    m.registers["r0"] = m.return_value
+                if not stack:
                     break
+                frame = stack.pop()
             elif op is Op.HALT:
                 break
-            elif op is Op.NOP:
-                pass
-            elif op is Op.RESOLVE:
-                _, obj, offset = args[1]
-                machine.write_register(
-                    args[0], ("addr", obj, machine.read(offset))
-                )
-            elif op in (Op.LOAD, Op.LOADD):
-                memref = args[-1]
-                _, obj, offset = memref
-                offset_value = machine.read(offset)
-                cycles += charge_access(region_of(obj))
-                machine.write_register(args[0], machine.load_word(obj, offset_value))
-            elif op in (Op.STORE, Op.STORED):
-                memref = args[-2] if op is Op.STORE else args[0]
-                _, obj, offset = memref
-                offset_value = machine.read(offset)
-                cycles += charge_access(region_of(obj))
-                machine.store_word(obj, offset_value, machine.read(args[-1]))
-            elif op is Op.MEMCPY:
-                dst_ref, src_ref, length = args
-                _, dst_obj, dst_off = dst_ref
-                _, src_obj, src_off = src_ref
-                n = machine.read(length)
-                dst_off_v = machine.read(dst_off)
-                src_off_v = machine.read(src_off)
-                # Bulk copies go through the DMA engine in 64 B bursts,
-                # paying one access charge per burst rather than per word.
-                bursts = max(1, math.ceil(n / BULK_BURST_BYTES))
-                cycles += charge_access(region_of(src_obj), bursts)
-                cycles += charge_access(region_of(dst_obj), bursts)
-                src_bytes = machine._object_bytes(src_obj)
-                dst_bytes = machine._object_bytes(dst_obj)
-                if src_off_v + n > len(src_bytes) or dst_off_v + n > len(dst_bytes):
-                    raise ExecutionError("memcpy out of bounds")
-                dst_bytes[dst_off_v:dst_off_v + n] = src_bytes[src_off_v:src_off_v + n]
-            elif op is Op.HLOAD:
-                _, header, field_name = args[1]
-                machine.write_register(args[0], machine.read_header(header, field_name))
-            elif op is Op.HSTORE:
-                _, header, field_name = args[0]
-                machine.write_header(header, field_name, machine.read(args[1]))
-            elif op is Op.MLOAD:
-                machine.write_register(args[0], machine.meta.get(args[1][1], 0))
-            elif op is Op.MSTORE:
-                machine.meta[args[0][1]] = machine.read(args[1])
-            elif op is Op.EMIT:
-                machine.emitted.append(
-                    EmittedPacket(
-                        headers={k: dict(v) for k, v in machine.headers.items()},
-                        meta=dict(machine.meta),
-                        payload=machine.response_payload,
-                    )
-                )
-            elif op is Op.FORWARD:
-                verdict = VERDICT_FORWARD
+            elif op in _VERDICT_OPS:
+                m.verdict = _VERDICT_OPS[op]
                 break
-            elif op is Op.DROP:
-                verdict = VERDICT_DROP
-                break
-            elif op is Op.TO_HOST:
-                verdict = VERDICT_TO_HOST
-                break
-            elif op in (Op.HASH, Op.CRC):
-                value = machine.read(args[1])
-                machine.write_register(args[0], hash((op.value, value)) & 0xFFFFFFFF)
-            elif op is Op.INTRINSIC:
-                name = args[0]
-                fn = _INTRINSICS.get(name)
-                if fn is None:
-                    raise ExecutionError(f"unknown intrinsic {name!r}")
-                cycles += fn(machine, args[1:])
-            else:  # pragma: no cover - every op is handled above
-                raise ExecutionError(f"unhandled opcode {op!r}")
+            else:
+                execute_straightline(m, instruction)
 
-        return ExecutionResult(
-            verdict=verdict,
-            return_value=return_value,
-            cycles=cycles,
-            instructions_executed=executed,
-            region_accesses=region_accesses,
-            emitted=machine.emitted,
-            headers=machine.headers,
-            meta=machine.meta,
-            response_payload=machine.response_payload,
-        )
+        return m.result()
 
 
 _ALU_OPS = {
@@ -405,4 +432,10 @@ _BRANCH_OPS = {
     Op.BNE: lambda a, b: a != b,
     Op.BLT: lambda a, b: a < b,
     Op.BGE: lambda a, b: a >= b,
+}
+
+_VERDICT_OPS = {
+    Op.FORWARD: VERDICT_FORWARD,
+    Op.DROP: VERDICT_DROP,
+    Op.TO_HOST: VERDICT_TO_HOST,
 }

@@ -17,8 +17,8 @@ per-instruction overhead by compiling a
   into constants at codegen time;
 * cycle costs and the step-limit check folded to *one* constant and
   *one* comparison per straight-line segment instead of per
-  instruction, with a slow-path trip executor that replays the segment
-  instruction-by-instruction when an execution actually crosses the
+  instruction, with a slow path that replays the segment through the
+  interpreter's step function when an execution actually crosses the
   limit — so the raise happens at the exact instruction, after the
   exact persistent-memory side effects, with the exact message;
 * the source is ``compile()``d once per program and cached (weakly
@@ -59,10 +59,11 @@ from .interpreter import (
     ExecutionResult,
     Interpreter,
     Machine,
-    VERDICT_FALLTHROUGH,
     _ALU_OPS,
     _BRANCH_OPS,
     _INTRINSICS,
+    execute_straightline,
+    hash32,
     intrinsic_writes_memory,
 )
 from .program import Function, LambdaProgram
@@ -89,35 +90,6 @@ class CompileCacheStats:
         return self.hits + self.misses
 
 
-class FastState(Machine):
-    """Machine state plus the accounting the reference loop keeps in
-    local variables.
-
-    Subclassing :class:`Machine` keeps intrinsics working unchanged —
-    they receive this state object and use the same ``read`` /
-    ``memory`` / ``meta`` API as under the reference interpreter.
-    """
-
-    def __init__(
-        self,
-        program: LambdaProgram,
-        headers: Optional[Dict[str, Dict[str, Any]]],
-        meta: Optional[Dict[str, Any]],
-        memory: Optional[Dict[str, bytearray]],
-        step_limit: int,
-    ) -> None:
-        super().__init__(program, headers, meta, memory)
-        self.cycles = 0
-        self.executed = 0
-        self.region_accesses: Dict[Any, int] = {}
-        self.verdict = VERDICT_FALLTHROUGH
-        self.return_value: Any = None
-        self.step_limit = step_limit
-        #: Set by stores, memcpy and memory-writing intrinsics; the
-        #: memo cache treats such executions as invalidation points.
-        self.wrote_memory = False
-
-
 def program_signature(program: LambdaProgram) -> Tuple:
     """Cheap structural fingerprint used to detect stale compilations.
 
@@ -137,7 +109,7 @@ def program_signature(program: LambdaProgram) -> Tuple:
 #: Block id sentinel meaning "fall off the end of the function".
 _IMPLICIT = -1
 
-#: Straight-line opcodes the generated code and the trip executor
+#: Straight-line opcodes the generated code and the step-trip path
 #: handle. Anything outside this set (plus control flow) is a lowering
 #: failure, never a silent semantic change.
 _STRAIGHTLINE_OPS = frozenset(_ALU_OPS) | frozenset({
@@ -183,13 +155,6 @@ _VERDICT_OPS = {
 # -- runtime helpers shared by all generated modules ---------------------------
 
 
-def _raise_step_limit(st: FastState) -> None:
-    raise ExecutionError(
-        f"step limit {st.step_limit} exceeded in "
-        f"{st.program.name!r} (runaway lambda?)"
-    )
-
-
 def _read_header(headers: Dict[str, Dict[str, Any]], header: str,
                  field_name: str) -> Any:
     try:
@@ -208,19 +173,13 @@ def _bad_destination(operand: Any) -> None:
     raise ExecutionError(f"destination {operand!r} is not a register")
 
 
-def _charge(st: FastState, region: Any, words: int = 1) -> None:
-    accesses = st.region_accesses
-    accesses[region] = accesses.get(region, 0) + words
-    st.cycles += REGION_ACCESS_CYCLES[region] * words
-
-
-def _step_trip(st: FastState, instructions: Tuple[Instruction, ...]) -> None:
+def _step_trip(st: Machine, instructions: Tuple[Instruction, ...]) -> None:
     """Per-instruction slow path for a segment that crosses the step limit.
 
     The generated fast path pre-checks ``executed + N > step_limit`` per
     segment; when that fires, the generated function spills its register
-    locals and hands the *whole segment* here. This executor replays it
-    with the reference interpreter's per-instruction accounting, so the
+    locals and hands the *whole segment* here. The segment replays
+    through the reference interpreter's own step function, so the
     step-limit error raises at the exact instruction — after the exact
     side effects of its predecessors — with the exact message.
 
@@ -230,88 +189,11 @@ def _step_trip(st: FastState, instructions: Tuple[Instruction, ...]) -> None:
     """
     for instruction in instructions:
         if st.executed >= st.step_limit:
-            _raise_step_limit(st)
+            st.step_limit_exceeded()
         st.executed += 1
         st.cycles += BASE_CYCLES[instruction.op]
-        _execute_straightline(st, instruction)
+        execute_straightline(st, instruction)
     raise AssertionError("step-limit trip segment did not trip")
-
-
-def _execute_straightline(st: FastState, instruction: Instruction) -> None:
-    """Reference semantics for one non-control-flow instruction."""
-    op = instruction.op
-    args = instruction.args
-    program = st.program
-    if op in _ALU_OPS:
-        a = st.read(args[1])
-        b = st.read(args[2]) if len(args) > 2 else None
-        st.write_register(args[0], _ALU_OPS[op](a, b))
-    elif op is Op.MOV:
-        st.write_register(args[0], st.read(args[1]))
-    elif op is Op.NOP:
-        pass
-    elif op is Op.RESOLVE:
-        _, obj, offset = args[1]
-        st.write_register(args[0], ("addr", obj, st.read(offset)))
-    elif op in (Op.LOAD, Op.LOADD):
-        _, obj, offset = args[-1]
-        offset_value = st.read(offset)
-        _charge(st, program.object(obj).region)
-        st.write_register(args[0], st.load_word(obj, offset_value))
-    elif op in (Op.STORE, Op.STORED):
-        memref = args[-2] if op is Op.STORE else args[0]
-        _, obj, offset = memref
-        offset_value = st.read(offset)
-        _charge(st, program.object(obj).region)
-        st.store_word(obj, offset_value, st.read(args[-1]))
-        st.wrote_memory = True
-    elif op is Op.MEMCPY:
-        dst_ref, src_ref, length = args
-        _, dst_obj, dst_off = dst_ref
-        _, src_obj, src_off = src_ref
-        n = st.read(length)
-        dst_off_v = st.read(dst_off)
-        src_off_v = st.read(src_off)
-        bursts = max(1, math.ceil(n / BULK_BURST_BYTES))
-        _charge(st, program.object(src_obj).region, bursts)
-        _charge(st, program.object(dst_obj).region, bursts)
-        src_bytes = st._object_bytes(src_obj)
-        dst_bytes = st._object_bytes(dst_obj)
-        if src_off_v + n > len(src_bytes) or dst_off_v + n > len(dst_bytes):
-            raise ExecutionError("memcpy out of bounds")
-        dst_bytes[dst_off_v:dst_off_v + n] = src_bytes[src_off_v:src_off_v + n]
-        st.wrote_memory = True
-    elif op is Op.HLOAD:
-        _, header, field_name = args[1]
-        st.write_register(args[0], st.read_header(header, field_name))
-    elif op is Op.HSTORE:
-        _, header, field_name = args[0]
-        st.write_header(header, field_name, st.read(args[1]))
-    elif op is Op.MLOAD:
-        st.write_register(args[0], st.meta.get(args[1][1], 0))
-    elif op is Op.MSTORE:
-        st.meta[args[0][1]] = st.read(args[1])
-    elif op is Op.EMIT:
-        st.emitted.append(
-            EmittedPacket(
-                headers={k: dict(v) for k, v in st.headers.items()},
-                meta=dict(st.meta),
-                payload=st.response_payload,
-            )
-        )
-    elif op in (Op.HASH, Op.CRC):
-        value = st.read(args[1])
-        st.write_register(args[0], hash((op.value, value)) & 0xFFFFFFFF)
-    elif op is Op.INTRINSIC:
-        name = args[0]
-        fn = _INTRINSICS.get(name)
-        if fn is None:
-            raise ExecutionError(f"unknown intrinsic {name!r}")
-        st.cycles += fn(st, args[1:])
-        if intrinsic_writes_memory(name):
-            st.wrote_memory = True
-    else:  # pragma: no cover - segments never execute control flow here
-        raise AssertionError(f"control-flow op in step trip: {op!r}")
 
 
 # -- codegen -------------------------------------------------------------------
@@ -520,8 +402,8 @@ class _FunctionLowering:
                 " meta=dict(st.meta), payload=st.response_payload))"
             ], False
         if op in (Op.HASH, Op.CRC):
-            expr = (f"(hash(({self.const(op.value)}, "
-                    f"{self.read_expr(index, args[1])})) & 0xFFFFFFFF)")
+            expr = (f"_hash32({self.const(op.value)}, "
+                    f"{self.read_expr(index, args[1])})")
             return self.write_dst(index, args[0], expr), False
         if op is Op.INTRINSIC:
             return self.lower_intrinsic(args)
@@ -833,7 +715,7 @@ class _FunctionLowering:
         out.indent += 1
         if checked_implicit:
             out.emit("if st.executed >= st.step_limit:")
-            out.emit("    _limit(st)")
+            out.emit("    st.step_limit_exceeded()")
         for line in self.spill_lines():
             out.emit(line)
         out.emit("return False")
@@ -902,7 +784,7 @@ class JitProgram:
         self._const_keys: Dict[Any, str] = {}
         self.source = ""
         #: IR function name -> generated Python callable.
-        self.functions: Dict[str, Callable[[FastState], bool]] = {}
+        self.functions: Dict[str, Callable[[Machine], bool]] = {}
         #: Verifier-assisted lowering wins (observability for tests /
         #: dumps): constant-length MEMCPYs whose burst charges were
         #: folded, and memcpy bounds checks elided via proven ranges.
@@ -960,10 +842,10 @@ class JitProgram:
             "_hdr": _read_header,
             "_bad_read": _bad_read,
             "_bad_destination": _bad_destination,
-            "_limit": _raise_step_limit,
             "_trip": _step_trip,
             "_INTR": _INTRINSICS,
             "_iwm": intrinsic_writes_memory,
+            "_hash32": hash32,
             "_ceil": math.ceil,
         }
         namespace.update(self._constants)
@@ -977,7 +859,7 @@ class JitProgram:
             name: namespace[symbol] for name, symbol in self.symbols.items()
         }
 
-    def entry(self, name: str) -> Callable[[FastState], bool]:
+    def entry(self, name: str) -> Callable[[Machine], bool]:
         try:
             return self.functions[name]
         except KeyError:
@@ -1061,20 +943,9 @@ class JitInterpreter:
             return self.fallback.run(program, headers, meta, memory,
                                      entry), True
         self.last_tier = "jit"
-        st = FastState(program, headers, meta, memory, self.step_limit)
+        st = Machine(program, headers, meta, memory, self.step_limit)
         compiled.entry(entry or program.entry)(st)
-        result = ExecutionResult(
-            verdict=st.verdict,
-            return_value=st.return_value,
-            cycles=st.cycles,
-            instructions_executed=st.executed,
-            region_accesses=st.region_accesses,
-            emitted=st.emitted,
-            headers=st.headers,
-            meta=st.meta,
-            response_payload=st.response_payload,
-        )
-        return result, st.wrote_memory
+        return st.result(), st.wrote_memory
 
     def run(
         self,

@@ -5,9 +5,7 @@ built-in benchmark program) and prints one report per program. Exits
 non-zero when any program has error-grade findings (or, with
 ``--strict``, any warnings; or, with ``--forbid CODE``, any finding
 with that code). ``--explain FUNC@IDX`` dumps the abstract state
-(value ranges and constants) the analyses proved at a program point;
-``--wcet-delta PATH`` writes a markdown table comparing each program's
-WCET with and without the interval analysis.
+(value ranges and constants) the analyses proved at a program point.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..asm import AsmError, assemble
 from ..program import LambdaProgram
@@ -68,25 +66,6 @@ def _explain_point(program: LambdaProgram, spec: str) -> int:
     return 0
 
 
-def _wcet_delta_table(rows: List[Tuple[str, Optional[int], Optional[int]]]
-                      ) -> str:
-    """Markdown table of (program, wcet without intervals, with)."""
-    lines = [
-        "| program | WCET (pre-interval) | WCET (interval) | delta |",
-        "|---|---|---|---|",
-    ]
-    for name, before, after in rows:
-        fmt = lambda v: "unbounded" if v is None else f"{v} cycles"  # noqa: E731
-        if before is None and after is not None:
-            delta = "newly bounded"
-        elif before is not None and after is not None and before != after:
-            delta = f"-{before - after} cycles"
-        else:
-            delta = "0"
-        lines.append(f"| {name} | {fmt(before)} | {fmt(after)} | {delta} |")
-    return "\n".join(lines) + "\n"
-
-
 def _workload_programs() -> List[Tuple[str, LambdaProgram]]:
     from ...workloads.intrinsics import install_intrinsics
     from ...workloads.registry import standard_workloads
@@ -121,9 +100,6 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--explain", metavar="FUNC@IDX",
                         help="print the abstract state (ranges, constants) "
                              "before the given program point")
-    parser.add_argument("--wcet-delta", metavar="PATH", dest="wcet_delta",
-                        help="write a markdown WCET before/after-intervals "
-                             "table to PATH ('-' for stdout)")
     args = parser.parse_args(argv)
 
     if not args.files and not args.workloads:
@@ -143,7 +119,6 @@ def main(argv: List[str] = None) -> int:
 
     failed = load_failures
     forbidden = set(args.forbid)
-    delta_rows: List[Tuple[str, Optional[int], Optional[int]]] = []
     for label, program in targets:
         report = verify_program(program, VerifyOptions())
         reports.append(report)
@@ -158,18 +133,6 @@ def main(argv: List[str] = None) -> int:
                   file=sys.stderr)
         if args.explain:
             failed += _explain_point(program, args.explain)
-        if args.wcet_delta:
-            baseline = verify_program(
-                program, VerifyOptions(use_intervals=False))
-            delta_rows.append((report.program, baseline.wcet_cycles,
-                               report.wcet_cycles))
-
-    if args.wcet_delta:
-        table = _wcet_delta_table(delta_rows)
-        if args.wcet_delta == "-":
-            print(table, end="")
-        else:
-            Path(args.wcet_delta).write_text(table)
 
     if args.json_path:
         payload = json.dumps([r.to_dict() for r in reports], indent=2)

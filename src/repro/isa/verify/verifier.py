@@ -53,11 +53,6 @@ class VerifyOptions:
     check_dead_stores: bool = True
     check_memory: bool = True
     check_wcet: bool = True
-    #: Run the interval (value-range) analysis and let memcheck / WCET
-    #: consume it. Off, the verifier reproduces its pre-interval
-    #: behavior exactly — the admission differential guard compares
-    #: the two.
-    use_intervals: bool = True
     #: Extra caller-supplied metadata-key ranges seeding the interval
     #: analysis (key -> inclusive (lo, hi)).
     meta_ranges: Optional[Dict[str, Tuple[int, int]]] = None
@@ -118,13 +113,11 @@ def verify_program(
         name: constant_states(function, cfg=cfgs[name])
         for name, function in program.functions.items()
     }
-    ranges: Optional[Dict[str, IntervalStates]] = None
-    if options.use_intervals:
-        ranges = {
-            name: interval_states(function, cfg=cfgs[name], program=program,
-                                  meta_ranges=options.meta_ranges)
-            for name, function in program.functions.items()
-        }
+    ranges: Dict[str, IntervalStates] = {
+        name: interval_states(function, cfg=cfgs[name], program=program,
+                              meta_ranges=options.meta_ranges)
+        for name, function in program.functions.items()
+    }
     has_entry = entry in program.functions
 
     # 3. Unreachable functions and blocks.
@@ -188,14 +181,12 @@ def verify_program(
 
     # 6. Memory bounds / isolation / capacity.
     if options.check_memory:
-        findings.extend(check_memory(program, consts, ranges,
-                                     use_intervals=options.use_intervals))
+        findings.extend(check_memory(program, consts, ranges))
 
     # 7. WCET and loop bounds.
     if options.check_wcet and has_entry:
         wcet = estimate_wcet(program, entry=entry, consts=consts,
-                             ranges=ranges,
-                             use_intervals=options.use_intervals)
+                             ranges=ranges)
         findings.extend(wcet.findings)
         report.wcet_cycles = wcet.total_cycles
         report.function_wcet = dict(wcet.function_cycles)

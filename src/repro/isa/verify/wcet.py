@@ -122,8 +122,9 @@ def find_loops(
 ) -> List[LoopInfo]:
     """Natural loops of ``cfg`` with inferred bounds where possible.
 
-    ``ranges`` (an :func:`~.intervals.interval_states` result) enables
-    the interval fallback for bounds constant propagation cannot pin and
+    ``consts`` and ``ranges`` (an :func:`~.intervals.interval_states`
+    result) are computed when not supplied; the ranges give the
+    interval fallback for bounds constant propagation cannot pin and
     the ``body_trips`` refinement.
     """
     back_edges = cfg.back_edges()
@@ -131,6 +132,8 @@ def find_loops(
         return []
     if consts is None:
         consts = constant_states(cfg.function, cfg=cfg)
+    if ranges is None:
+        ranges = interval_states(cfg.function, cfg=cfg, program=program)
     by_header: Dict[int, LoopInfo] = {}
     for source, header in back_edges:
         info = by_header.get(header)
@@ -159,7 +162,7 @@ _SWAP = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le",
 
 def _infer_bound(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
                  program: Optional[LambdaProgram],
-                 ranges: Optional[IntervalStates] = None) -> None:
+                 ranges: IntervalStates) -> None:
     # (bound, counter, index, source)
     best: Optional[Tuple[int, str, int, str]] = None
     for bid in sorted(loop.blocks):
@@ -174,7 +177,7 @@ def _infer_bound(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
         candidate = _counted_bound(cfg, loop, term, exit_kind, index,
                                    consts, program)
         source = "counted"
-        if candidate is None and ranges is not None:
+        if candidate is None:
             candidate = _interval_bound(cfg, loop, term, exit_kind, index,
                                         consts, program, ranges)
             source = "interval"
@@ -185,8 +188,7 @@ def _infer_bound(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
             best = (bound, counter, index, source)
     if best is not None:
         loop.bound, loop.counter, loop.exit_index, loop.bound_source = best
-        if ranges is not None:
-            loop.body_trips = _body_trips(cfg, loop, consts, program, ranges)
+        loop.body_trips = _body_trips(cfg, loop, consts, program, ranges)
 
 
 def _exit_kind(cfg: CFG, loop: LoopInfo, block, term) -> Optional[bool]:
@@ -551,7 +553,7 @@ def _instruction_wcet(
     callee_wcet: Dict[str, Optional[int]],
     findings: List[Finding],
     function_name: str,
-    ranges: Optional[IntervalStates] = None,
+    ranges: IntervalStates,
 ) -> Optional[int]:
     op = instruction.op
     cycles = BASE_CYCLES[op]
@@ -571,12 +573,11 @@ def _instruction_wcet(
         if not isinstance(n, int):
             sizes = [o.size_bytes for o in (dst, src) if o is not None]
             n = min(sizes) if sizes else BULK_BURST_BYTES
-            if ranges is not None:
-                # A proven upper range on the length can only tighten the
-                # object-size fallback (longer copies fault, not cost).
-                length_iv = ranges.range_before(index, length)
-                if length_iv is not None and length_iv.hi is not None:
-                    n = min(n, max(length_iv.hi, 0))
+            # A proven upper range on the length can only tighten the
+            # object-size fallback (longer copies fault, not cost).
+            length_iv = ranges.range_before(index, length)
+            if length_iv is not None and length_iv.hi is not None:
+                n = min(n, max(length_iv.hi, 0))
         bursts = max(1, math.ceil(max(n, 0) / BULK_BURST_BYTES))
         for obj in (src, dst):
             if obj is not None:
@@ -624,7 +625,7 @@ def _function_wcet(
     consts: ConstantStates,
     callee_wcet: Dict[str, Optional[int]],
     findings: List[Finding],
-    ranges: Optional[IntervalStates] = None,
+    ranges: IntervalStates,
 ) -> Tuple[Optional[int], List[LoopInfo], str]:
     reachable = cfg.reachable()
     if not reachable:
@@ -685,11 +686,7 @@ def _function_wcet(
                 multiplier *= loop.bound
         total += block_cost[bid] * multiplier
 
-    # The path-sensitive collapse rides the interval pass: with
-    # use_intervals=False the historical product bound is reproduced
-    # bit-for-bit (the admission differential guard relies on this).
-    collapsed = _collapsed_wcet(cfg, reachable, block_cost, loops) \
-        if ranges is not None else None
+    collapsed = _collapsed_wcet(cfg, reachable, block_cost, loops)
     if collapsed is not None and collapsed < total:
         return collapsed, loops, "path-sensitive-loops"
     return total, loops, "loop-product"
@@ -867,14 +864,11 @@ def estimate_wcet(
     entry: Optional[str] = None,
     consts: Optional[Dict[str, ConstantStates]] = None,
     ranges: Optional[Dict[str, IntervalStates]] = None,
-    use_intervals: bool = True,
 ) -> WcetResult:
     """Static WCET of one invocation of ``program`` from its entry.
 
-    ``ranges`` may supply precomputed per-function interval states;
-    with ``use_intervals=False`` the interval-derived refinements
-    (range loop bounds, body-trip caps, path-sensitive collapse) are
-    disabled and the pre-interval bound is reproduced.
+    ``consts`` and ``ranges`` may supply precomputed per-function
+    constant / interval states; missing entries are computed on demand.
     """
     entry = entry or program.entry
     result = WcetResult(program=program.name)
@@ -890,9 +884,7 @@ def estimate_wcet(
             consts[name] = cached
         return cached
 
-    def ranges_for(name: str) -> Optional[IntervalStates]:
-        if not use_intervals:
-            return None
+    def ranges_for(name: str) -> IntervalStates:
         cached = ranges.get(name)
         if cached is None:
             cfg = cfgs.setdefault(name, build_cfg(program.functions[name]))

@@ -16,7 +16,7 @@ flashes anything, the admission layer runs the static verifier
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from ..isa.verify import VerifierReport, VerifyOptions, verify_program
@@ -69,12 +69,6 @@ class AdmissionPolicy:
     host_fallback_order: Tuple[str, ...] = ("bare-metal", "container")
     #: Verifier knobs (entry/scratch default from the program itself).
     verify_options: VerifyOptions = field(default_factory=VerifyOptions)
-    #: Differential guard for verifier deepening: a sharper analysis
-    #: (the interval pass) must only *tighten* WCETs and upgrade
-    #: diagnostics, never flip a previously-admitted lambda to
-    #: rejected. When the interval-enabled verdict would reject but the
-    #: pre-interval verdict admits, the pre-interval verdict wins.
-    differential_guard: bool = True
 
     def evaluate(
         self,
@@ -96,18 +90,6 @@ class AdmissionPolicy:
                 reason="not-nic",
             )
         report = verify_program(spec.nic_program(), self.verify_options)
-        if not report.ok and self.differential_guard \
-                and self.verify_options.use_intervals:
-            baseline = verify_program(
-                spec.nic_program(),
-                replace(self.verify_options, use_intervals=False),
-            )
-            if baseline.ok:
-                # Errors introduced only by the interval deepening
-                # (e.g. a warning upgraded to a definite out-of-bounds
-                # proof) must not regress admission; the sharper report
-                # stays available on the decision for diagnostics.
-                report = baseline
         if not report.ok:
             first = report.errors[0]
             raise AdmissionError(

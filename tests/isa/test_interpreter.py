@@ -217,3 +217,53 @@ def test_time_seconds_uses_clock():
     program = build(lambda f: f.nop(100).ret())
     result = Interpreter().run(program)
     assert result.time_seconds(clock_hz=1e6) == pytest.approx(result.cycles / 1e6)
+
+
+_HASH_LAMBDA = """
+import json
+from repro.isa import Interpreter, JitInterpreter, ProgramBuilder
+
+builder = ProgramBuilder("hasher")
+fn = builder.function("hasher")
+fn.hload("r1", "LambdaHeader", "request_id")
+fn.hash("r2", "r1")
+fn.crc("r3", "r1")
+fn.mstore("hash", "r2")
+fn.mstore("crc", "r3")
+fn.forward()
+builder.close(fn)
+program = builder.build()
+outputs = []
+for engine in (Interpreter(), JitInterpreter()):
+    result = engine.run(program,
+                        headers={"LambdaHeader": {"request_id": 7}})
+    outputs.append([result.meta["hash"], result.meta["crc"]])
+print(json.dumps(outputs))
+"""
+
+
+def test_hash_and_crc_do_not_depend_on_the_process_hash_seed():
+    """HASH/CRC results are part of a lambda's observable output, so
+    they must not change with Python's per-process string-hash salt."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_LAMBDA], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        runs.append(json.loads(completed.stdout))
+    assert runs[0] == runs[1]
+    (interpreter, jit) = runs[0]
+    assert interpreter == jit
+    assert all(0 <= value <= 0xFFFFFFFF for value in interpreter)
+    assert interpreter[0] != interpreter[1]  # HASH and CRC differ

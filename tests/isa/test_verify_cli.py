@@ -1,7 +1,8 @@
 """The standalone lint CLI: files, --workloads, --json, --forbid,
---explain, --wcet-delta, exit codes."""
+--explain, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,23 +189,38 @@ def test_explain_rejects_bad_specs(tmp_path, capsys):
     assert main([path, "--explain", "other@0", "--quiet"]) == 0
 
 
-def test_wcet_delta_table(tmp_path, capsys):
-    clean = write(tmp_path, "clean.asm", CLEAN)
-    loop = write(tmp_path, "hdrloop.asm", HEADER_LOOP)
-    artifact = tmp_path / "delta.md"
-    assert main([clean, loop, "--wcet-delta", str(artifact),
-                 "--quiet"]) == 0
-    table = artifact.read_text()
-    assert "| program | WCET (pre-interval) | WCET (interval) | delta |" \
-        in table
-    # The straight-line program is exact either way; the header-limited
-    # loop only gets a bound from the interval pass.
-    assert "| clean |" in table and "| 0 |" in table
-    assert "| hdrloop | unbounded |" in table
-    assert "newly bounded" in table
+#: Verified WCET cycles: (before the interval pass, now). The "before"
+#: column is the historical record of EXPERIMENTS.md's WCET-tightening
+#: table (None: no bound).
+WCET_CYCLES = {
+    "counter": (164, 161),
+    "echo": (6, 6),
+    "hash_bucket": (256, 256),
+    "seg_walker": (None, 458752),
+    "image_transformer": (19674715, 19674715),
+    "kv_client": (311, 311),
+    "web_server": (8521, 8521),
+}
+
+
+def test_wcet_delta_table(capsys):
+    """Every example lambda and standard workload verifies with the
+    WCET of the table, never looser than before the interval pass."""
+    examples = Path(__file__).resolve().parents[2] / "examples" / "lambdas"
+    paths = sorted(str(path) for path in examples.glob("*.asm"))
+    assert main([*paths, "--workloads", "--quiet", "--json", "-"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["program"]: r["wcet_cycles"] for r in reports} == {
+        name: now for name, (_, now) in WCET_CYCLES.items()
+    }
+    for before, now in WCET_CYCLES.values():
+        assert before is None or now <= before
 
 
 def test_wcet_delta_to_stdout(tmp_path, capsys):
+    """The pre-interval comparison table (--wcet-delta) is gone."""
     loop = write(tmp_path, "hdrloop.asm", HEADER_LOOP)
-    assert main([loop, "--wcet-delta", "-", "--quiet"]) == 0
-    assert "newly bounded" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main([loop, "--wcet-delta", "-", "--quiet"])
+    assert excinfo.value.code == 2
+    assert "--wcet-delta" in capsys.readouterr().err

@@ -12,9 +12,9 @@ The interval pass upgrades three layers of the verifier:
   path per iteration rather than the product over all branch sides,
   and bounded memcpy lengths shrink the bulk-transfer charge.
 
-Each test checks one upgrade — and that switching the pass off
-(``use_intervals=False``) reproduces the historical verdicts, which is
-what the admission differential guard relies on.
+Each test checks one upgrade. Where a test compares with the verifier
+before the interval pass, the older figure is a literal measured with
+that verifier (it no longer exists as an option).
 """
 
 from repro.isa import (
@@ -28,7 +28,6 @@ from repro.isa.verify import (
     ANY,
     Interval,
     Severity,
-    VerifyOptions,
     estimate_wcet,
     interval_states,
     verify_program,
@@ -113,14 +112,9 @@ def test_offset_proven_entirely_outside_is_an_error():
     errors = findings_with(report, "oob-load")
     assert len(errors) == 1
     assert "entirely outside" in errors[0].message
-    # The pre-interval verifier could only warn here — the differential
-    # guard in admission depends on that asymmetry staying true.
-    baseline = verify_program(
-        build(body, objects=[("small", 8)]),
-        VerifyOptions(use_intervals=False),
-    )
-    assert baseline.ok
-    assert findings_with(baseline, "unknown-offset")
+    # The proof replaces the unknown-offset warning the verifier gave
+    # before the interval pass.
+    assert not findings_with(report, "unknown-offset")
 
 
 def test_straddling_range_stays_a_warning_with_its_range():
@@ -197,12 +191,9 @@ def test_header_limited_loop_gets_an_interval_bound():
     assert len(bounds) == 1
     assert "via interval" in bounds[0].message
     assert "body <= 65535 trips" in bounds[0].message
-    assert report.wcet_cycles is not None
     assert report.wcet_method["segs"] == "path-sensitive-loops"
-    # Without the interval pass the same program has no bound at all.
-    baseline = verify_program(program, VerifyOptions(use_intervals=False))
-    assert not baseline.ok
-    assert findings_with(baseline, "unbounded-loop")
+    # Before the interval pass the program had no bound at all.
+    assert report.wcet_cycles == 458752
 
 
 def test_interval_bound_is_sound_against_the_interpreter():
@@ -265,12 +256,10 @@ def branchy_counted_loop():
 def test_path_sensitive_collapse_beats_the_block_product():
     program = branchy_counted_loop()
     tight = estimate_wcet(program)
-    loose = estimate_wcet(program, use_intervals=False)
-    assert tight.total_cycles is not None
-    assert loose.total_cycles is not None
-    assert tight.total_cycles < loose.total_cycles
+    # Before the interval pass the verifier charged the block product
+    # ("loop-product"): 77 cycles.
+    assert tight.total_cycles == 62
     assert tight.function_method["branchy"] == "path-sensitive-loops"
-    assert loose.function_method["branchy"] == "loop-product"
     # The tightened bound is still an upper bound on the real run.
     observed = Interpreter().run(program).cycles
     assert observed <= tight.total_cycles
@@ -288,8 +277,8 @@ def test_acyclic_programs_keep_the_exact_longest_path():
 
     program = build(body, name="straight")
     with_iv = estimate_wcet(program)
-    without = estimate_wcet(program, use_intervals=False)
-    assert with_iv.total_cycles == without.total_cycles
+    # The same 6 cycles as before the interval pass.
+    assert with_iv.total_cycles == 6
     assert with_iv.function_method["straight"] == "longest-path"
 
 
@@ -305,9 +294,9 @@ def test_bounded_memcpy_length_tightens_wcet():
 
     program = build(body, objects=[("dst", 4096), ("src", 4096)])
     tight = estimate_wcet(program).total_cycles
-    loose = estimate_wcet(program, use_intervals=False).total_cycles
-    assert tight is not None and loose is not None
-    assert tight < loose
+    # Before the interval pass the verifier charged the object-size
+    # fallback: 15375 cycles.
+    assert tight == 255
 
 
 # -- advisory findings and provenance ---------------------------------------

@@ -188,12 +188,12 @@ def test_manager_without_policy_is_unchanged():
     assert record.admission is None
 
 
-# -- differential guard for verifier deepening -------------------------------
+# -- definite out-of-bounds proofs reject ------------------------------------
 
 
 def interval_flagged_nic_program(name="flagged"):
-    """Verifies clean pre-intervals (warning-grade unknown offset);
-    the interval pass proves the offset entirely out of bounds."""
+    """The interval pass proves the load offset entirely out of bounds
+    (constant propagation alone could only warn about it)."""
     from repro.isa import ProgramBuilder
 
     builder = ProgramBuilder(name)
@@ -219,34 +219,30 @@ def interval_flagged_spec(name="flagged"):
 
 
 def test_differential_guard_keeps_previously_admitted_lambdas():
-    """Sharper analysis must only tighten diagnostics, never flip a
-    lambda the pre-interval verifier admitted to rejected."""
-    from repro.serverless.admission import VerifyOptions
-    from repro.isa.verify import verify_program
+    """A lambda whose load the verifier proves out of bounds is
+    rejected, even though a verifier without the interval pass once
+    admitted it: it would fault on every run."""
+    from repro.isa import ExecutionError, Interpreter
 
-    program = interval_flagged_nic_program()
-    # Precondition: the two analysis depths genuinely disagree.
-    assert not verify_program(program).ok
-    assert verify_program(program, VerifyOptions(use_intervals=False)).ok
-
-    decision = AdmissionPolicy().evaluate(
-        interval_flagged_spec(), "lambda-nic",
-        available_kinds=("lambda-nic",),
-    )
-    assert decision.reason == "admitted"
-    assert decision.report.ok
+    with pytest.raises(AdmissionError) as excinfo:
+        AdmissionPolicy().evaluate(interval_flagged_spec(), "lambda-nic",
+                                   available_kinds=("lambda-nic",))
+    report = excinfo.value.report
+    assert [f.code for f in report.errors] == ["oob-load"]
+    assert "entirely outside" in report.errors[0].message
+    with pytest.raises(ExecutionError, match="load out of bounds"):
+        Interpreter().run(interval_flagged_nic_program(),
+                          headers={"LambdaHeader": {"request_id": 7}})
 
 
 def test_differential_guard_can_be_disabled():
-    policy = AdmissionPolicy(differential_guard=False)
-    with pytest.raises(AdmissionError) as excinfo:
-        policy.evaluate(interval_flagged_spec(), "lambda-nic",
-                        available_kinds=("lambda-nic",))
-    assert "oob-load" in str(excinfo.value.report.errors[0])
+    """The pre-interval fallback verdict and its knob are gone."""
+    with pytest.raises(TypeError):
+        AdmissionPolicy(differential_guard=False)
 
 
 def test_guard_does_not_mask_genuine_errors():
-    """Bugs both analysis depths agree on still reject."""
+    """Bugs found without any interval proof reject too."""
     with pytest.raises(AdmissionError):
         AdmissionPolicy().evaluate(buggy_spec(), "lambda-nic",
                                    available_kinds=("lambda-nic",))
