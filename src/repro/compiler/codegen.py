@@ -125,11 +125,6 @@ class Firmware:
         """
         return FIRMWARE_BASE_BYTES + self.code_bytes + self.ro_data_bytes
 
-    @property
-    def nic_memory_bytes(self) -> int:
-        """NIC memory consumed once loaded (binary + writable data)."""
-        return self.binary_size_bytes + (self.data_bytes - self.ro_data_bytes)
-
     def wid_for(self, lambda_name: str) -> int:
         try:
             return self.lambda_ids[lambda_name]

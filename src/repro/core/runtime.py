@@ -129,7 +129,3 @@ class LambdaNicRuntime:
         if name not in self.workloads:
             raise KeyError(f"unknown workload {name!r}")
         return self.nics[next(self._rr)]
-
-    @property
-    def total_requests_served(self) -> int:
-        return sum(nic.stats.requests_served for nic in self.nics)

@@ -31,18 +31,14 @@ from ..obs import TraceCollection
 from ..serverless import Testbed, open_loop
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, WORKLOAD_NAMES, ExperimentConfig
-from .harness import Cell, ExperimentReport
-
-#: Gateway tuned for fast failure detection (same stance as the fault
-#: recovery storm: short timeouts, aggressive retries, quick breakers).
-GATEWAY_KWARGS = dict(
-    request_timeout=0.25,
-    max_retries=8,
-    backoff_base=0.05,
-    backoff_max=0.5,
-    breaker_threshold=3,
-    breaker_reset_timeout=0.5,
+# Same gateway stance, phase lengths and availability as the fault storm.
+from .fault_recovery import (
+    AFTER_SECONDS,
+    GATEWAY_KWARGS,
+    SETTLE_SECONDS,
+    availability,
 )
+from .harness import Cell, ExperimentReport
 
 #: Migration controller stance for the storm: short drains so held
 #: requests see a bounded latency bump even when cutover races a fault.
@@ -50,9 +46,6 @@ MIGRATION_KWARGS = dict(
     drain_timeout=0.5,
     drain_poll_seconds=0.002,
 )
-
-SETTLE_SECONDS = 5.0
-AFTER_SECONDS = 10.0
 
 
 def build_plan(t0: float) -> FaultPlan:
@@ -193,12 +186,6 @@ def run_storm(seed: int = 42, rate_rps: float = 25.0,
         "migrations": list(tb.migrator.migrations),
         "mttf": tb.health.mean_time_to_failover(),
     }
-
-
-def availability(result) -> float:
-    """Fraction of issued requests that completed (1.0 == no failures)."""
-    issued = result.completed + result.failures
-    return result.completed / issued if issued else 1.0
 
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:

@@ -149,9 +149,6 @@ class RequestContext:
             )
         )
 
-    def sleep(self, seconds: float):
-        return self.env.timeout(seconds)
-
 
 class ServiceTimeout(Exception):
     """An external service call exhausted its retries."""

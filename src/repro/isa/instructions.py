@@ -185,11 +185,3 @@ def is_register(operand: Any) -> bool:
 
 def is_mem_ref(operand: Any) -> bool:
     return isinstance(operand, tuple) and len(operand) == 3 and operand[0] == "mem"
-
-
-def is_hdr_ref(operand: Any) -> bool:
-    return isinstance(operand, tuple) and len(operand) == 3 and operand[0] == "hdr"
-
-
-def is_meta_ref(operand: Any) -> bool:
-    return isinstance(operand, tuple) and len(operand) == 2 and operand[0] == "meta"

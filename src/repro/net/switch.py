@@ -56,12 +56,6 @@ class Switch:
         link.attach(self.name, self._receive)
         self._table[peer] = peer
 
-    def add_route(self, dst: str, via_peer: str) -> None:
-        """Route packets for ``dst`` out of the port facing ``via_peer``."""
-        if via_peer not in self._links:
-            raise ValueError(f"no port towards {via_peer!r}")
-        self._table[dst] = via_peer
-
     @property
     def ports(self) -> list:
         return sorted(self._links)

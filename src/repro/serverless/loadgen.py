@@ -399,9 +399,9 @@ def round_robin_closed_loop(
                     outcome = yield gateway.request(name)
                     results[name].latencies.append(outcome.latency)
                     combined.latencies.append(outcome.latency)
-                except GatewayTimeout:
-                    results[name].failures += 1
-                    combined.failures += 1
+                except GatewayTimeout as error:
+                    results[name].record_failure(error)
+                    combined.record_failure(error)
 
         workers = [env.process(worker()) for _ in range(max(1, concurrency))]
         yield env.all_of(workers)

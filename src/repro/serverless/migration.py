@@ -77,10 +77,6 @@ HANDOFF_BANDWIDTH_BPS = 10e9
 HANDOFF_SEGMENT_SECONDS = 1e-6
 
 
-class MigrationError(Exception):
-    """A migration could not reach CUTOVER and was rolled back."""
-
-
 class _ControllerStopped(Exception):
     """Raised inside a migration when the controller crashed/stopped."""
 

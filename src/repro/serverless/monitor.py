@@ -381,9 +381,6 @@ class HealthMonitor:
 
     # -- reporting ---------------------------------------------------------
 
-    def events_for(self, workload: str) -> List[FailoverEvent]:
-        return [e for e in self.events if e.workload == workload]
-
     def mean_time_to_failover(self) -> float:
         if not self.events:
             return 0.0

@@ -14,17 +14,9 @@ from .core import (
     Timeout,
     URGENT,
 )
-from .process import Initialize, Interrupt, Process
-from .resources import (
-    Container,
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
-from .rng import RngRegistry, exponential, lognormal_service
+from .process import Initialize, Process
+from .resources import Release, Request, Resource
+from .rng import RngRegistry, exponential
 from .shard import (
     ShardSpec,
     default_processes,
@@ -34,26 +26,18 @@ from .shard import (
     shard_seed,
     split_arrivals,
 )
-from .stores import FilterStore, PriorityItem, PriorityStore, Store
+from .stores import Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Initialize",
-    "Interrupt",
     "NORMAL",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityItem",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "Release",
     "Request",
@@ -67,7 +51,6 @@ __all__ = [
     "URGENT",
     "default_processes",
     "exponential",
-    "lognormal_service",
     "make_shard_specs",
     "owner_of",
     "run_shards",

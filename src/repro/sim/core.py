@@ -112,12 +112,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
 

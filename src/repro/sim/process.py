@@ -9,21 +9,9 @@ returns, so processes can wait on each other.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from .core import Event, Environment, SimulationError, URGENT, _PENDING
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        """Whatever was passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"Interrupt({self.cause!r})"
 
 
 class Initialize(Event):
@@ -39,60 +27,22 @@ class Initialize(Event):
         env.schedule(self, URGENT)
 
 
-class Interruption(Event):
-    """Immediately schedules an :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        if process.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        if process is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self._ok = False
-        self._value = Interrupt(cause)
-        self.defused = True
-        self.process = process
-        self.callbacks = [self._interrupt]
-        self.env.schedule(self, URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        process = self.process
-        if process.triggered:
-            return  # Terminated in the meantime; the interrupt is moot.
-        # Detach the process from whatever event it is waiting for, then
-        # resume it with the failure so the generator sees the Interrupt.
-        if process._target is not None and process._target.callbacks is not None:
-            process._target.callbacks.remove(process._resume)
-        process._resume(self)
-
-
 class Process(Event):
     """An active component driven by a generator of events."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: Environment, generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not terminated."""
         return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         self.env._active_process = self
@@ -124,7 +74,6 @@ class Process(Event):
             if target.callbacks is not None:
                 # Not yet processed: park until it fires.
                 target.callbacks.append(self._resume)
-                self._target = target
                 break
             # Already processed: continue immediately with its value.
             event = target

@@ -1,16 +1,18 @@
 """Shared, capacity-limited resources.
 
 :class:`Resource` models a pool of identical servers (e.g. CPU cores or
-NPU threads): processes ``request()`` a slot, wait in FIFO (or priority)
-order, and ``release()`` it when done. :class:`Container` models a
-continuous quantity (e.g. bytes of memory) with put/get semantics.
+NPU threads): processes ``request()`` a slot, wait in FIFO order, and
+``release()`` it when done. A granted slot is held until its holder
+releases it; nothing is ever evicted, matching the run-to-completion
+lambdas of the model.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from collections import deque
+from typing import Deque, List
 
-from .core import Event, Environment, SimulationError
+from .core import Event, Environment
 
 
 class Request(Event):
@@ -23,13 +25,10 @@ class Request(Event):
             ...
     """
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self._order = resource._next_order()
         resource._queue.append(self)
-        resource._queue.sort(key=lambda r: (r.priority, r._order))
         resource._trigger_requests()
 
     def __enter__(self) -> "Request":
@@ -56,7 +55,7 @@ class Release(Event):
 
 
 class Resource:
-    """A pool of ``capacity`` identical slots with a FIFO/priority queue."""
+    """A pool of ``capacity`` identical slots with a FIFO wait queue."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity <= 0:
@@ -64,12 +63,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.users: List[Request] = []
-        self._queue: List[Request] = []
-        self._order = 0
-
-    def _next_order(self) -> int:
-        self._order += 1
-        return self._order
+        self._queue: Deque[Request] = deque()
 
     @property
     def count(self) -> int:
@@ -81,9 +75,9 @@ class Resource:
         """Requests still waiting (read-only view)."""
         return list(self._queue)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires once granted."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         """Return a previously granted slot."""
@@ -93,133 +87,12 @@ class Resource:
         if request in self.users:
             self.users.remove(request)
         elif request in self._queue:
-            # Released before being granted (e.g. interrupted holder).
+            # Released before being granted.
             self._queue.remove(request)
         self._trigger_requests()
 
     def _trigger_requests(self) -> None:
         while self._queue and len(self.users) < self.capacity:
-            request = self._queue.pop(0)
+            request = self._queue.popleft()
             self.users.append(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
-
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
-
-
-class ContainerPut(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous, divisible quantity (fuel-tank semantics)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_waiters: List[ContainerPut] = []
-        self._get_waiters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current fill level."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; fires once it fits under ``capacity``."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; fires once available."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._put_waiters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True
-
-
-class Preempted:
-    """Cause attached to an interrupt raised by preemption."""
-
-    def __init__(self, by: Any, usage_since: float) -> None:
-        self.by = by
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:
-        return f"<Preempted by={self.by!r} since={self.usage_since}>"
-
-
-class PreemptiveResource(Resource):
-    """A priority resource where higher-priority requests evict holders.
-
-    Lower numeric ``priority`` wins (as in SimPy). The evicted process —
-    the one with the worst priority among current users — receives an
-    :class:`~repro.sim.process.Interrupt` whose cause is
-    :class:`Preempted`.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._holders: dict = {}
-
-    def request(self, priority: int = 0, preempt: bool = True) -> Request:
-        request = Request(self, priority)
-        request.preempt = preempt
-        request.time = self.env.now
-        request.process = self.env.active_process
-        if not request.triggered and preempt and self.users:
-            victim = max(self.users, key=lambda r: (r.priority, r._order))
-            if (victim.priority, victim._order) > (priority, request._order):
-                self._do_release(victim)
-                process = getattr(victim, "process", None)
-                if process is not None and process.is_alive:
-                    process.interrupt(Preempted(request.process, victim.time))
-        return request
-
-    def release(self, request: Request) -> Release:
-        return Release(self, request)

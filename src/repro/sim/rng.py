@@ -41,20 +41,3 @@ def exponential(rng: random.Random, mean: float) -> float:
         return 0.0
     return rng.expovariate(1.0 / mean)
 
-
-def lognormal_service(rng: random.Random, median: float, sigma: float) -> float:
-    """Lognormal service time parameterised by median and shape.
-
-    Service-time distributions in interactive systems are right-skewed;
-    a lognormal with a small sigma gives the paper-like long tails
-    without the extreme variance of a Pareto.
-    """
-    if median <= 0:
-        return 0.0
-    return rng.lognormvariate(_ln(median), sigma)
-
-
-def _ln(value: float) -> float:
-    import math
-
-    return math.log(value)

@@ -1,16 +1,15 @@
-"""Message stores: FIFO, filtered, and priority item queues.
+"""A FIFO message store.
 
-A :class:`Store` is the basic producer/consumer channel used throughout
-the network and host models: ``put(item)`` and ``get()`` return events
-that fire once the operation completes. :class:`FilterStore` lets getters
-wait for items matching a predicate; :class:`PriorityStore` pops items in
-priority order.
+A :class:`Store` is a bounded producer/consumer channel: ``put(item)``
+and ``get()`` return events that fire once the operation completes.
+Items leave in the order they were put, waiting putters and getters are
+served first-come first-served, and a pending ``get()`` can be withdrawn
+with ``cancel()``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List
+from typing import Any, List
 
 from .core import Event, Environment
 
@@ -86,81 +85,3 @@ class Store:
             if self._get_waiters and self._do_get(self._get_waiters[0]):
                 self._get_waiters.pop(0)
                 progressed = True
-
-
-class FilterStoreGet(StoreGet):
-    def __init__(self, store: "FilterStore", predicate: Callable[[Any], bool]) -> None:
-        self.predicate = predicate
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """A store whose getters can wait for items matching a predicate."""
-
-    def get(self, predicate: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:
-        event = FilterStoreGet(self, predicate)
-        event._waiters = self._get_waiters
-        return event
-
-    def _do_get(self, get: StoreGet) -> bool:
-        predicate = getattr(get, "predicate", lambda item: True)
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                self.items.pop(index)
-                get.succeed(item)
-                return True
-        return False
-
-    def _trigger(self) -> None:
-        # Unlike the FIFO store, a blocked getter at the head must not
-        # starve getters further back whose predicates can be satisfied.
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters and self._do_put(self._put_waiters[0]):
-                self._put_waiters.pop(0)
-                progressed = True
-            for get in list(self._get_waiters):
-                if self._do_get(get):
-                    self._get_waiters.remove(get)
-                    progressed = True
-
-
-class PriorityItem:
-    """Wrap an arbitrary item with an orderable priority."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PriorityItem)
-            and self.priority == other.priority
-            and self.item == other.item
-        )
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """A store that releases the smallest item first (heap order)."""
-
-    def _do_put(self, put: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            heapq.heappush(self.items, put.item)
-            put.succeed()
-            return True
-        return False
-
-    def _do_get(self, get: StoreGet) -> bool:
-        if self.items:
-            get.succeed(heapq.heappop(self.items))
-            return True
-        return False

@@ -1,5 +1,7 @@
 """End-to-end overload control: deadlines, budgets, shedding, hedging."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net import DEADLINE_META, Network, Packet
@@ -14,7 +16,12 @@ from repro.serverless import (
     RetryBudgetExhausted,
     Testbed,
 )
-from repro.serverless.loadgen import ARRIVAL_PROCESSES, LoadResult, _arrival_gaps
+from repro.serverless.loadgen import (
+    ARRIVAL_PROCESSES,
+    LoadResult,
+    _arrival_gaps,
+    round_robin_closed_loop,
+)
 from repro.sim import Environment, RngRegistry, exponential
 from repro.workloads import web_server_spec
 
@@ -183,6 +190,44 @@ def test_record_failure_splits_typed_outcomes():
     result.record_failure(RetryBudgetExhausted("broke"))
     assert result.failures == 4
     assert (result.shed, result.expired, result.budget_exhausted) == (1, 1, 1)
+
+
+class ScriptedGateway:
+    """A stub gateway: each request succeeds or raises the next scripted
+    error after one millisecond."""
+
+    def __init__(self, env, outcomes):
+        self.env = env
+        self.outcomes = iter(outcomes)
+
+    def request(self, workload):
+        error = next(self.outcomes)
+
+        def respond():
+            yield self.env.timeout(0.001)
+            if error is not None:
+                raise error
+            return SimpleNamespace(latency=0.001)
+
+        return self.env.process(respond())
+
+
+def test_round_robin_closed_loop_splits_typed_outcomes():
+    env = Environment()
+    gateway = ScriptedGateway(env, [
+        RequestShed("shed"), RequestExpired("expired"),
+        RetryBudgetExhausted("broke"), None,
+        GatewayTimeout("plain"), RequestShed("shed"),
+    ])
+    proc = round_robin_closed_loop(env, gateway, ["a", "b"], n_requests=6)
+    env.run()
+    results = proc.value
+    a, b, combined = results["a"], results["b"], results["__all__"]
+    assert (a.failures, a.shed, a.expired, a.budget_exhausted) == (3, 1, 0, 1)
+    assert (b.failures, b.shed, b.expired, b.budget_exhausted) == (2, 1, 1, 0)
+    assert len(b.latencies) == 1 and not a.latencies
+    assert (combined.failures, combined.shed, combined.expired,
+            combined.budget_exhausted) == (5, 2, 1, 1)
 
 
 # -- gateway: deadlines, shedding, budgets ---------------------------------

@@ -1,8 +1,9 @@
-"""Tests for generator-based processes and interrupts."""
+"""Tests for generator-based processes."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+import repro.sim
+from repro.sim import Environment, SimulationError
 
 
 def test_process_is_event_with_return_value():
@@ -35,73 +36,92 @@ def test_process_alive_until_done():
 
 
 def test_interrupt_delivers_cause():
+    """A failed child's exception, with its payload, reaches the waiting
+    parent at the instant the child fails."""
     env = Environment()
     causes = []
 
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append((env.now, interrupt.cause))
-
-    def attacker(env, victim_proc):
+    def child(env):
         yield env.timeout(3.0)
-        victim_proc.interrupt("stop it")
+        raise ValueError("stop it")
 
-    victim_proc = env.process(victim(env))
-    env.process(attacker(env, victim_proc))
+    def parent(env):
+        try:
+            yield env.process(child(env))
+        except ValueError as error:
+            causes.append((env.now, error.args[0]))
+
+    env.process(parent(env))
     env.run()
     assert causes == [(3.0, "stop it")]
 
 
 def test_interrupted_process_can_continue():
+    """A parent that caught its child's failure keeps running."""
     env = Environment()
     trace = []
 
-    def victim(env):
+    def child(env):
+        yield env.timeout(2.0)
+        raise RuntimeError("child failed")
+
+    def parent(env):
         try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            trace.append("interrupted")
+            yield env.process(child(env))
+        except RuntimeError:
+            trace.append("caught")
         yield env.timeout(1.0)
         trace.append(env.now)
+        return "done"
 
-    def attacker(env, victim_proc):
-        yield env.timeout(2.0)
-        victim_proc.interrupt()
-
-    victim_proc = env.process(victim(env))
-    env.process(attacker(env, victim_proc))
+    parent_proc = env.process(parent(env))
     env.run()
-    assert trace == ["interrupted", 3.0]
+    assert trace == ["caught", 3.0]
+    assert parent_proc.ok and parent_proc.value == "done"
 
 
 def test_interrupt_terminated_process_rejected():
+    """Processes run to completion: there is no interrupt to send, and a
+    terminated process hands its value to a late waiter at once."""
     env = Environment()
+    seen = []
 
     def quick(env):
         yield env.timeout(1.0)
+        return "result"
+
+    def late(env, process):
+        yield env.timeout(4.0)
+        value = yield process
+        seen.append((env.now, value))
 
     process = env.process(quick(env))
+    env.process(late(env, process))
     env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
+    assert seen == [(4.0, "result")]
+    assert not hasattr(process, "interrupt")
+    assert not hasattr(process, "target")
+    assert not hasattr(repro.sim, "Interrupt")
 
 
 def test_process_cannot_interrupt_itself():
+    """A process that yields itself fails with SimulationError."""
     env = Environment()
     errors = []
 
     def selfish(env):
-        try:
-            env.active_process.interrupt()
-        except SimulationError:
-            errors.append(True)
-        yield env.timeout(0)
+        yield env.timeout(1.0)
+        yield env.active_process
 
-    env.process(selfish(env))
+    def parent(env):
+        try:
+            yield env.process(selfish(env))
+        except SimulationError as error:
+            errors.append((env.now, "invalid target" in str(error)))
+
+    env.process(parent(env))
     env.run()
-    assert errors == [True]
+    assert errors == [(1.0, True)]
 
 
 def test_uncaught_exception_in_process_propagates():
@@ -197,26 +217,27 @@ def test_two_processes_interleave():
 
 
 def test_interrupt_while_waiting_on_process():
+    """Every process waiting on a child resumes when the child finishes,
+    in the order it started waiting, with the child's return value."""
     env = Environment()
     log = []
 
     def child(env):
         yield env.timeout(50.0)
         log.append("child-finished")
+        return "payload"
 
-    def parent(env):
-        child_proc = env.process(child(env))
-        try:
-            yield child_proc
-        except Interrupt:
-            log.append(("parent-interrupted", env.now))
+    def waiter(env, name, delay, child_proc):
+        yield env.timeout(delay)
+        value = yield child_proc
+        log.append((name, env.now, value))
 
-    def attacker(env, parent_proc):
-        yield env.timeout(4.0)
-        parent_proc.interrupt()
-
-    parent_proc = env.process(parent(env))
-    env.process(attacker(env, parent_proc))
+    child_proc = env.process(child(env))
+    env.process(waiter(env, "second", 4.0, child_proc))
+    env.process(waiter(env, "first", 1.0, child_proc))
     env.run()
-    assert ("parent-interrupted", 4.0) in log
-    assert "child-finished" in log  # The child itself was not interrupted.
+    assert log == [
+        "child-finished",
+        ("first", 50.0, "payload"),
+        ("second", 50.0, "payload"),
+    ]

@@ -1,15 +1,8 @@
-"""Tests for Resource, PreemptiveResource, and Container."""
+"""Tests for the FIFO Resource."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    Interrupt,
-    Preempted,
-    PreemptiveResource,
-    Resource,
-)
+from repro.sim import Environment, Resource
 
 
 def test_resource_capacity_enforced():
@@ -88,6 +81,96 @@ def test_invalid_capacity_rejected():
 
 
 def test_priority_request_order():
+    """Requests made at the same instant are granted strictly in the
+    order they were made, ahead of any later request."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    grants = []
+
+    def user(env, name, delay):
+        yield env.timeout(delay)
+        with resource.request() as req:
+            yield req
+            grants.append((name, env.now))
+            yield env.timeout(1.0)
+
+    for name in ["a", "b", "c", "d"]:
+        env.process(user(env, name, 0.0))
+    env.process(user(env, "late-1", 0.5))
+    env.process(user(env, "late-2", 0.5))
+    env.run()
+    assert grants == [
+        ("a", 0.0), ("b", 1.0), ("c", 2.0), ("d", 3.0),
+        ("late-1", 4.0), ("late-2", 5.0),
+    ]
+
+
+def test_preemptive_resource_evicts_lower_priority():
+    """A holder is never evicted: a later requester waits for the full
+    hold, and the holder's work runs to completion."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    log = []
+
+    def background(env):
+        with resource.request() as req:
+            yield req
+            yield env.timeout(100.0)
+            log.append(("background-done", env.now))
+
+    def urgent(env):
+        yield env.timeout(3.0)
+        with resource.request() as req:
+            yield req
+            log.append(("urgent-running", env.now))
+            yield env.timeout(1.0)
+
+    env.process(background(env))
+    env.process(urgent(env))
+    env.run()
+    assert log == [("background-done", 100.0), ("urgent-running", 100.0)]
+
+
+def test_preemptive_resource_equal_priority_waits():
+    """``count``, ``users`` and ``queue`` track every grant and release:
+    a freed slot goes to the oldest waiter."""
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    names = {}
+    snapshots = []
+
+    def user(env, name, hold):
+        with resource.request() as req:
+            names[req] = name
+            yield req
+            yield env.timeout(hold)
+
+    def observer(env):
+        for _ in range(5):
+            yield env.timeout(0.5 if not snapshots else 1.0)
+            snapshots.append((
+                env.now,
+                resource.count,
+                [names[r] for r in resource.users],
+                [names[r] for r in resource.queue],
+            ))
+
+    for name, hold in [("a", 1.0), ("b", 2.0), ("c", 2.0), ("d", 2.0)]:
+        env.process(user(env, name, hold))
+    env.process(observer(env))
+    env.run()
+    assert snapshots == [
+        (0.5, 2, ["a", "b"], ["c", "d"]),
+        (1.5, 2, ["b", "c"], ["d"]),
+        (2.5, 2, ["c", "d"], []),
+        (3.5, 1, ["d"], []),
+        (4.5, 0, [], []),
+    ]
+
+
+def test_container_put_get():
+    """A withdrawn (cancelled) request is skipped: the slot goes to the
+    next waiter, and the withdrawn request is never granted."""
     env = Environment()
     resource = Resource(env, capacity=1)
     grants = []
@@ -97,115 +180,73 @@ def test_priority_request_order():
             yield req
             yield env.timeout(2.0)
 
-    def user(env, name, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as req:
+    def fickle(env):
+        yield env.timeout(0.5)
+        req = resource.request()
+        yield env.timeout(0.5)
+        req.cancel()
+        grants.append(("fickle-withdrew", env.now, req.triggered))
+
+    def patient(env):
+        yield env.timeout(0.75)
+        with resource.request() as req:
             yield req
-            grants.append(name)
-            yield env.timeout(1.0)
+            grants.append(("patient", env.now))
 
     env.process(holder(env))
-    env.process(user(env, "low", 5, 0.5))
-    env.process(user(env, "high", 1, 1.0))
+    env.process(fickle(env))
+    env.process(patient(env))
     env.run()
-    assert grants == ["high", "low"]
-
-
-def test_preemptive_resource_evicts_lower_priority():
-    env = Environment()
-    resource = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def background(env):
-        with resource.request(priority=10) as req:
-            yield req
-            try:
-                yield env.timeout(100.0)
-                log.append("background-done")
-            except Interrupt as interrupt:
-                assert isinstance(interrupt.cause, Preempted)
-                log.append(("preempted", env.now))
-
-    def urgent(env):
-        yield env.timeout(3.0)
-        with resource.request(priority=0) as req:
-            yield req
-            log.append(("urgent-running", env.now))
-            yield env.timeout(1.0)
-
-    env.process(background(env))
-    env.process(urgent(env))
-    env.run()
-    assert ("preempted", 3.0) in log
-    assert ("urgent-running", 3.0) in log
-
-
-def test_preemptive_resource_equal_priority_waits():
-    env = Environment()
-    resource = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def user(env, name, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=5) as req:
-            yield req
-            log.append((name, env.now))
-            yield env.timeout(10.0)
-
-    env.process(user(env, "first", 0.0))
-    env.process(user(env, "second", 1.0))
-    env.run()
-    assert log == [("first", 0.0), ("second", 10.0)]
-
-
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=10.0)
-    levels = []
-
-    def producer(env, tank):
-        for _ in range(3):
-            yield env.timeout(1.0)
-            yield tank.put(30.0)
-            levels.append(("put", env.now, tank.level))
-
-    def consumer(env, tank):
-        yield tank.get(80.0)
-        levels.append(("got", env.now, tank.level))
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert ("got", 3.0, 20.0) in levels
+    assert grants == [("fickle-withdrew", 1.0, False), ("patient", 2.0)]
+    assert resource.count == 0 and resource.queue == []
 
 
 def test_container_blocks_put_over_capacity():
+    """A waiter that gives up before its grant (a request raced against
+    a timeout) leaves the queue as it exits the ``with`` block."""
     env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-    done = []
+    resource = Resource(env, capacity=1)
+    log = []
 
-    def producer(env, tank):
-        yield tank.put(5.0)
-        done.append(env.now)
+    def holder(env):
+        with resource.request() as req:
+            yield req
+            yield env.timeout(5.0)
 
-    def consumer(env, tank):
-        yield env.timeout(4.0)
-        yield tank.get(6.0)
+    def impatient(env):
+        yield env.timeout(1.0)
+        with resource.request() as req:
+            deadline = env.timeout(2.0)
+            yield env.any_of([req, deadline])
+            log.append(("impatient", env.now, req.triggered))
+        log.append(("queue-after-exit", len(resource.queue)))
 
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
+    def patient(env):
+        yield env.timeout(2.0)
+        with resource.request() as req:
+            yield req
+            log.append(("patient", env.now))
+
+    env.process(holder(env))
+    env.process(impatient(env))
+    env.process(patient(env))
     env.run()
-    assert done == [4.0]
+    assert log == [
+        ("impatient", 3.0, False),
+        ("queue-after-exit", 1),
+        ("patient", 5.0),
+    ]
 
 
 def test_container_validates_arguments():
+    """Capacity must be positive; ``request()`` takes no arguments."""
     env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
+    for capacity in (0, -1):
+        with pytest.raises(ValueError):
+            Resource(env, capacity=capacity)
+    resource = Resource(env, capacity=3)
+    assert resource.capacity == 3
+    with pytest.raises(TypeError):
+        resource.request(1)
+    with pytest.raises(TypeError):
+        resource.request(priority=0)

@@ -1,8 +1,9 @@
-"""Tests for Store, FilterStore, and PriorityStore."""
+"""Tests for the FIFO Store, as the Store-based link and switch oracle
+(``tests/net/legacy_hops.py``) uses it."""
 
 import pytest
 
-from repro.sim import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim import Environment, Store
 
 
 def test_store_fifo_order():
@@ -81,77 +82,98 @@ def test_invalid_capacity():
 
 
 def test_filter_store_matches_predicate():
+    """Puts made without yielding while the consumer is busy queue up and
+    are delivered in put order (the link's transmit loop)."""
     env = Environment()
-    store = FilterStore(env)
+    store = Store(env)
     received = []
 
     def consumer(env, store):
-        item = yield store.get(lambda item: item % 2 == 0)
-        received.append((env.now, item))
+        while True:
+            item = yield store.get()
+            received.append((env.now, item))
+            yield env.timeout(1.0)
 
     def producer(env, store):
-        yield env.timeout(1.0)
-        yield store.put(3)
-        yield env.timeout(1.0)
-        yield store.put(4)
+        yield env.timeout(0.5)
+        for item in ["p1", "p2", "p3"]:
+            store.put(item)
+        yield env.timeout(0.25)
+        store.put("p4")
 
     env.process(consumer(env, store))
     env.process(producer(env, store))
-    env.run()
-    assert received == [(2.0, 4)]
-    assert store.items == [3]
+    env.run(until=10.0)
+    assert received == [(0.5, "p1"), (1.5, "p2"), (2.5, "p3"), (3.5, "p4")]
+    assert store.items == []
 
 
 def test_filter_store_head_blocked_does_not_starve():
+    """Getters blocked on an empty store are served in the order they
+    began waiting, one item each."""
     env = Environment()
-    store = FilterStore(env)
+    store = Store(env)
     received = []
 
-    def blocked(env, store):
-        item = yield store.get(lambda item: item == "never")
-        received.append(("blocked", item))
-
-    def eager(env, store):
-        item = yield store.get(lambda item: item == "yes")
-        received.append(("eager", item))
+    def getter(env, store, name, delay):
+        yield env.timeout(delay)
+        item = yield store.get()
+        received.append((name, env.now, item))
 
     def producer(env, store):
         yield env.timeout(1.0)
-        yield store.put("yes")
+        store.put("x")
+        store.put("y")
+        yield env.timeout(1.0)
+        store.put("z")
 
-    env.process(blocked(env, store))
-    env.process(eager(env, store))
+    env.process(getter(env, store, "second", 0.2))
+    env.process(getter(env, store, "first", 0.1))
+    env.process(getter(env, store, "third", 0.3))
     env.process(producer(env, store))
-    env.run(until=10.0)
-    assert received == [("eager", "yes")]
+    env.run()
+    assert received == [
+        ("first", 1.0, "x"),
+        ("second", 1.0, "y"),
+        ("third", 2.0, "z"),
+    ]
 
 
 def test_priority_store_orders_items():
+    """A getter blocked on an empty store gets the item at the instant of
+    the put, and the item never lingers in ``items``."""
     env = Environment()
-    store = PriorityStore(env)
+    store = Store(env)
     received = []
-
-    def producer(env, store):
-        yield store.put(PriorityItem(3, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(2, "mid"))
+    lingering = []
 
     def consumer(env, store):
-        yield env.timeout(1.0)
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item.item)
+        item = yield store.get()
+        received.append((env.now, item))
 
-    env.process(producer(env, store))
+    def producer(env, store):
+        yield env.timeout(2.5)
+        store.put("packet")
+        lingering.append(list(store.items))
+
     env.process(consumer(env, store))
+    env.process(producer(env, store))
     env.run()
-    assert received == ["high", "mid", "low"]
+    assert received == [(2.5, "packet")]
+    assert lingering == [[]]
 
 
 def test_priority_item_comparison():
-    assert PriorityItem(1, "a") < PriorityItem(2, "b")
-    assert PriorityItem(1, "a") == PriorityItem(1, "a")
-    assert PriorityItem(1, "a") != PriorityItem(1, "b")
+    """On an unbounded store a put is triggered at once (so a producer
+    may drop the event), and the very object put comes out."""
+    env = Environment()
+    store = Store(env)
+    packet = object()
+    put = store.put(packet)
+    assert put.triggered and put.ok
+    get = store.get()
+    assert get.triggered and get.value is packet
+    assert len(store) == 0
 
 
 def test_store_get_cancel():

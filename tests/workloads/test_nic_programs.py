@@ -1,11 +1,14 @@
 """Tests for the NIC (lambda-IR) forms of the benchmark workloads."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.isa import Interpreter, VERDICT_DROP, VERDICT_FORWARD
 from repro.isa.analysis import function_signature
 from repro.workloads import (
     ACK_BYTES,
+    GRAYSCALE_CYCLES_PER_PIXEL,
     KV_RESPONSE_BYTES,
     grayscale_reference,
     image_transformer_nic,
@@ -14,6 +17,7 @@ from repro.workloads import (
     populate_content,
     web_server_nic,
 )
+from repro.workloads.intrinsics import grayscale
 
 
 def run(program, headers=None, meta=None, memory=None):
@@ -129,6 +133,21 @@ def test_image_transformer_grayscale_matches_reference():
     assert result.meta["response_bytes"] == ACK_BYTES
     expected = grayscale_reference(rgba)
     assert bytes(memory["image"][:width * height]) == expected
+
+
+@pytest.mark.parametrize("n_pixels", [0, 1, 17, 64, 70])
+def test_grayscale_intrinsic_converts_only_the_requested_pixels(n_pixels):
+    """The gray plane covers ``min(n_pixels, len // 4)`` pixels; every
+    byte after it keeps its RGBA value."""
+    rgba = make_rgba_image(8, 8, seed=5)
+    buffer = bytearray(rgba)
+    machine = SimpleNamespace(memory={"image": buffer}, read=lambda value: value)
+    cycles = grayscale(machine, (("mem", "image", 0), n_pixels))
+    usable = min(n_pixels, 64)
+    assert cycles == usable * GRAYSCALE_CYCLES_PER_PIXEL
+    assert bytes(buffer[:usable]) == grayscale_reference(rgba[:usable * 4])
+    assert bytes(buffer[usable:]) == rgba[usable:]
+    buffer.extend(b"\x00")  # no numpy view is left holding the buffer
 
 
 def test_image_transformer_rejects_empty():
