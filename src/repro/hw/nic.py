@@ -81,6 +81,9 @@ class NicStats(LambdaStats):
         "nic_rdma_segments_total", "RDMA segments received")
     rdma_messages = CounterAttribute(
         "nic_rdma_messages_total", "RDMA messages reassembled")
+    rdma_evicted = CounterAttribute(
+        "nic_rdma_evicted_total",
+        "partial RDMA messages evicted: their source moved on")
     total_cycles = CounterAttribute(
         "nic_cycles_total", "NPU cycles charged")
     busy_seconds = CounterAttribute(
@@ -236,6 +239,8 @@ class SmartNIC:
         self._rdma_bindings: Dict[int, Tuple[str, str]] = {}
         #: In-flight multi-packet messages, reordered on the NIC (fn. 3).
         self._reorder = ReorderBuffer()
+        #: Source node -> key of its message still being reassembled.
+        self._rdma_open: Dict[str, Tuple[str, int]] = {}
         #: Outstanding service calls (e.g. to memcached): the original
         #: client request, resumed when the service responds (§4.2.1-D3,
         #: "an event RPC triggers the lambda").
@@ -804,10 +809,20 @@ class SmartNIC:
         total = lam.total_segments if lam is not None else 1
         seq = lam.seq if lam is not None else 0
         key = (packet.src, request_id)
+        # One source's segments arrive in order and its messages back
+        # to back, so a segment of a new message means the source's
+        # previous message lost segments that will never come (a cut
+        # link, a gateway retry elsewhere): evict it.
+        open_key = self._rdma_open.get(packet.src)
+        if open_key is not None and open_key != key \
+                and self._reorder.evict(open_key):
+            self.stats.rdma_evicted += 1
         ordered = self._reorder.add(key, seq, total, packet)
         self.stats.rdma_segments += 1
         if ordered is None:
+            self._rdma_open[packet.src] = key
             return
+        self._rdma_open.pop(packet.src, None)
         self.stats.rdma_messages += 1
         self.env.process(self._complete_rdma(ordered, total, packet))
 

@@ -3,11 +3,12 @@
 A :class:`Link` joins two endpoints. Each direction is a FIFO transmit
 server, so the link models both serialization delay
 (``size_bits / bandwidth``) and propagation delay, plus optional random
-drop for failure-injection tests. The server is a queue and a busy flag
-driven by timeout callbacks: taking a packet up is one zero-delay
-timeout, serializing it a second, and propagating it a third that runs
-while the server serializes the next packet, so a packet crosses a link
-in three kernel events.
+drop for failure-injection tests. The server is analytic: it keeps the
+instant its serializer frees up (``free_at``) and, on each send,
+computes when the packet starts and ends serialization by Lindley's
+recursion. The packet then rides one timeout to its delivery, so it
+crosses a link in one kernel event. A cut link drops the packets the
+serializer reaches while it is down, through one check event per cut.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
 from ..obs import Tracer
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from .packet import Packet
 
 
@@ -38,17 +39,17 @@ class LinkStats:
 
 
 class _Direction:
-    """One direction of a full-duplex link: a FIFO transmit server.
+    """One direction of a full-duplex link: an analytic FIFO server.
 
-    The server takes packets up one at a time, each in the callback of
-    a zero-delay timeout. :meth:`send` schedules one when the server is
-    idle; the end of a serialization or a drop schedules one when
-    packets wait, each queued with the instant it was enqueued, where
-    its hop span starts. Taking a packet up, the server drops it if the
-    link is down or the loss dice say so, and otherwise serializes it.
-    When serialization ends it counts the packet, schedules the next
-    take-up and starts the packet's propagation. A packet being taken
-    up, serialized or propagated rides as its timeout's value.
+    A packet sent at ``now`` starts serialization at ``max(now,
+    free_at)`` and frees the serializer again ``size_bits / bandwidth``
+    later. One timeout carries it to its delivery, propagation delay
+    after that; its value is the packet with the instant it was sent,
+    where its hop span starts. Undelivered packets wait in ``_pending``
+    with their start instants, in FIFO order, so a cut can find the
+    packets the serializer has not reached. The loss dice are rolled
+    when a packet is sent, and a lost packet takes no serialization
+    time. ``LinkStats`` count a packet as sent when it is delivered.
     """
 
     def __init__(
@@ -70,63 +71,81 @@ class _Direction:
         self.rng = rng
         self.up = True
         self.stats = LinkStats()
-        self._waiting: Deque[Tuple[Packet, float]] = deque()
-        self._busy = False
+        #: The instant the serializer finishes the last packet sent.
+        self.free_at = env.now
+        #: Undelivered packets: (start of serialization, delivery
+        #: timeout), in the order they were sent.
+        self._pending: Deque[Tuple[float, Timeout]] = deque()
 
     def send(self, packet: Packet) -> None:
-        """Enqueue ``packet`` for transmission."""
-        if self._busy:
-            self._waiting.append((packet, self.env.now))
-        else:
-            self._busy = True
-            self.env.timeout(0, (packet, self.env.now)).callbacks.append(
-                self._take)
-
-    def _take_next(self) -> None:
-        if self._waiting:
-            self.env.timeout(0, self._waiting.popleft()).callbacks.append(
-                self._take)
-        else:
-            self._busy = False
-
-    def _take(self, event) -> None:
-        """Serialize the packet taken up, or drop it and move on."""
-        packet, enqueued_at = event.value
-        stats = self.stats
+        """Serialize ``packet`` after those already sent, or lose it."""
+        now = self.env.now
+        if (self.drop_probability > 0 and self.rng is not None
+                and self.rng.random() < self.drop_probability):
+            self.stats.packets_dropped += 1
+            self._trace_hop(packet, now, dropped="loss")
+            return
+        size_bytes = packet.size_bytes
+        start = self.free_at if self.free_at > now else now
+        self.free_at = end = start + size_bytes * 8 / self.bandwidth_bps
+        timeout = self.env.timeout(end + self.propagation_delay - now,
+                                   (packet, now, size_bytes))
+        timeout.callbacks.append(self._delivered)
+        self._pending.append((start, timeout))
         if not self.up:
-            stats.packets_dropped += 1
-            stats.packets_dropped_down += 1
-            self._trace_hop(packet, enqueued_at, dropped="link_down")
-            self._take_next()
-        elif (self.drop_probability > 0 and self.rng is not None
-              and self.rng.random() < self.drop_probability):
-            stats.packets_dropped += 1
-            self._trace_hop(packet, enqueued_at, dropped="loss")
-            self._take_next()
-        else:
-            size_bytes = packet.size_bytes
-            self.env.timeout(size_bytes * 8 / self.bandwidth_bps,
-                             (packet, enqueued_at, size_bytes)
-                             ).callbacks.append(self._serialized)
+            self._arm_check(start, timeout)
 
-    def _serialized(self, event) -> None:
-        hop = event.value
+    def set_up(self, up: bool) -> None:
+        """Bring this direction up or down.
+
+        A cut arms one check at the start of the first packet the
+        serializer has not yet reached; the packet on the wire, if
+        any, finishes.
+        """
+        if self.up and not up:
+            now = self.env.now
+            for start, timeout in self._pending:
+                if start >= now:
+                    self._arm_check(start, timeout)
+                    break
+        self.up = up
+
+    def _arm_check(self, start: float, timeout: Timeout) -> None:
+        self.env.timeout(start - self.env.now, timeout).callbacks.append(
+            self._check)
+
+    def _check(self, event) -> None:
+        """At a packet's start: if the link is still down, drop it and
+        every packet sent after it, and free the serializer now."""
+        first = event.value
+        if self.up or first.cancelled:
+            return
+        now = self.env.now
+        pending = self._pending
+        dropped = []
+        while True:
+            _, timeout = pending.pop()
+            timeout.cancel()
+            dropped.append(timeout.value)
+            if timeout is first:
+                break
+        self.free_at = now
+        stats = self.stats
+        stats.packets_dropped += len(dropped)
+        stats.packets_dropped_down += len(dropped)
+        for packet, sent_at, _ in reversed(dropped):
+            self._trace_hop(packet, sent_at, dropped="link_down")
+
+    def _delivered(self, event) -> None:
+        packet, sent_at, size_bytes = event.value
+        self._pending.popleft()
         self.stats.packets_sent += 1
-        self.stats.bytes_sent += hop[2]
-        # Take-up first: with zero propagation delay both events fall in
-        # this instant, and the next packet must be reached before this
-        # one is delivered (DESIGN.md §14).
-        self._take_next()
-        self.env.timeout(self.propagation_delay, hop).callbacks.append(
-            self._propagated)
-
-    def _propagated(self, event) -> None:
-        packet, enqueued_at, _ = event.value
+        self.stats.bytes_sent += size_bytes
         packet.stamp(self.name, self.env.now)
-        self._trace_hop(packet, enqueued_at)
+        self._trace_hop(packet, sent_at)
         self.deliver(packet)
 
-    def _trace_hop(self, packet: Packet, enqueued_at: float,
+    def _trace_hop(self, packet: Packet, sent_at: float,
                    dropped: Optional[str] = None) -> None:
         tracer = self.env.tracer
         if tracer is None:
@@ -139,7 +158,7 @@ class _Direction:
             tags["dropped"] = dropped
         tracer.end(tracer.begin(
             "net.link", "net", trace_id=trace_id, parent=parent,
-            node=self.name, start=enqueued_at, tags=tags,
+            node=self.name, start=sent_at, tags=tags,
         ))
 
 
@@ -190,12 +209,17 @@ class Link:
     def set_state(self, up: bool) -> None:
         """Bring the whole link up or down (both directions).
 
-        While down, queued and newly enqueued packets are dropped the
-        instant the server reaches them; no traffic crosses in either
-        direction until the link is brought back up.
+        A packet is dropped if the link is down at the instant its
+        serializer reaches it. A cut arms, per direction, one check at
+        the start of the first packet not yet on the wire; if the link
+        is still down when it fires, that packet and every packet
+        queued behind it are dropped there. A send while down arms a
+        check at that packet's own start. The packet on the wire and
+        packets already propagating are delivered, so a cut shorter
+        than one serialization drops nothing.
         """
-        self._ab.up = up
-        self._ba.up = up
+        self._ab.set_up(up)
+        self._ba.set_up(up)
 
     def attach(self, endpoint: str, deliver: Callable[[Packet], None]) -> None:
         """Register the receive callback for one endpoint."""

@@ -3,16 +3,16 @@
 The switch receives packets from attached links, looks up the egress
 port by destination node name, charges a fixed switching latency, and
 forwards out of per-port FIFO queues. Every port feeds one switching
-pipeline, a FIFO server driven by timeout callbacks: it takes packets
-up one at a time, each through a zero-delay timeout, switches each for
-the switching latency and routes it only then, so a partition set in
-the meantime still drops it.
+pipeline, an analytic FIFO server: it keeps the instant the pipeline
+frees up, so a packet arriving at ``now`` is switched from
+``max(now, free_at)`` for the switching latency (Lindley's recursion).
+One timeout carries the packet to the end of its switching, and it is
+routed only then, so a partition set in the meantime still drops it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..obs import Tracer
 from ..sim import Environment
@@ -44,10 +44,8 @@ class Switch:
         self._table: Dict[str, str] = {}  # dst node -> peer node (port)
         #: Node -> partition-group index; None means no active partition.
         self._partition: Optional[Dict[str, int]] = None
-        #: Packets waiting for the pipeline, each with the instant it
-        #: arrived (where its hop span starts).
-        self._waiting: Deque[Tuple[Packet, float]] = deque()
-        self._busy = False
+        #: The instant the pipeline finishes the last packet received.
+        self._free_at = env.now
         self.stats = SwitchStats()
 
     def attach_link(self, link: Link, peer: str) -> None:
@@ -94,19 +92,15 @@ class Switch:
     # -- the pipeline ----------------------------------------------------
 
     def _receive(self, packet: Packet) -> None:
-        if self._busy:
-            self._waiting.append((packet, self.env.now))
-        else:
-            self._busy = True
-            self.env.timeout(0, (packet, self.env.now)).callbacks.append(
-                self._take)
-
-    def _take(self, event) -> None:
-        self.env.timeout(self.switching_latency,
-                         event.value).callbacks.append(self._switched)
+        """Switch ``packet`` after those already received."""
+        now = self.env.now
+        start = self._free_at if self._free_at > now else now
+        self._free_at = end = start + self.switching_latency
+        self.env.timeout(end - now, (packet, now)).callbacks.append(
+            self._switched)
 
     def _switched(self, event) -> None:
-        """Route the packet whose switching is done, then take the next."""
+        """Route the packet whose switching is done."""
         packet, entered_at = event.value
         peer = self._table.get(packet.dst)
         if peer is None:
@@ -120,11 +114,6 @@ class Switch:
             self.stats.packets_forwarded += 1
             self._trace_hop(packet, entered_at, "forwarded")
             self._links[peer].send(self.name, packet)
-        if self._waiting:
-            self.env.timeout(0, self._waiting.popleft()).callbacks.append(
-                self._take)
-        else:
-            self._busy = False
 
     def _trace_hop(self, packet: Packet, entered_at: float,
                    verdict: str) -> None:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.serverless import GatewayTimeout, Testbed, closed_loop
-from repro.workloads import kv_client_spec, web_server_spec
+from repro.workloads import (
+    image_transformer_spec,
+    kv_client_spec,
+    web_server_spec,
+)
 
 
 def test_gateway_retry_recovers_from_packet_loss():
@@ -139,3 +143,38 @@ def test_slow_backend_does_not_block_gateway_for_others():
     fast_result = process.value
     # Fast requests stayed microsecond-scale despite the slow neighbours.
     assert fast_result.mean_latency < 200e-6
+
+
+def test_rdma_message_cut_short_is_evicted_by_the_next_one():
+    """A link cut strands part of an RDMA write in a NIC's reorder
+    buffer; the gateway's retry goes to another NIC with a new request
+    id. The next message from the gateway to that NIC evicts it."""
+    tb = Testbed(seed=1)
+    tb.add_lambda_nic_backend()
+    spec = image_transformer_spec()
+
+    def cut(env):
+        yield env.timeout(100e-6)
+        tb.network.set_link_state("m2-nic", False)
+        yield env.timeout(50e-6)
+        tb.network.set_link_state("m2-nic", True)
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "lambda-nic")
+        env.process(cut(env))
+        first = yield tb.gateway.request(
+            spec.name, payload_bytes=spec.request_bytes)
+        assert first.retries == 1
+        stranded = tb.nic("m2-nic")._reorder
+        assert stranded.in_flight == 1
+        result = yield closed_loop(env, tb.gateway, spec.name,
+                                   n_requests=len(tb.nics),
+                                   payload_bytes=spec.request_bytes)
+        return result
+
+    process = tb.env.process(scenario(tb.env))
+    tb.run(until=process)
+    assert process.value.completed == len(tb.nics)
+    assert [nic._reorder.in_flight for nic in tb.nics] == [0] * len(tb.nics)
+    assert tb.nic("m2-nic").stats.rdma_messages == 1
+    assert [nic.stats.rdma_evicted for nic in tb.nics] == [1, 0, 0, 0]

@@ -1,14 +1,15 @@
 """The Store- and process-based link and switch, kept as a test oracle.
 
 ``repro.net`` models each link direction and the switch pipeline as
-FIFO servers driven by timeout callbacks. This module keeps the earlier
-implementation of the same model: a serializer process per direction
-pulling packets from a :class:`~repro.sim.Store`, one propagation
-process per packet, and a forwarder process behind a ``Store`` in the
-switch. Everything else (ports, routes, partitions, counters, hop
-spans) is inherited from ``repro.net``. ``tests/net/test_hop_oracle.py``
-drives both with the same random traffic and requires identical
-results. Only tests import it.
+analytic FIFO servers, one timeout per packet per server. This module
+keeps an earlier implementation of the same model: a serializer
+process per direction pulling packets from a :class:`~repro.sim.Store`,
+one propagation process per packet, and a forwarder process behind a
+``Store`` in the switch. Everything else (ports, routes, partitions,
+counters, hop spans) is inherited from ``repro.net``.
+``tests/net/test_hop_oracle.py`` drives both with the same random
+traffic and requires identical results wherever no two stages share
+an instant. Only tests import it.
 """
 
 from __future__ import annotations

@@ -212,3 +212,30 @@ def test_link_set_state_both_directions():
     link.send("a", make_packet("a", "b", payload_bytes=992))
     env.run()
     assert arrivals == ["b"]
+
+
+def test_check_of_a_dropped_packet_spares_packets_sent_after_a_restore():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0)
+    link.attach("b", lambda p: arrivals.append((p.payload, env.now)))
+
+    def send(*payloads):  # 1000 B each: 8 us of serialization
+        for payload in payloads:
+            link.send("a", Packet("a", "b", HeaderStack([UDPHeader()]),
+                                  payload=payload, payload_bytes=992))
+
+    send(0, 1)
+    at(env, 1e-6, lambda: link.set_state(False))  # check at 8 us
+    at(env, 2e-6, lambda: send(2))  # sent while down: check at 16 us
+    at(env, 9e-6, lambda: link.set_state(True))
+    at(env, 10e-6, lambda: send(3, 4))  # 4 starts at 18 us
+    at(env, 15e-6, lambda: link.set_state(False))
+    at(env, 17e-6, lambda: link.set_state(True))
+    env.run()
+    # At 8 us the link is down: 1 and 2 drop there. Packet 2's own check
+    # at 16 us finds it gone and does nothing, although the link is down
+    # again then; at 18 us it is back up, so 4 goes out.
+    assert arrivals == [(0, pytest.approx(8e-6)), (3, pytest.approx(18e-6)),
+                        (4, pytest.approx(26e-6))]
+    assert link.stats("a").packets_dropped_down == 2

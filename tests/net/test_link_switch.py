@@ -132,7 +132,7 @@ def test_switch_serves_simultaneous_arrivals_in_arrival_order():
     assert received == [first, second]
 
 
-def test_one_way_packet_costs_eight_kernel_events():
+def test_one_way_packet_costs_three_kernel_events():
     env = Environment()
     network = Network(env)
     network.add_node("m1")
@@ -140,9 +140,101 @@ def test_one_way_packet_costs_eight_kernel_events():
     assert env._eid == 0  # building the network schedules nothing
     network.send_from("m1", make_packet("m1", "m2"))
     env.run()
-    # Take-up, serialization and propagation on each of the two links,
-    # plus take-up and switching in the switch.
-    assert env._eid == 8
+    # One per server: delivery over each of the two links, and the end
+    # of switching.
+    assert env._eid == 3
+
+
+def test_cut_shorter_than_one_serialization_drops_nothing():
+    env = Environment()
+    arrivals = []
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0)
+    link.attach("b", lambda p: arrivals.append(env.now))
+    for _ in range(2):  # 1000 B each: 8 us of serialization
+        link.send("a", make_packet("a", "b", payload_bytes=992))
+    env.timeout(2e-6).callbacks.append(lambda e: link.set_state(False))
+    env.timeout(6e-6).callbacks.append(lambda e: link.set_state(True))
+    env.run()
+    # The cut falls inside the first serialization; the link is back up
+    # when the serializer reaches the second packet at 8 us.
+    assert arrivals == pytest.approx([8e-6, 16e-6])
+    assert link.stats("a").packets_dropped == 0
+
+
+def test_cut_arms_exactly_one_check_event():
+    env = Environment()
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0)
+    link.attach("a", lambda p: None)
+    link.attach("b", lambda p: None)
+    for _ in range(3):
+        link.send("a", make_packet("a", "b", payload_bytes=992))
+    link.send("b", make_packet("b", "a", payload_bytes=992))
+    env.run(until=4e-6)
+    scheduled = env._eid  # four deliveries, one stop event
+    link.set_state(False)
+    # One check, at the start of the next packet from a; b's one packet
+    # is already on the wire, so that direction arms none.
+    assert env._eid == scheduled + 1
+    env.run()
+    assert link.stats("a").packets_dropped_down == 2
+    assert link.stats("b").packets_dropped_down == 0
+
+
+def test_send_while_down_restored_later_in_the_instant_is_delivered():
+    def run(restore_in_a_later_event):
+        env = Environment()
+        arrivals = []
+        link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0)
+        link.attach("b", lambda p: arrivals.append(env.now))
+        link.set_state(False)
+
+        def send_then_restore(event):
+            # The send arms a check for this instant.
+            link.send("a", make_packet("a", "b", payload_bytes=992))
+            if restore_in_a_later_event:
+                env.timeout(0).callbacks.append(
+                    lambda e: link.set_state(True))
+            else:
+                link.set_state(True)
+
+        env.timeout(5e-6).callbacks.append(send_then_restore)
+        env.run()
+        return arrivals, link.stats("a").packets_dropped_down
+
+    assert run(False) == ([pytest.approx(13e-6)], 0)
+    # A restore scheduled after the check, even in the same instant,
+    # comes too late: the check runs first and drops the packet.
+    assert run(True) == ([], 1)
+
+
+class CountingRng:
+    """A loss rng that counts its draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.values.pop(0)
+
+
+def test_lost_packet_takes_no_serialization_time():
+    env = Environment()
+    arrivals = []
+    rng = CountingRng([0.9, 0.1, 0.9])  # the second packet is lost
+    link = Link(env, "a", "b", bandwidth_bps=1e9, propagation_delay=0.0,
+                drop_probability=0.5, rng=rng)
+    link.attach("b", lambda p: arrivals.append((p.payload, env.now)))
+    for index in range(3):
+        link.send("a", Packet("a", "b", HeaderStack([UDPHeader()]),
+                              payload=index, payload_bytes=992))
+    env.run()
+    # The third packet follows the first straight onto the wire.
+    assert arrivals == [(0, pytest.approx(8e-6)), (2, pytest.approx(16e-6))]
+    assert rng.draws == 3  # one draw per packet, none when delivered
+    stats = link.stats("a")
+    assert (stats.packets_sent, stats.packets_dropped) == (2, 1)
 
 
 def test_network_duplicate_node_rejected():
