@@ -558,3 +558,58 @@ def test_unprovable_memcpy_keeps_the_runtime_check():
     # The burst charge still folds (length is the constant 8) — the
     # two lowerings are independent.
     assert compiled.lowering_stats["memcpy_folded"] == 1
+
+
+def test_bool_and_float_values_keep_their_type_through_folding():
+    """``True`` and floats compare equal to ints but hash differently
+    (HASH/CRC hash the operand's repr), so the JIT may substitute a
+    statically known register value only when it has the interpreter's
+    exact type. Each value below reaches a HASH or CRC, directly or via
+    min/max, arithmetic, a bitwise op or a branch that pins it."""
+
+    def body(f):
+        f.mov("r1", True)
+        f.hash("r2", "r1")
+        f.crc("r3", "r1")
+        f.mstore("bool_hash", "r2")
+        f.mstore("bool_crc", "r3")
+        f.emit(Op.MIN, "r4", "r1", 5)      # min(True, 5) is True
+        f.emit(Op.MAX, "r5", "r1", 0)      # max(True, 0) is True
+        f.add("r6", "r1", 0)               # True + 0 is the int 1
+        f.band("r7", "r1", "r1")           # True & True is True
+        for key, reg in (("min", "r4"), ("max", "r5"), ("add", "r6"),
+                         ("and", "r7")):
+            f.hash("r8", reg)
+            f.mstore(f"bool_{key}", "r8")
+        f.mov("r9", 1.5)
+        f.emit(Op.MIN, "r10", "r9", 2)     # 1.5
+        f.emit(Op.MAX, "r11", "r9", 1)     # 1.5
+        f.add("r12", "r9", 1)              # 2.5
+        for key, reg in (("imm", "r9"), ("min", "r10"), ("max", "r11"),
+                         ("add", "r12")):
+            f.crc("r8", reg)
+            f.mstore(f"float_{key}", "r8")
+        f.mov("r13", 1.0)
+        f.beq("r7", 1, "bool_is_one")      # taken: True == 1
+        f.drop()
+        f.label("bool_is_one")
+        f.hash("r8", "r7")
+        f.mstore("branch_bool", "r8")
+        f.blt("r13", 2, "float_below")     # taken: 1.0 < 2
+        f.drop()
+        f.label("float_below")
+        f.bne("r13", 1, "unreachable")     # not taken: 1.0 == 1
+        f.crc("r8", "r13")
+        f.mstore("branch_float", "r8")
+        f.ret("r8")
+        f.label("unreachable")
+        f.drop()
+
+    outcome = assert_identical(build(body), objects=False)
+    assert outcome[0] == "ok"
+    meta = outcome[1]["meta"]
+    assert meta["bool_hash"] != zlib.crc32(repr(("hash", 1)).encode())
+    assert meta["bool_and"] == meta["bool_hash"]
+    assert meta["bool_add"] == zlib.crc32(repr(("hash", 1)).encode())
+    assert meta["branch_bool"] == meta["bool_hash"]
+    assert meta["branch_float"] == zlib.crc32(repr(("crc", 1.0)).encode())
