@@ -186,77 +186,6 @@ def _fold_direct_accesses(
     return folded
 
 
-def constant_folding(unit: CompilationUnit) -> CompilationUnit:
-    """Fold statically-known values (verifier-powered, semantics-safe).
-
-    Uses the verifier's constant-propagation fixpoint with an all-NAC
-    entry state, so every fold is valid in *any* calling context:
-
-    * a pure ALU op whose result is a known constant becomes a ``mov``
-      of that constant (cheaper, and it feeds dead-store elimination);
-    * a conditional branch whose outcome is known becomes a ``jmp``
-      (always taken) or disappears (never taken), after which dead-code
-      elimination sweeps the unreachable arm.
-    """
-    from ..isa.interpreter import _BRANCH_OPS
-    from ..isa.verify import NAC, constant_states
-
-    def fold_function(function: Function) -> bool:
-        consts = constant_states(function)
-        new_body: List[Instruction] = []
-        changed = False
-        for index, instruction in enumerate(function.body):
-            op = instruction.op
-            state = consts.before(index)
-            if state is None:  # Unreachable; DCE's job.
-                new_body.append(instruction)
-                continue
-            if op in _FOLDABLE_ALU_OPS:
-                from ..isa.verify import ConstLattice
-
-                value = ConstLattice.evaluate(instruction, state) \
-                    .get(instruction.args[0], NAC)
-                if isinstance(value, int) and \
-                        instruction.args[1:] != (value,):
-                    new_body.append(ins(Op.MOV, instruction.args[0], value))
-                    changed = True
-                    continue
-            elif op in _BRANCH_OPS:
-                a = consts.value_before(index, instruction.args[0])
-                b = consts.value_before(index, instruction.args[1])
-                if a is not NAC and b is not NAC:
-                    try:
-                        taken = _BRANCH_OPS[op](a, b)
-                    except Exception:
-                        new_body.append(instruction)
-                        continue
-                    if taken:
-                        new_body.append(ins(Op.JMP, instruction.args[2]))
-                    changed = True
-                    continue
-            new_body.append(instruction)
-        if changed:
-            function.body[:] = new_body
-        return changed
-
-    for program in unit.lambdas.values():
-        for function in program.functions.values():
-            fold_function(function)
-    for function in unit.shared_functions.values():
-        fold_function(function)
-    dead_code_elimination(unit)
-    return unit
-
-
-#: ALU ops constant folding may rewrite to ``mov`` (never mul -> keeps
-#: the peephole simple: all of these already cost one cycle except MUL,
-#: which folding turns into the cheaper mov).
-_FOLDABLE_ALU_OPS = frozenset({
-    Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR,
-    Op.MIN, Op.MAX,
-})
-
-
 def dead_store_elimination(unit: CompilationUnit) -> CompilationUnit:
     """Delete register writes whose values are provably never read.
 
@@ -264,8 +193,9 @@ def dead_store_elimination(unit: CompilationUnit) -> CompilationUnit:
     ends the machine, so nothing is live at the end) and the findings
     are mapped back into the unit's lambda and shared-function bodies.
     Only side-effect-free writes (:data:`~repro.isa.verify.PURE_DEF_OPS`)
-    are deleted; removal exposes new dead stores, so the pass iterates
-    to a fixpoint.
+    are deleted. A chain of dead writes inside one block goes in one
+    round; removal can still expose dead stores in other blocks, so the
+    pass iterates to a fixpoint.
     """
     from ..isa.verify import dead_stores
     from .unit import SEP
@@ -310,10 +240,10 @@ STANDARD_PASSES: List[Tuple[str, object]] = [
     ("Memory Stratification", memory_stratification),
 ]
 
-#: The standard pipeline plus the verifier-powered passes. Opt-in: the
-#: Figure-9 series is defined by the three standard stages, so the
-#: extended stages never run unless requested.
+#: The standard pipeline plus the verifier-powered dead-store pass. This
+#: is ``compile_unit``'s default; ``FIG9_EXTENDED`` in
+#: ``repro.experiments.calibration`` pins its per-stage counts, and the
+#: first four stages are the paper's Figure-9 series.
 EXTENDED_PASSES: List[Tuple[str, object]] = STANDARD_PASSES + [
-    ("Constant Folding", constant_folding),
     ("Dead Store Elimination", dead_store_elimination),
 ]

@@ -55,16 +55,14 @@ PAPER_FIG9 = [
 
 #: Figure 9, extended pass list (the default pipeline): the pinned
 #: golden series for the measured column, (stage, instructions,
-#: cumulative %). The first four stages are the paper's; constant
-#: folding and dead-store elimination are this repo's additions, so
-#: any compiler change that moves these counts must update this table
-#: deliberately.
+#: cumulative %). The first four stages are the paper's; dead-store
+#: elimination is this repo's addition, so any compiler change that
+#: moves these counts must update this table deliberately.
 FIG9_EXTENDED = [
     ("Unoptimized", 8854, 0.0),
     ("Lambda Coalescing", 8401, 5.12),
     ("Match Reduction", 8102, 8.49),
     ("Memory Stratification", 8004, 9.60),
-    ("Constant Folding", 8004, 9.60),
     ("Dead Store Elimination", 1320, 85.09),
 ]
 

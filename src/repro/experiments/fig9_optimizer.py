@@ -31,8 +31,8 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Regenerate Figure 9 (measured vs paper per stage).
 
     The default pipeline runs the extended pass list, so the report
-    has two extra stages past the paper's four; those rows show "—"
-    in the paper columns.
+    has one extra stage past the paper's four; its row shows "—" in
+    the paper columns.
     """
     firmware = compile_fig9()
     rows = []

@@ -11,10 +11,10 @@ per-instruction overhead by compiling a
 * basic blocks (from the verifier's :func:`~repro.isa.verify.build_cfg`)
   emitted as straight-line statements under a small integer block
   dispatcher, with registers lowered to Python locals;
-* the verifier's constant propagation
-  (:func:`~repro.isa.verify.constant_states`) seeds the lowering:
-  ALU results and branch directions that are statically known fold
-  into constants at codegen time;
+* the verifier's interval analysis
+  (:func:`~repro.isa.verify.interval_states`) seeds the lowering:
+  registers it pins to a point, and ALU results and branch directions
+  that follow from points, fold into constants at codegen time;
 * cycle costs and the step-limit check folded to *one* constant and
   *one* comparison per straight-line segment instead of per
   instruction, with a slow path that replays the segment through the
@@ -67,9 +67,8 @@ from .interpreter import (
     intrinsic_writes_memory,
 )
 from .program import Function, LambdaProgram
-from .verify import NAC, build_cfg, constant_states
+from .verify import build_cfg, interval_states
 from .verify.cfg import BRANCH_OPS, MACHINE_TERMINATOR_OPS
-from .verify.intervals import interval_states
 
 
 class JitLoweringError(Exception):
@@ -245,11 +244,10 @@ class _FunctionLowering:
         self.name = name
         self.function = function
         self.cfg = build_cfg(function)
-        self.consts = constant_states(function, cfg=self.cfg)
         # Machine-guaranteed value ranges only (trust_declared=False):
         # the simulator lets callers place out-of-wire-range values in
-        # headers, so elision decisions must not lean on declared
-        # packet-format ranges.
+        # headers, so folding and elision decisions must not lean on
+        # declared packet-format ranges.
         self.ranges = interval_states(function, cfg=self.cfg,
                                       program=compiler.program,
                                       trust_declared=False)
@@ -265,16 +263,13 @@ class _FunctionLowering:
     def read_expr(self, index: int, operand: Any) -> str:
         """Python expression for :meth:`Machine.read` of ``operand``.
 
-        Register reads become locals; when constant propagation proves
-        the register's value at this body index, the constant is
-        emitted instead (never changes the computed value — the
-        lattice mirrors the interpreter's own evaluation).
+        Register reads become locals; when the interval analysis pins
+        the register to a point at this body index, the constant is
+        emitted instead.
         """
         if is_register(operand):
-            known = self.consts.value_before(index, operand)
-            if known is not NAC and isinstance(known, (int, float, str)):
-                return self.const(known)
-            return operand
+            known = self.ranges.point_before(index, operand)
+            return operand if known is None else self.const(known)
         if isinstance(operand, (int, float, str)):
             # Immediates and non-register string literals.
             return self.const(operand)
@@ -315,19 +310,18 @@ class _FunctionLowering:
         if op in _ALU_TEMPLATES:
             a_op = args[1]
             b_op = args[2] if len(args) > 2 else None
-            a_val = self.consts.value_before(index, a_op)
-            b_val = (self.consts.value_before(index, b_op)
-                     if len(args) > 2 else None)
-            if a_val is not NAC and b_val is not NAC and len(args) > 2 \
+            a_val = self.ranges.point_before(index, a_op)
+            b_val = self.ranges.point_before(index, b_op) \
+                if len(args) > 2 else None
+            if a_val is not None and b_val is not None \
                     and is_register(args[0]):
                 # Fold the whole op when both inputs are proven
                 # constants and the evaluation cannot fault.
                 try:
                     folded = _ALU_OPS[op](a_val, b_val)
-                except Exception:
-                    folded = NAC
-                if folded is not NAC and isinstance(folded,
-                                                    (int, float, str)):
+                except (ArithmeticError, ValueError):
+                    folded = None
+                if folded is not None:
                     return [f"{args[0]} = {self.const(folded)}"], False
             a = self.read_expr(index, a_op)
             b = self.read_expr(index, b_op) if len(args) > 2 else "None"
@@ -431,8 +425,8 @@ class _FunctionLowering:
         if args[0][1] not in program.objects \
                 or args[1][1] not in program.objects:
             return None  # KeyError path: keep runtime charge order.
-        n = self.consts.value_before(index, args[2])
-        if n is NAC or not isinstance(n, int) or isinstance(n, bool):
+        n = self.ranges.point_before(index, args[2])
+        if n is None:
             return None
         return max(1, math.ceil(n / BULK_BURST_BYTES))
 
@@ -612,18 +606,14 @@ class _FunctionLowering:
         if op in _BRANCH_TEMPLATES:
             target = self.block_target(args[2])
             fallthrough = self.next_block(bid)
-            a_val = self.consts.value_before(index, args[0])
-            b_val = self.consts.value_before(index, args[1])
-            if a_val is not NAC and b_val is not NAC and target is not None:
-                # Statically-decided branch (operands are proven
-                # constants and the comparison cannot fault).
-                try:
-                    taken = _BRANCH_OPS[op](a_val, b_val)
-                except Exception:
-                    taken = None
-                if taken is not None:
-                    out.append(f"_b = {target if taken else fallthrough}")
-                    return out
+            a_val = self.ranges.point_before(index, args[0])
+            b_val = self.ranges.point_before(index, args[1])
+            if a_val is not None and b_val is not None and target is not None:
+                # Statically-decided branch: both operands are proven
+                # ints, so the comparison cannot fault.
+                taken = _BRANCH_OPS[op](a_val, b_val)
+                out.append(f"_b = {target if taken else fallthrough}")
+                return out
             cond = _BRANCH_TEMPLATES[op].format(
                 a=self.read_expr(index, args[0]),
                 b=self.read_expr(index, args[1]),

@@ -8,12 +8,12 @@ interactive SLO. This package provides that proof layer:
 * :mod:`.cfg` — per-function control-flow graphs (basic blocks, edges
   from branches/jumps/fallthrough, loop detection);
 * :mod:`.dataflow` — a generic worklist fixpoint framework;
-* :mod:`.analyses` — reaching definitions, liveness, constant
-  propagation, initialized-register tracking (all interprocedural over
-  the shared 16-register file);
-* :mod:`.intervals` — value-range (interval) abstract interpretation
-  with widening/narrowing, seeded from declared packet-format field
-  ranges, proving e.g. ``hash & (SIZE-1)`` offsets in-bounds;
+* :mod:`.analyses` — reaching definitions, liveness, initialized-register
+  tracking (all interprocedural over the shared 16-register file);
+* :mod:`.intervals` — the one value analysis: interval abstract
+  interpretation with widening/narrowing, exact folding of point
+  intervals, seeded from declared packet-format field ranges, proving
+  e.g. ``hash & (SIZE-1)`` offsets in-bounds;
 * :mod:`.memcheck` — bounds and access-mode checks against declared
   :class:`~repro.isa.program.MemoryObject` regions, upgraded by the
   interval analysis to proven-safe / definitely-out-of-bounds;
@@ -29,12 +29,8 @@ CLI (see :mod:`.__main__`).
 
 from .analyses import (
     ALL_REGISTERS,
-    ConstLattice,
-    ConstantStates,
     InterproceduralLiveness,
-    NAC,
     PURE_DEF_OPS,
-    constant_states,
     dead_stores,
     instruction_defs,
     instruction_uses,
@@ -75,8 +71,6 @@ __all__ = [
     "BRANCH_OPS",
     "BasicBlock",
     "CFG",
-    "ConstLattice",
-    "ConstantStates",
     "DataflowProblem",
     "DataflowResult",
     "Finding",
@@ -88,7 +82,6 @@ __all__ = [
     "LoopInfo",
     "MACHINE_TERMINATOR_OPS",
     "MAX_INSTRUCTIONS_PER_CORE",
-    "NAC",
     "PURE_DEF_OPS",
     "RangeSeeds",
     "Severity",
@@ -98,7 +91,6 @@ __all__ = [
     "WcetResult",
     "build_cfg",
     "check_memory",
-    "constant_states",
     "dead_stores",
     "estimate_wcet",
     "find_loops",

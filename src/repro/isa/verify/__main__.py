@@ -5,7 +5,8 @@ built-in benchmark program) and prints one report per program. Exits
 non-zero when any program has error-grade findings (or, with
 ``--strict``, any warnings; or, with ``--forbid CODE``, any finding
 with that code). ``--explain FUNC@IDX`` dumps the abstract state
-(value ranges and constants) the analyses proved at a program point.
+(value ranges; a point range is a constant) the interval analysis
+proved at a program point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import List, Tuple
 
 from ..asm import AsmError, assemble
 from ..program import LambdaProgram
-from .analyses import NAC, constant_states
 from .intervals import ANY, interval_states
 from .report import VerifierReport
 from .verifier import VerifyOptions, verify_program
@@ -43,26 +43,19 @@ def _explain_point(program: LambdaProgram, spec: str) -> int:
         print(f"{program.name}: {func_name} has no instruction {index}",
               file=sys.stderr)
         return 1
-    consts = constant_states(function)
-    ranges = interval_states(function, cfg=consts.cfg, program=program)
-    instruction = function.body[index]
-    print(f"{program.name}: {func_name}@{index}: {instruction!r}")
-    state = ranges.before(index)
-    const_state = consts.before(index)
+    state = interval_states(function, program=program).before(index)
+    print(f"{program.name}: {func_name}@{index}: {function.body[index]!r}")
     if state is None:
         print("  unreachable (no abstract state)")
         return 0
     for reg in sorted(state):
         value = state[reg]
-        const = const_state.get(reg, NAC) if const_state else NAC
-        parts = []
-        if const is not NAC:
-            parts.append(f"const {const!r}")
-        if value is not ANY:
-            parts.append(f"range {value}")
-        if not parts:
-            parts.append("unknown (any value)")
-        print(f"  {reg}: {'; '.join(parts)}")
+        if value is ANY:
+            print(f"  {reg}: unknown (any value)")
+        elif value.is_constant:
+            print(f"  {reg}: const {value.lo}")
+        else:
+            print(f"  {reg}: range {value}")
     return 0
 
 
@@ -98,7 +91,7 @@ def main(argv: List[str] = None) -> int:
                         help="exit non-zero if any finding has this code "
                              "(repeatable), regardless of severity")
     parser.add_argument("--explain", metavar="FUNC@IDX",
-                        help="print the abstract state (ranges, constants) "
+                        help="print the abstract state (value ranges) "
                              "before the given program point")
     args = parser.parse_args(argv)
 

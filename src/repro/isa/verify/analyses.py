@@ -16,11 +16,9 @@ All analyses mirror the interpreter's exact semantics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..instructions import Instruction, Op, is_mem_ref, is_register
-from ..interpreter import _ALU_OPS
 from ..program import Function, LambdaProgram
 from .cfg import BRANCH_OPS, CFG, BasicBlock, build_cfg
 from .dataflow import BACKWARD, DataflowProblem, DataflowResult, FORWARD, solve
@@ -273,8 +271,8 @@ def dead_stores(
 
     ``scratch`` registers (declared via ``LambdaProgram.scratch_registers``)
     are exempt — they hold values the author has promised nobody reads.
-    With ``removable_only`` the list is restricted to :data:`PURE_DEF_OPS`
-    (what dead-store elimination may actually delete); otherwise all
+    With ``removable_only`` the list is what dead-store elimination may
+    delete at once (see :func:`_removable_stores`); otherwise all
     register-writing ops are linted, including loads whose result is
     unused.
     """
@@ -284,12 +282,12 @@ def dead_stores(
         )
     found: List[Tuple[str, int, str]] = []
     for name, function in program.functions.items():
+        if removable_only:
+            found.extend(_removable_stores(liveness, name, scratch))
+            continue
         live_after = liveness.live_map(name)
         for index, instruction in enumerate(function.body):
-            if removable_only:
-                if instruction.op not in PURE_DEF_OPS:
-                    continue
-            elif instruction.op not in _DEF_OPS:
+            if instruction.op not in _DEF_OPS:
                 continue
             defs = instruction_defs(instruction)
             if not defs:
@@ -300,6 +298,33 @@ def dead_stores(
             for reg in sorted(defs):
                 if reg not in live and reg not in scratch:
                     found.append((name, index, reg))
+    return found
+
+
+def _removable_stores(liveness: InterproceduralLiveness, name: str,
+                      scratch: FrozenSet[str]) -> List[Tuple[str, int, str]]:
+    """Dead :data:`PURE_DEF_OPS` writes in ``name``, found together.
+
+    Each block is walked backward from its live-out set, and a write
+    found dead reads nothing from then on (it will be deleted), so a
+    chain of writes that only feed each other inside a block goes in
+    one elimination round instead of one round per link.
+    """
+    cfg = liveness.cfgs[name]
+    result = liveness.result(name)
+    found: List[Tuple[str, int, str]] = []
+    for block in cfg.blocks:
+        live = result.after(block.bid)
+        if live is None:
+            continue  # Unreachable; reported separately.
+        for index, instruction in reversed(block.instructions):
+            defs = instruction_defs(instruction)
+            if instruction.op in PURE_DEF_OPS and defs \
+                    and not defs & (live | scratch):
+                found.extend((name, index, reg) for reg in defs)
+                continue
+            gen, kill = _liveness_effect(instruction, liveness.uses_summary)
+            live = gen | (live - kill)
     return found
 
 
@@ -523,162 +548,3 @@ def reaching_definitions(function: Function,
     """Solve reaching definitions; states are ``{(register, def_index)}``."""
     cfg = cfg or build_cfg(function)
     return solve(cfg, _ReachingDefsProblem())
-
-
-# ---------------------------------------------------------------------------
-# Constant propagation
-# ---------------------------------------------------------------------------
-
-
-class _NotAConstant:
-    """Lattice bottom for constant propagation."""
-
-    _instance: Optional["_NotAConstant"] = None
-
-    def __new__(cls) -> "_NotAConstant":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NAC"
-
-
-#: "Not a constant": the value varies at runtime.
-NAC = _NotAConstant()
-
-
-class ConstLattice:
-    """Operations of the constant-propagation lattice.
-
-    A state maps every register to a concrete value (int/float/str —
-    whatever :meth:`Machine.read` can produce for pure operands) or
-    :data:`NAC`.
-    """
-
-    @staticmethod
-    def entry_state() -> Dict[str, Any]:
-        """All registers unknown — sound for any calling context."""
-        return {reg: NAC for reg in ALL_REGISTERS}
-
-    @staticmethod
-    def meet(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            reg: a[reg] if a[reg] == b[reg] else NAC for reg in a
-        }
-
-    @staticmethod
-    def value_of(operand: Any, state: Dict[str, Any]) -> Any:
-        """The statically-known value of an operand, or NAC."""
-        if is_register(operand):
-            return state.get(operand, NAC)
-        if isinstance(operand, (int, float)):
-            return operand
-        if isinstance(operand, str):
-            return operand  # Non-register strings read as literals.
-        return NAC  # hdr/meta/mem references are runtime-dependent.
-
-    @staticmethod
-    def evaluate(instruction: Instruction,
-                 state: Dict[str, Any]) -> Dict[str, Any]:
-        """Push one instruction through a state (returns a new state)."""
-        op = instruction.op
-        args = instruction.args
-        if op is Op.CALL:
-            # The callee shares the register file and may write anything.
-            return {reg: NAC for reg in state}
-        if op is Op.RET and args:
-            value = ConstLattice.value_of(args[0], state)
-            new = dict(state)
-            new["r0"] = value
-            return new
-        defs = instruction_defs(instruction)
-        if not defs:
-            return state
-        (dst,) = defs
-        new = dict(state)
-        if op is Op.MOV:
-            new[dst] = ConstLattice.value_of(args[1], state)
-        elif op in _ALU_OPS:
-            a = ConstLattice.value_of(args[1], state)
-            b = ConstLattice.value_of(args[2], state)
-            if a is NAC or b is NAC:
-                new[dst] = NAC
-            else:
-                try:
-                    new[dst] = _ALU_OPS[op](a, b)
-                except Exception:
-                    new[dst] = NAC  # Would fault at runtime; don't fold.
-        else:
-            # Loads, hash/crc, resolve: value unknown statically.
-            new[dst] = NAC
-        return new
-
-
-class _ConstProblem(DataflowProblem):
-    direction = FORWARD
-
-    def __init__(self, entry_state: Dict[str, Any]) -> None:
-        self.entry_state = entry_state
-
-    def boundary(self, cfg: CFG, block: BasicBlock):
-        return self.entry_state if block.bid == cfg.entry else None
-
-    def meet(self, a, b):
-        return ConstLattice.meet(a, b)
-
-    def transfer(self, cfg: CFG, block: BasicBlock, state):
-        for _, instruction in block.instructions:
-            state = ConstLattice.evaluate(instruction, state)
-        return state
-
-
-@dataclass
-class ConstantStates:
-    """Constant-propagation fixpoint for one function."""
-
-    cfg: CFG
-    result: DataflowResult
-    #: Body index -> state *before* that instruction (reachable only).
-    instr_in: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-
-    def before(self, index: int) -> Optional[Dict[str, Any]]:
-        return self.instr_in.get(index)
-
-    def value_before(self, index: int, operand: Any) -> Any:
-        """Known value of ``operand`` just before ``index``, or NAC."""
-        state = self.instr_in.get(index)
-        if state is None:
-            return NAC
-        return ConstLattice.value_of(operand, state)
-
-    def const_before(self, index: int, operand: Any) -> Optional[Any]:
-        """Like :meth:`value_before` but returns None instead of NAC."""
-        value = self.value_before(index, operand)
-        return None if value is NAC else value
-
-
-def constant_states(
-    function: Function,
-    entry_state: Optional[Dict[str, Any]] = None,
-    cfg: Optional[CFG] = None,
-) -> ConstantStates:
-    """Constant propagation over one function.
-
-    ``entry_state`` defaults to all-NAC, which is sound for any calling
-    context (lambda entries are CALLed from dispatch with whatever the
-    parser left in the registers).
-    """
-    cfg = cfg or build_cfg(function)
-    entry = dict(entry_state) if entry_state is not None \
-        else ConstLattice.entry_state()
-    result = solve(cfg, _ConstProblem(entry))
-    instr_in: Dict[int, Dict[str, Any]] = {}
-    for block in cfg.blocks:
-        state = result.before(block.bid)
-        if state is None:
-            continue
-        for index, instruction in block.instructions:
-            instr_in[index] = state
-            state = ConstLattice.evaluate(instruction, state)
-    return ConstantStates(cfg=cfg, result=result, instr_in=instr_in)

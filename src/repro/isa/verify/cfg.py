@@ -53,6 +53,10 @@ class BasicBlock:
     instructions: List[Tuple[int, Instruction]] = field(default_factory=list)
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
+    #: Conditional branches only: the successor when the branch is
+    #: taken and when it falls through (None where there is none).
+    taken: Optional[int] = None
+    fallthrough: Optional[int] = None
 
     @property
     def terminator(self) -> Optional[Instruction]:
@@ -237,10 +241,10 @@ def build_cfg(function: Function) -> CFG:
         elif op in BRANCH_OPS:
             target = labels.get(term.args[-1])
             if target is not None:
-                block.succs.append(cfg.block_at[target])
+                block.taken = cfg.block_at[target]
+                block.succs.append(block.taken)
+            block.fallthrough = fallthrough
             if fallthrough is not None and fallthrough not in block.succs:
-                block.succs.append(fallthrough)
-            elif fallthrough is not None and target is None:
                 block.succs.append(fallthrough)
         elif op in TERMINATOR_OPS:
             pass

@@ -14,21 +14,34 @@ Every register maps to one of
 
 * :data:`ANY` — the value may be anything :meth:`Machine.read` can
   produce (ints, floats, strings, ``resolve`` address tuples, ...);
-* an :class:`Interval` — the value is certainly an ``int`` within the
-  inclusive range ``[lo, hi]`` (``None`` endpoints mean unbounded).
+* an :class:`Interval` — the value is certainly an ``int`` (never a
+  ``bool``) within the inclusive range ``[lo, hi]`` (``None`` endpoints
+  mean unbounded).
 
 The int-only invariant is what makes branch refinement sound in Python:
-``1.0 == 1`` is ``True``, so an ``ANY`` value may *not* be promoted to
-an interval from an equality test — only values already proven integral
-are refined. Transfer functions therefore only produce intervals for
-operations whose every non-faulting outcome is an int (bitwise ops and
-shifts fault on non-ints; ``hash``/``crc`` and word loads always
-produce ints; arithmetic requires both operands proven integral).
+``1.0 == 1`` and ``True == 1`` are both ``True``, so an ``ANY`` value
+may *not* be promoted to an interval from an equality test — only
+values already proven integral are refined. Transfer functions
+therefore only produce intervals for operations whose every
+non-faulting outcome is a plain int (shifts fault on non-ints and turn
+bools into ints; ``hash``/``crc`` and word loads always produce ints;
+arithmetic requires both operands proven integral; ``and``/``or``/
+``xor`` of two bools is a bool, so they need one side proven). A
+``bool`` immediate is ANY for the same reason.
+
+Points
+------
+When every operand of an ALU op is a point interval the op is folded
+with the interpreter's own ``_ALU_OPS`` (a fault gives ANY), so a point
+interval is exactly the value the program computes there. That makes
+this analysis the constant propagation too: the JIT substitutes point
+registers, and the WCET estimator reads loop strides, copy lengths and
+intrinsic arguments from points.
 
 Seeding
 -------
-``hload``/``mload`` results are opaque to constant propagation; here
-they are seeded from the packet-format declarations
+``hload``/``mload`` results are seeded from the packet-format
+declarations
 (:data:`repro.net.headers.Header.FIELD_RANGES` — the on-wire bit
 widths) and caller-supplied metadata ranges. :class:`RangeSeeds` scans
 the whole program first: a header field written by any ``hstore`` loses
@@ -36,8 +49,8 @@ its seed, ``mstore`` keys lose theirs, and any ``intrinsic`` (which
 receives the raw machine and may mutate headers and metadata) drops all
 seeds. ``trust_declared=False`` disables seeding entirely and keeps
 only machine-guaranteed ranges (hash outputs, word loads, immediates) —
-that is the mode the JIT uses for bounds-check elision, where a proof
-must hold for *any* runtime header contents.
+that is the mode the JIT uses for folding and bounds-check elision,
+where a proof must hold for *any* runtime header contents.
 """
 
 from __future__ import annotations
@@ -45,7 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..instructions import Instruction, Op, is_mem_ref, is_register
+from ..instructions import Instruction, Op, is_register
+from ..interpreter import _ALU_OPS
 from ..program import Function, LambdaProgram
 from .analyses import ALL_REGISTERS, instruction_defs
 from .cfg import BRANCH_OPS, CFG, BasicBlock, build_cfg
@@ -86,7 +100,7 @@ class Interval:
     """An inclusive integer range; ``None`` endpoints are unbounded.
 
     Denotes *ints only*: a register mapped to an interval certainly
-    holds a Python int at runtime (bools count — they are ints).
+    holds a Python int at runtime, and never a bool.
     """
 
     lo: Optional[int] = None
@@ -108,7 +122,7 @@ class Interval:
 
     def contains(self, value: Any) -> bool:
         """True when a concrete runtime value lies inside the range."""
-        if not isinstance(value, int):  # bool is an int subclass: ok.
+        if not isinstance(value, int) or isinstance(value, bool):
             return False
         if self.lo is not None and value < self.lo:
             return False
@@ -273,7 +287,7 @@ def _interval_mul(a: Interval, b: Interval) -> Interval:
     return Interval(min(corners), max(corners))
 
 
-def _interval_and(a: Any, b: Any) -> Interval:
+def _interval_and(a: Any, b: Any) -> Any:
     # x & m lies in [0, m] for ANY int x whenever m >= 0 — the mask
     # bound holds even when the other side is unknown (a non-int other
     # side faults, so every continuing execution satisfies the bound).
@@ -287,10 +301,10 @@ def _interval_and(a: Any, b: Any) -> Interval:
                 best = iv.hi
     if bounded:
         return Interval(0, best)
-    return INT_TOP
+    return _int_if_either(a, b)
 
 
-def _interval_or_xor(a: Any, b: Any) -> Interval:
+def _interval_or_xor(a: Any, b: Any) -> Any:
     ia, ib = to_interval(a), to_interval(b)
     if ia is not None and ib is not None \
             and ia.lo is not None and ia.lo >= 0 \
@@ -299,6 +313,15 @@ def _interval_or_xor(a: Any, b: Any) -> Interval:
             bits = max(ia.hi.bit_length(), ib.hi.bit_length())
             return Interval(0, (1 << bits) - 1)
         return Interval(0, None)
+    return _int_if_either(a, b)
+
+
+def _int_if_either(a: Any, b: Any) -> Any:
+    """A bitwise op's result when nothing bounds it: an int when one
+    side is a proven int, but ``True & True`` is a bool, so ANY when
+    neither side is."""
+    if to_interval(a) is None and to_interval(b) is None:
+        return ANY
     return INT_TOP
 
 
@@ -380,6 +403,23 @@ _ARITH_OPS = {
 }
 
 
+def _alu(op: Op, a: Any, b: Any) -> Any:
+    """Abstract result of one ALU op over operand values ``a``, ``b``."""
+    ia, ib = to_interval(a), to_interval(b)
+    if ia is not None and ib is not None \
+            and ia.is_constant and ib.is_constant:
+        try:
+            value = _ALU_OPS[op](ia.lo, ib.lo)
+        except (ArithmeticError, ValueError):
+            return ANY  # Faults at runtime (e.g. a negative shift).
+        return Interval(value, value)
+    if op in _INT_ONLY_OPS:
+        return _INT_ONLY_OPS[op](a, b)
+    if ia is None or ib is None:
+        return ANY
+    return _ARITH_OPS[op](ia, ib)
+
+
 class IntervalLattice:
     """Operations of the per-register interval environment."""
 
@@ -399,8 +439,10 @@ class IntervalLattice:
         """Abstract value of an operand under ``state``."""
         if is_register(operand):
             return state.get(operand, ANY)
-        if isinstance(operand, bool) or isinstance(operand, int):
-            return Interval(int(operand), int(operand))
+        if isinstance(operand, bool):
+            return ANY  # Equal to 1/0, but hashes (repr) differently.
+        if isinstance(operand, int):
+            return Interval(operand, operand)
         if isinstance(operand, tuple):
             kind = operand[0]
             if kind == "hdr":
@@ -430,16 +472,10 @@ class IntervalLattice:
         new = dict(state)
         if op is Op.MOV:
             new[dst] = IntervalLattice.value_of(args[1], state, seeds)
-        elif op in _ARITH_OPS:
-            a = IntervalLattice.value_of(args[1], state, seeds)
-            b = IntervalLattice.value_of(args[2], state, seeds)
-            ia, ib = to_interval(a), to_interval(b)
-            new[dst] = _ARITH_OPS[op](ia, ib) \
-                if ia is not None and ib is not None else ANY
-        elif op in _INT_ONLY_OPS:
-            a = IntervalLattice.value_of(args[1], state, seeds)
-            b = IntervalLattice.value_of(args[2], state, seeds)
-            new[dst] = _INT_ONLY_OPS[op](a, b)
+        elif op in _ALU_OPS:
+            new[dst] = _alu(op,
+                            IntervalLattice.value_of(args[1], state, seeds),
+                            IntervalLattice.value_of(args[2], state, seeds))
         elif op in (Op.HASH, Op.CRC):
             new[dst] = Interval(0, _HASH_MAX)
         elif op in (Op.LOAD, Op.LOADD):
@@ -468,7 +504,6 @@ def _refined(state: Dict[str, Any], updates: Dict[str, Interval]
 
 
 def refine_branch(
-    cfg: CFG,
     source: BasicBlock,
     target_bid: int,
     state: Dict[str, Any],
@@ -484,11 +519,7 @@ def refine_branch(
     term = source.terminator
     if term is None or term.op not in BRANCH_OPS:
         return state
-    labels = cfg.function.labels()
-    target_index = labels.get(term.args[-1])
-    taken = cfg.block_at.get(target_index) if target_index is not None \
-        else None
-    fallthrough = source.bid + 1 if source.bid + 1 < len(cfg.blocks) else None
+    taken, fallthrough = source.taken, source.fallthrough
     if taken == fallthrough:
         return state  # Both outcomes land here: nothing learned.
     if target_bid == taken:
@@ -597,7 +628,7 @@ class _IntervalProblem(DataflowProblem):
         return {reg: widen_values(old[reg], new[reg]) for reg in old}
 
     def edge(self, cfg: CFG, source: BasicBlock, target_bid: int, state):
-        return refine_branch(cfg, source, target_bid, state, self.seeds)
+        return refine_branch(source, target_bid, state, self.seeds)
 
 
 @dataclass
@@ -623,6 +654,14 @@ class IntervalStates:
     def range_before(self, index: int, operand: Any) -> Optional[Interval]:
         """Proven interval of ``operand`` before ``index``, or None."""
         return to_interval(self.value_before(index, operand))
+
+    def point_before(self, index: int, operand: Any) -> Optional[int]:
+        """``operand``'s value before ``index`` when its interval is a
+        point (exactly the interpreter's value), else None."""
+        interval = self.range_before(index, operand)
+        if interval is None or not interval.is_constant:
+            return None
+        return interval.lo
 
 
 def interval_states(

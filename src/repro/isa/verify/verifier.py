@@ -17,9 +17,7 @@ from ..instructions import Op
 from ..program import LambdaProgram
 from .analyses import (
     ALL_REGISTERS,
-    ConstantStates,
     _reachable_from,
-    constant_states,
     dead_stores,
     uninitialized_reads,
 )
@@ -109,10 +107,6 @@ def verify_program(
         name: build_cfg(function)
         for name, function in program.functions.items()
     }
-    consts: Dict[str, ConstantStates] = {
-        name: constant_states(function, cfg=cfgs[name])
-        for name, function in program.functions.items()
-    }
     ranges: Dict[str, IntervalStates] = {
         name: interval_states(function, cfg=cfgs[name], program=program,
                               meta_ranges=options.meta_ranges)
@@ -181,12 +175,11 @@ def verify_program(
 
     # 6. Memory bounds / isolation / capacity.
     if options.check_memory:
-        findings.extend(check_memory(program, consts, ranges))
+        findings.extend(check_memory(program, ranges))
 
     # 7. WCET and loop bounds.
     if options.check_wcet and has_entry:
-        wcet = estimate_wcet(program, entry=entry, consts=consts,
-                             ranges=ranges)
+        wcet = estimate_wcet(program, entry=entry, ranges=ranges)
         findings.extend(wcet.findings)
         report.wcet_cycles = wcet.total_cycles
         report.function_wcet = dict(wcet.function_cycles)
@@ -196,8 +189,6 @@ def verify_program(
                 if loop.bound is None:
                     continue  # Reported as an unbounded-loop error.
                 provenance = f"counter {loop.counter}"
-                if loop.bound_source:
-                    provenance += f", via {loop.bound_source}"
                 if loop.body_trips is not None:
                     provenance += f", body <= {loop.body_trips} trips"
                 findings.append(Finding(

@@ -13,17 +13,17 @@ Method:
   programming over postorder);
 * **cyclic** CFGs need loop bounds. For every natural loop the analysis
   looks for a *counted-loop* shape: a conditional branch with one
-  successor outside the loop comparing a register against a constant,
-  where that register has a constant initial value on loop entry and
-  exactly one ``add``/``sub`` self-update with constant stride inside
-  the loop (and no call in the loop can clobber it). The trip count is
-  solved in closed form, plus one iteration of slack for test-order
-  ambiguity. When constant propagation cannot pin the limit or the
-  initial value, the interval analysis (:mod:`.intervals`) supplies
-  finite ranges instead and the trip count is maximised over the range
-  corners (sound because the first-exit iteration is monotone in both
-  endpoints for a fixed stride) — this bounds loops whose limit comes
-  from a declared header field, e.g. ``hload``-ed lengths;
+  successor outside the loop comparing a register against a
+  loop-invariant operand, where that register has exactly one
+  ``add``/``sub`` self-update with a constant stride inside the loop
+  (and no call in the loop can clobber it). The interval analysis
+  (:mod:`.intervals`) supplies the stride (a point), the counter's
+  range on loop entry and the limit's range at the test; the trip count
+  is maximised over the range corners (sound because the first-exit
+  iteration is monotone in both endpoints for a fixed stride), plus one
+  iteration of slack for test-order ambiguity. With point ranges this
+  is the closed form of a counted loop; wider ranges bound loops whose
+  limit comes from a declared header field, e.g. ``hload``-ed lengths;
 * bounded loops yield the sound (if loose) product bound
   ``sum(block_cost x prod(enclosing loop bounds))``. When the loop
   nesting is proper the analysis also computes a *path-sensitive*
@@ -55,15 +55,8 @@ from ..instructions import (
 )
 from ..interpreter import BULK_BURST_BYTES, intrinsic_wcet
 from ..program import LambdaProgram
-from .analyses import (
-    ALL_REGISTERS,
-    ConstantStates,
-    NAC,
-    constant_states,
-    instruction_defs,
-    may_write_registers,
-)
-from .cfg import BRANCH_OPS, CFG, build_cfg
+from .analyses import ALL_REGISTERS, instruction_defs, may_write_registers
+from .cfg import BRANCH_OPS, CFG, BasicBlock
 from .intervals import Interval, IntervalStates, interval_states
 from .report import Finding, Severity
 
@@ -81,9 +74,6 @@ class LoopInfo:
     counter: Optional[str] = None
     #: Body index of the exit-test branch used for the bound.
     exit_index: Optional[int] = None
-    #: How the bound was established: "counted" (constant propagation)
-    #: or "interval" (range corners).
-    bound_source: Optional[str] = None
     #: Interval-derived cap on *complete* iterations (executions of the
     #: counter update), when the update runs on every iteration. May be
     #: tighter than ``bound - 1``; used by the path-sensitive collapse.
@@ -116,22 +106,17 @@ class WcetResult:
 
 def find_loops(
     cfg: CFG,
-    consts: Optional[ConstantStates] = None,
     program: Optional[LambdaProgram] = None,
     ranges: Optional[IntervalStates] = None,
 ) -> List[LoopInfo]:
     """Natural loops of ``cfg`` with inferred bounds where possible.
 
-    ``consts`` and ``ranges`` (an :func:`~.intervals.interval_states`
-    result) are computed when not supplied; the ranges give the
-    interval fallback for bounds constant propagation cannot pin and
-    the ``body_trips`` refinement.
+    ``ranges`` (an :func:`~.intervals.interval_states` result) is
+    computed when not supplied.
     """
     back_edges = cfg.back_edges()
     if not back_edges:
         return []
-    if consts is None:
-        consts = constant_states(cfg.function, cfg=cfg)
     if ranges is None:
         ranges = interval_states(cfg.function, cfg=cfg, program=program)
     by_header: Dict[int, LoopInfo] = {}
@@ -148,7 +133,7 @@ def find_loops(
             info.back_edges.append((source, header))
     loops = [by_header[h] for h in sorted(by_header)]
     for loop in loops:
-        _infer_bound(cfg, loop, consts, program, ranges)
+        _infer_bound(cfg, loop, program, ranges)
     return loops
 
 
@@ -160,108 +145,49 @@ _SWAP = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le",
          "eq": "eq", "ne": "ne"}
 
 
-def _infer_bound(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
+def _infer_bound(cfg: CFG, loop: LoopInfo,
                  program: Optional[LambdaProgram],
                  ranges: IntervalStates) -> None:
-    # (bound, counter, index, source)
-    best: Optional[Tuple[int, str, int, str]] = None
+    # (bound, counter, index)
+    best: Optional[Tuple[int, str, int]] = None
     for bid in sorted(loop.blocks):
         block = cfg.block(bid)
         term = block.terminator
         if term is None or term.op not in BRANCH_OPS:
             continue
-        exit_kind = _exit_kind(cfg, loop, block, term)
+        exit_kind = _exit_kind(loop, block)
         if exit_kind is None:
             continue
         index = block.instructions[-1][0]
-        candidate = _counted_bound(cfg, loop, term, exit_kind, index,
-                                   consts, program)
-        source = "counted"
-        if candidate is None:
-            candidate = _interval_bound(cfg, loop, term, exit_kind, index,
-                                        consts, program, ranges)
-            source = "interval"
+        candidate = _interval_bound(cfg, loop, term, exit_kind, index,
+                                    program, ranges)
         if candidate is None:
             continue
         bound, counter = candidate
         if best is None or bound < best[0]:
-            best = (bound, counter, index, source)
+            best = (bound, counter, index)
     if best is not None:
-        loop.bound, loop.counter, loop.exit_index, loop.bound_source = best
-        loop.body_trips = _body_trips(cfg, loop, consts, program, ranges)
+        loop.bound, loop.counter, loop.exit_index = best
+        loop.body_trips = _body_trips(cfg, loop, program, ranges)
 
 
-def _exit_kind(cfg: CFG, loop: LoopInfo, block, term) -> Optional[bool]:
+def _exit_kind(loop: LoopInfo, block: BasicBlock) -> Optional[bool]:
     """True: loop exits when the branch is taken; False: on fallthrough.
 
     None when neither successor leaves the loop (not an exit test).
     """
-    labels = cfg.function.labels()
-    target_index = labels.get(term.args[-1])
-    taken = cfg.block_at.get(target_index) if target_index is not None else None
-    fallthrough = block.bid + 1 if block.bid + 1 < len(cfg.blocks) else None
-    if taken is not None and taken not in loop.blocks:
+    if block.taken is not None and block.taken not in loop.blocks:
         return True
-    if fallthrough is not None and fallthrough not in loop.blocks:
+    if block.fallthrough is not None and block.fallthrough not in loop.blocks:
         return False
     return None
-
-
-def _counted_bound(
-    cfg: CFG,
-    loop: LoopInfo,
-    term: Instruction,
-    exits_on_true: bool,
-    test_index: int,
-    consts: ConstantStates,
-    program: Optional[LambdaProgram],
-) -> Optional[Tuple[int, str]]:
-    a, b = term.args[0], term.args[1]
-    a_value = consts.value_before(test_index, a)
-    b_value = consts.value_before(test_index, b)
-    kind = _BRANCH_KIND[term.op]
-    if is_register(a) and a_value is NAC and b_value is not NAC:
-        counter, limit = a, b_value
-    elif is_register(b) and b_value is NAC and a_value is not NAC:
-        counter, limit = b, a_value
-        kind = _SWAP[kind]  # cond(L, v) -> equivalent cond on v.
-    else:
-        return None
-    if not exits_on_true:
-        kind = _NEGATE[kind]
-
-    step = _unique_step(cfg, loop, counter, consts, program)
-    if step is None:
-        return None
-    init = _entry_value(cfg, loop, counter, consts)
-    if init is None:
-        return None
-    trips = _first_exit(kind, init, step, limit)
-    if trips is None:
-        return None
-    # +1 slack: the test may observe the counter before or after the
-    # update depending on loop shape; one extra body iteration covers
-    # both orders.
-    return trips + 1, counter
-
-
-def _unique_step(
-    cfg: CFG,
-    loop: LoopInfo,
-    counter: str,
-    consts: ConstantStates,
-    program: Optional[LambdaProgram],
-) -> Optional[int]:
-    """The constant stride of ``counter``'s single in-loop update."""
-    update = _unique_update(cfg, loop, counter, consts, program)
-    return update[0] if update is not None else None
 
 
 def _unique_update(
     cfg: CFG,
     loop: LoopInfo,
     counter: str,
-    consts: ConstantStates,
+    ranges: IntervalStates,
     program: Optional[LambdaProgram],
 ) -> Optional[Tuple[int, int, int]]:
     """``(stride, body_index, bid)`` of ``counter``'s single in-loop update."""
@@ -280,7 +206,7 @@ def _unique_update(
                 continue
             if found is not None:
                 return None  # More than one update: give up.
-            step = _step_of(instruction, counter, consts, index)
+            step = _step_of(instruction, counter, ranges, index)
             if step is None or step == 0:
                 return None
             found = (step, index, bid)
@@ -288,58 +214,31 @@ def _unique_update(
 
 
 def _step_of(instruction: Instruction, counter: str,
-             consts: ConstantStates, index: int) -> Optional[int]:
+             ranges: IntervalStates, index: int) -> Optional[int]:
     op = instruction.op
     args = instruction.args
     if op not in (Op.ADD, Op.SUB) or args[0] != counter:
         return None
     if args[1] == counter:
-        stride = consts.value_before(index, args[2])
+        stride = ranges.point_before(index, args[2])
     elif op is Op.ADD and args[2] == counter:
-        stride = consts.value_before(index, args[1])
+        stride = ranges.point_before(index, args[1])
     else:
         return None
-    if stride is NAC or not isinstance(stride, int):
+    if stride is None:
         return None
     return -stride if op is Op.SUB else stride
 
 
-def _entry_value(cfg: CFG, loop: LoopInfo, counter: str,
-                 consts: ConstantStates) -> Optional[int]:
-    """Constant value of ``counter`` on entering the loop header."""
-    value: Any = None
-    header = cfg.block(loop.header)
-    for pred in header.preds:
-        if pred in loop.blocks:
-            continue  # Back edge or in-loop path.
-        state = consts.result.after(pred)
-        if state is None:
-            continue  # Unreachable predecessor.
-        pred_value = state.get(counter, NAC)
-        if pred_value is NAC:
-            return None
-        if value is None:
-            value = pred_value
-        elif value != pred_value:
-            return None
-    if value is None or not isinstance(value, int):
-        return None
-    return value
-
-
-def _first_exit(kind: str, init: int, step: int, limit: Any) -> Optional[int]:
+def _first_exit(kind: str, init: int, step: int, limit: int) -> Optional[int]:
     """Smallest k >= 1 with the exit predicate true of ``init + k*step``."""
     first = init + step
     if kind == "ne":
         return 1 if first != limit else 2  # step != 0, so k=2 differs.
     if kind == "eq":
-        if not isinstance(limit, int):
-            return None
         delta = limit - init
         if delta % step == 0 and delta // step >= 1:
             return delta // step
-        return None
-    if not isinstance(limit, (int, float)):
         return None
     if kind in ("lt", "le"):
         hit = first < limit if kind == "lt" else first <= limit
@@ -376,7 +275,6 @@ def _interval_bound(
     term: Instruction,
     exits_on_true: bool,
     test_index: int,
-    consts: ConstantStates,
     program: Optional[LambdaProgram],
     ranges: IntervalStates,
 ) -> Optional[Tuple[int, str]]:
@@ -393,7 +291,7 @@ def _interval_bound(
     for counter, limit, kind in ((a, b, kind0), (b, a, _SWAP[kind0])):
         if not is_register(counter):
             continue
-        update = _unique_update(cfg, loop, counter, consts, program)
+        update = _unique_update(cfg, loop, counter, ranges, program)
         if update is None:
             continue
         step = update[0]
@@ -410,7 +308,9 @@ def _interval_bound(
         trips = _corner_trips(kind, init_iv, step, limit_iv)
         if trips is None:
             continue
-        # Same +1 slack as the counted path (test-order ambiguity).
+        # +1 slack: the test may observe the counter before or after
+        # the update depending on loop shape; one extra body iteration
+        # covers both orders.
         candidate = (trips + 1, counter)
         if best is None or candidate[0] < best[0]:
             best = candidate
@@ -489,7 +389,7 @@ def _corner_trips(kind: str, init: Interval, step: int,
     return max(trips)
 
 
-def _body_trips(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
+def _body_trips(cfg: CFG, loop: LoopInfo,
                 program: Optional[LambdaProgram],
                 ranges: IntervalStates) -> Optional[int]:
     """Interval-derived cap on executions of the counter update.
@@ -504,7 +404,7 @@ def _body_trips(cfg: CFG, loop: LoopInfo, consts: ConstantStates,
     """
     if loop.counter is None:
         return None
-    update = _unique_update(cfg, loop, loop.counter, consts, program)
+    update = _unique_update(cfg, loop, loop.counter, ranges, program)
     if update is None:
         return None
     step, index, bid = update
@@ -549,11 +449,10 @@ def _instruction_wcet(
     program: LambdaProgram,
     instruction: Instruction,
     index: int,
-    consts: ConstantStates,
+    ranges: IntervalStates,
     callee_wcet: Dict[str, Optional[int]],
     findings: List[Finding],
     function_name: str,
-    ranges: IntervalStates,
 ) -> Optional[int]:
     op = instruction.op
     cycles = BASE_CYCLES[op]
@@ -567,10 +466,10 @@ def _instruction_wcet(
         return cycles
     if op is Op.MEMCPY:
         dst_ref, src_ref, length = instruction.args
-        n = consts.const_before(index, length)
+        n = ranges.point_before(index, length)
         dst = program.objects.get(dst_ref[1]) if is_mem_ref(dst_ref) else None
         src = program.objects.get(src_ref[1]) if is_mem_ref(src_ref) else None
-        if not isinstance(n, int):
+        if n is None:
             sizes = [o.size_bytes for o in (dst, src) if o is not None]
             n = min(sizes) if sizes else BULK_BURST_BYTES
             # A proven upper range on the length can only tighten the
@@ -597,7 +496,7 @@ def _instruction_wcet(
                 instruction=repr(instruction),
             ))
             return None
-        reader = lambda operand: consts.const_before(index, operand)  # noqa: E731
+        reader = lambda operand: ranges.point_before(index, operand)  # noqa: E731
         try:
             return cycles + int(model(program, instruction.args[1:], reader))
         except Exception as exc:
@@ -622,10 +521,9 @@ def _function_wcet(
     program: LambdaProgram,
     name: str,
     cfg: CFG,
-    consts: ConstantStates,
+    ranges: IntervalStates,
     callee_wcet: Dict[str, Optional[int]],
     findings: List[Finding],
-    ranges: IntervalStates,
 ) -> Tuple[Optional[int], List[LoopInfo], str]:
     reachable = cfg.reachable()
     if not reachable:
@@ -634,15 +532,15 @@ def _function_wcet(
     for bid in reachable:
         total: Optional[int] = 0
         for index, instruction in cfg.block(bid).instructions:
-            cost = _instruction_wcet(program, instruction, index, consts,
-                                     callee_wcet, findings, name, ranges)
+            cost = _instruction_wcet(program, instruction, index, ranges,
+                                     callee_wcet, findings, name)
             if cost is None:
                 total = None
                 break
             total += cost
         block_cost[bid] = total
 
-    loops = find_loops(cfg, consts, program, ranges)
+    loops = find_loops(cfg, program, ranges)
     for loop in loops:
         if loop.bound is None:
             anchor = loop.exit_index
@@ -862,36 +760,16 @@ def _topo_order(
 def estimate_wcet(
     program: LambdaProgram,
     entry: Optional[str] = None,
-    consts: Optional[Dict[str, ConstantStates]] = None,
     ranges: Optional[Dict[str, IntervalStates]] = None,
 ) -> WcetResult:
     """Static WCET of one invocation of ``program`` from its entry.
 
-    ``consts`` and ``ranges`` may supply precomputed per-function
-    constant / interval states; missing entries are computed on demand.
+    ``ranges`` may supply precomputed per-function interval states;
+    missing entries are computed on demand.
     """
     entry = entry or program.entry
     result = WcetResult(program=program.name)
-    consts = dict(consts) if consts else {}
-    ranges = dict(ranges) if ranges else {}
-    cfgs: Dict[str, CFG] = {}
-
-    def analysis_for(name: str) -> ConstantStates:
-        cached = consts.get(name)
-        if cached is None:
-            cfg = cfgs.setdefault(name, build_cfg(program.functions[name]))
-            cached = constant_states(program.functions[name], cfg=cfg)
-            consts[name] = cached
-        return cached
-
-    def ranges_for(name: str) -> IntervalStates:
-        cached = ranges.get(name)
-        if cached is None:
-            cfg = cfgs.setdefault(name, build_cfg(program.functions[name]))
-            cached = interval_states(program.functions[name], cfg=cfg,
-                                     program=program)
-            ranges[name] = cached
-        return cached
+    ranges = ranges or {}
 
     # Callees-first order over the call graph; recursion is an error.
     order: List[str] = []
@@ -931,10 +809,11 @@ def estimate_wcet(
     for name in order:
         if result.function_cycles.get(name, 0) is None:
             continue  # Part of a recursion cycle.
-        cfg = cfgs.setdefault(name, build_cfg(program.functions[name]))
+        states = ranges.get(name) \
+            or interval_states(program.functions[name], program=program)
         cycles, loops, method = _function_wcet(
-            program, name, cfg, analysis_for(name),
-            result.function_cycles, result.findings, ranges_for(name),
+            program, name, states.cfg, states,
+            result.function_cycles, result.findings,
         )
         result.function_cycles[name] = cycles
         result.function_method[name] = method

@@ -1,12 +1,11 @@
 """The verifier-powered passes: smaller firmware, identical semantics.
 
-``EXTENDED_PASSES`` appends constant folding and dead-store elimination
-to the paper's three stages. These tests pin the two claims that make
-the extension safe to enable:
+``EXTENDED_PASSES`` appends dead-store elimination to the paper's three
+stages. These tests pin the two claims that make the extension safe as
+``compile_unit``'s default:
 
 * the extended pipeline strictly reduces the composed firmware's
-  instruction count (Figure-9 stages are untouched — the extension is
-  opt-in);
+  instruction count (the paper's Figure-9 stages are untouched);
 * the optimised firmware is observationally identical to the standard
   one on fuzzed request streams — same verdicts, return values, header
   and metadata mutations, emitted packets, response payloads, and
@@ -51,7 +50,7 @@ def test_extended_passes_reduce_instruction_count(firmwares):
     standard, extended = firmwares
     assert extended.instruction_count < standard.instruction_count
     stages = [stage for stage, _, _ in extended.report.rows()]
-    assert stages[-2:] == ["Constant Folding", "Dead Store Elimination"]
+    assert stages[-2:] == ["Memory Stratification", "Dead Store Elimination"]
     # The Figure-9 series is untouched: the first four stages match.
     assert extended.report.rows()[:4] == standard.report.rows()[:4]
 
@@ -101,22 +100,26 @@ def test_extended_firmware_is_observationally_identical(firmwares,
     assert std_memory == ext_memory
 
 
-def test_constant_folding_rewrites_known_alu(firmwares):
-    """A concrete example: a known mul becomes a mov."""
-    from repro.isa import Op, ProgramBuilder
-    from repro.compiler import constant_folding
+def test_constant_folding_rewrites_known_alu():
+    """A concrete example: a known mul is the point [42, 42] before the
+    ``ret``, and the JIT emits it as a constant."""
+    from repro.isa import JitInterpreter, ProgramBuilder
+    from repro.isa.verify import Interval, interval_states
 
     builder = ProgramBuilder("cf")
     fn = builder.function("cf")
     fn.mov("r1", 6).mov("r2", 7).mul("r3", "r1", "r2").ret("r3")
     builder.close(fn)
-    unit = CompilationUnit()
-    unit.add_lambda(builder.build(), wid=1, route_port="p0")
-    constant_folding(unit)
-    body = unit.lambdas["cf"].functions["cf"].body
-    folded = [i for i in body if i.op is Op.MOV and i.args == ("r3", 42)]
-    assert folded, f"mul not folded: {body}"
-    assert not any(i.op is Op.MUL for i in body)
+    program = builder.build()
+    function = program.functions["cf"]
+    ret_index = len(function.body) - 1
+    assert interval_states(function).range_before(ret_index, "r3") == \
+        Interval(42, 42)
+    jit = JitInterpreter()
+    result, _ = jit.execute(program)
+    assert result.return_value == 42
+    source = jit.compiled_for(program).source
+    assert "r3 = 42" in source and "r1 * r2" not in source
 
 
 def test_dead_store_elimination_removes_unread_writes():

@@ -273,6 +273,24 @@ def test_dead_stores_low_level_query():
     assert ("test", 0, "r5") in found
 
 
+def test_removable_dead_store_chain_is_found_in_one_query():
+    """Writes that only feed each other inside a block are all removable
+    at once; the lint reports only the last link, whose value nobody
+    reads."""
+    def body(f):
+        f.mov("r1", 5)
+        f.mov("r2", "r1")
+        f.add("r3", "r2", 1)
+        f.forward()
+
+    program = build(body)
+    assert sorted(dead_stores(program, entry_exit_live=frozenset(),
+                              removable_only=True)) == \
+        [("test", 0, "r1"), ("test", 1, "r2"), ("test", 2, "r3")]
+    assert dead_stores(program, entry_exit_live=frozenset()) == \
+        [("test", 2, "r3")]
+
+
 # -- unreachable code --------------------------------------------------------
 
 
