@@ -42,11 +42,6 @@ ALL_EXPERIMENTS = {
 }
 
 
-def run_all(config=None):
-    """Run every experiment; returns {name: ExperimentReport}."""
-    return {name: runner(config) for name, runner in ALL_EXPERIMENTS.items()}
-
-
 __all__ = [
     "ALL_EXPERIMENTS",
     "BACKENDS",
@@ -65,7 +60,6 @@ __all__ = [
     "micro_reorder",
     "migration_storm",
     "overload_storm",
-    "run_all",
     "run_scenario",
     "scale_sweep",
     "table1_nic_types",

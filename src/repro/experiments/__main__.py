@@ -1,23 +1,17 @@
 """CLI: ``python -m repro.experiments [names...] [--fast] [--trace out.json]``.
 
 Regenerates the requested experiments (default: all) and prints the
-paper-vs-measured reports. With ``--trace PATH``, experiments that
-support span tracing (fig6, fig7, fault_recovery, migration_storm)
-also write a
-Perfetto-loadable Chrome trace to PATH and the flat span records to
-``PATH`` with a ``.spans.jsonl`` suffix; when several traced
-experiments are selected each gets its own pair of files, suffixed
-with the experiment name.
+paper-vs-measured reports. With ``--trace PATH``, every selected
+experiment whose report carries spans also writes a Perfetto-loadable
+Chrome trace to PATH and the flat span records to ``PATH`` with a
+``.spans.jsonl`` suffix; when several reports carry spans each gets
+its own pair of files, suffixed with the experiment name.
 """
 
 import dataclasses
 import sys
 
 from . import ALL_EXPERIMENTS, DEFAULT_CONFIG, FAST_CONFIG
-
-#: Experiments whose drivers collect spans when ``config.trace`` is set.
-TRACED_EXPERIMENTS = ("fig6", "fig7", "fault_recovery", "migration_storm",
-                      "overload_storm")
 
 
 def _parse_args(argv):
@@ -75,8 +69,7 @@ def main(argv) -> int:
             traced.append((name, report.trace))
     if trace_path:
         if not traced:
-            print(f"--trace: none of the selected experiments emit traces "
-                  f"(traced: {', '.join(TRACED_EXPERIMENTS)})",
+            print("--trace: none of the selected experiments emit traces",
                   file=sys.stderr)
             return 2
         for name, collection in traced:

@@ -8,17 +8,13 @@ experiment-scale knobs (request counts, concurrency, seeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-#: Paper headline claims (§1, §6.3.1).
+#: Paper headline claims (§1, §6.3.1); the other factors the paper
+#: reports appear in the reports' notes.
 PAPER_MAX_LATENCY_IMPROVEMENT = 880.0   # container vs λ-NIC, web/kv
 PAPER_BARE_METAL_LATENCY_IMPROVEMENT = 30.0
-PAPER_MAX_THROUGHPUT_IMPROVEMENT = 736.0
-PAPER_MIN_THROUGHPUT_IMPROVEMENT = 27.0
-PAPER_IMAGE_LATENCY_IMPROVEMENT = (3.0, 5.0)     # bare-metal, container
-PAPER_IMAGE_THROUGHPUT_IMPROVEMENT = (5.0, 15.0)
-PAPER_TAIL_IMPROVEMENT_RANGE = (5.0, 24.0)       # p99 vs bare-metal
 
 #: Table 2 — throughput with three concurrent web-server lambdas.
 PAPER_TABLE2 = {
@@ -26,10 +22,6 @@ PAPER_TABLE2 = {
     "bare-metal-56": 950.0,
     "bare-metal-1": 520.0,
 }
-
-#: Figure 8 — contention latency factors vs λ-NIC.
-PAPER_FIG8_BARE_METAL_FACTOR = (178.0, 330.0)
-PAPER_FIG8_SPEEDUP = (55.0, 100.0)
 
 #: Table 3 — added resources for the image transformer @56 concurrent.
 PAPER_TABLE3 = {

@@ -15,14 +15,21 @@ injector's event trace (identical across same-seed runs).
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional
 
 from ..faults import FaultPlan
 from ..obs import TraceCollection
-from ..serverless import Testbed, open_loop
+from ..serverless import Testbed
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, WORKLOAD_NAMES, ExperimentConfig
-from .harness import Cell, ExperimentReport
+from .harness import (
+    ExperimentReport,
+    deploy,
+    load_cell,
+    open_loop_phase,
+    run_scenario,
+)
 
 #: Gateway tuned for fast failure detection (short timeout, aggressive
 #: retries with jittered backoff, quick breaker reset probes).
@@ -64,8 +71,16 @@ def build_plan(t0: float) -> FaultPlan:
 
 def run_storm(seed: int = 42, rate_rps: float = 25.0,
               after_rate_rps: Optional[float] = None,
-              trace: bool = False) -> dict:
+              trace: bool = False,
+              plan: Callable[[float], FaultPlan] = build_plan,
+              schedule: Optional[Callable[[float], list]] = None,
+              **testbed_kwargs: Any) -> dict:
     """Run the full storm scenario; returns raw results for reporting.
+
+    ``plan(t0)`` scripts the faults and ``schedule(t0)`` optionally
+    lists ``(fire time, workload, kwargs)`` live migrations, both
+    offset from ``t0`` (end of deployment); a schedule needs
+    ``with_migration=True`` among the extra ``testbed_kwargs``.
 
     The returned dict has ``during`` / ``after`` ({workload: LoadResult}),
     ``trace`` (the injector's fired events), ``events`` (failover
@@ -75,50 +90,46 @@ def run_storm(seed: int = 42, rate_rps: float = 25.0,
         seed=seed, n_workers=2, with_etcd=True, with_failover=True,
         with_tracing=trace,
         gateway_kwargs=dict(GATEWAY_KWARGS),
+        **testbed_kwargs,
     )
     tb.add_lambda_nic_backend()
     tb.add_bare_metal_backend()
     specs = [standard_workloads()[name] for name in WORKLOAD_NAMES]
     after_rate = after_rate_rps if after_rate_rps is not None else rate_rps
 
-    def load_phase(phase: str, duration: float):
-        procs = {}
-        for spec in specs:
-            procs[spec.name] = open_loop(
-                tb.env, tb.gateway, spec.name,
-                rate_rps=rate_rps if phase == "during" else after_rate,
-                duration=duration,
-                rng=tb.rng.stream(f"load:{phase}:{spec.name}"),
-                payload_bytes=spec.request_bytes if spec.uses_rdma else None,
-            )
-        return procs
+    def migration_driver(env, migrations):
+        for at, workload, kwargs in migrations:
+            delay = at - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            # Fire and keep walking the schedule: a slow migration must
+            # not delay the next one (they target different workloads).
+            tb.migrator.migrate(workload, **kwargs)
 
     def scenario(env):
         yield tb.etcd_cluster.wait_for_leader()
-        for spec in specs:
-            yield tb.manager.deploy(spec, "lambda-nic")
+        yield from deploy(tb, specs, "lambda-nic")
         # Warm standbys make degradation a pure re-route.
         for spec in specs:
             yield tb.manager.prepare_standby(spec.name, "bare-metal")
 
         t0 = env.now
-        plan = build_plan(t0)
-        tb.add_fault_injector(plan)
+        faults = plan(t0)
+        tb.add_fault_injector(faults)
+        if schedule is not None:
+            env.process(migration_driver(env, schedule(t0)))
 
-        during_procs = load_phase(
-            "during", (plan.horizon - env.now) + SETTLE_SECONDS
+        during = yield from open_loop_phase(
+            tb, "during", [(spec, rate_rps) for spec in specs],
+            (faults.horizon - env.now) + SETTLE_SECONDS,
         )
-        yield env.all_of(list(during_procs.values()))
-        during = {name: proc.value for name, proc in during_procs.items()}
-
-        after_procs = load_phase("after", AFTER_SECONDS)
-        yield env.all_of(list(after_procs.values()))
-        after = {name: proc.value for name, proc in after_procs.items()}
+        after = yield from open_loop_phase(
+            tb, "after", [(spec, after_rate) for spec in specs],
+            AFTER_SECONDS,
+        )
         return during, after
 
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    during, after = process.value
+    during, after = run_scenario(tb, scenario)
     return {
         "testbed": tb,
         "during": during,
@@ -135,29 +146,34 @@ def availability(result) -> float:
     return result.completed / issued if issued else 1.0
 
 
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
-    """The registered experiment entry point."""
-    config = config or DEFAULT_CONFIG
-    storm = run_storm(seed=config.seed, trace=config.trace)
+def storm_report(storm: dict, trace: bool, experiment: str, title: str,
+                 notes: List[str],
+                 columns: Optional[Dict[str, Dict[str, Any]]] = None,
+                 ) -> ExperimentReport:
+    """Per-workload availability and latency rows for a storm run.
+
+    ``columns`` adds ``{header: {workload: value}}`` columns before
+    ``failed``, each also kept in the cells' ``extra``.
+    """
     collection = None
-    if config.trace:
+    if trace:
         collection = TraceCollection()
         collection.add("storm", storm["testbed"].tracer)
+    columns = columns or {}
+    headers = ["workload", "avail_pct", "goodput_rps", "p99_ms_during",
+               "p99_ms_after", *columns, "failed"]
 
     cells = {}
     rows = []
     for name in WORKLOAD_NAMES:
         during, after = storm["during"][name], storm["after"][name]
-        cells[name] = Cell(
-            workload=name, backend="lambda-nic",
-            mean=during.mean_latency, p50=during.percentile(50),
-            p99=during.percentile(99),
-            samples=sorted(during.latencies),
-            extra={
-                "availability": availability(during),
-                "after_p99": after.percentile(99),
-                "goodput_rps": during.goodput_rps,
-            },
+        extra = {header: values[name] for header, values in columns.items()}
+        cells[name] = load_cell(
+            name, "lambda-nic", during,
+            availability=availability(during),
+            after_p99=after.percentile(99),
+            goodput_rps=during.goodput_rps,
+            **extra,
         )
         rows.append([
             name,
@@ -165,26 +181,34 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
             during.goodput_rps,
             during.percentile(99) * 1e3,
             after.percentile(99) * 1e3,
+            *extra.values(),
             during.failures,
         ])
-
-    n_shrinks = sum(1 for e in storm["events"] if e.kind == "shrink")
-    n_degrades = sum(1 for e in storm["events"] if e.kind == "degrade")
-    n_restores = sum(1 for e in storm["events"] if e.kind == "restore")
-    report = ExperimentReport(
-        experiment="Fault storm",
-        title="availability and recovery under injected failures",
-        headers=["workload", "avail_pct", "goodput_rps", "p99_ms_during",
-                 "p99_ms_after", "failed"],
+    return ExperimentReport(
+        experiment=experiment,
+        title=title,
+        headers=headers,
         rows=rows,
-        notes=[
-            f"{len(storm['trace'])} faults fired; "
-            f"{len(storm['events'])} failover actions "
-            f"({n_shrinks} shrink, {n_degrades} degrade, "
-            f"{n_restores} restore); "
-            f"mean time-to-failover {storm['mttf'] * 1e3:.1f} ms",
-        ],
+        notes=notes,
         cells=cells,
         trace=collection,
     )
-    return report
+
+
+def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
+    """The registered experiment entry point."""
+    config = config or DEFAULT_CONFIG
+    storm = run_storm(seed=config.seed, trace=config.trace)
+    kinds = Counter(event.kind for event in storm["events"])
+    return storm_report(
+        storm, config.trace,
+        experiment="Fault storm",
+        title="availability and recovery under injected failures",
+        notes=[
+            f"{len(storm['trace'])} faults fired; "
+            f"{len(storm['events'])} failover actions "
+            f"({kinds['shrink']} shrink, {kinds['degrade']} degrade, "
+            f"{kinds['restore']} restore); "
+            f"mean time-to-failover {storm['mttf'] * 1e3:.1f} ms",
+        ],
+    )

@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..obs import TraceCollection
-from ..serverless import Testbed, closed_loop
 from ..workloads import standard_workloads
-from .calibration import BACKENDS, DEFAULT_CONFIG, ExperimentConfig
-from .harness import Cell, ExperimentReport, run_scenario
+from .calibration import BACKENDS, DEFAULT_CONFIG, WORKLOAD_NAMES, ExperimentConfig
+from .harness import Cell, ExperimentReport, closed_loop_cell
 
 
 def run_cell(workload_name: str, backend: str,
@@ -25,43 +24,22 @@ def run_cell(workload_name: str, backend: str,
     spec = standard_workloads()[workload_name]
     n_requests = (config.image_latency_requests
                   if spec.kind == "image" else config.latency_requests)
-    tb = Testbed(seed=config.seed, n_workers=1,
-                 with_tracing=collection is not None)
-
-    def body(env):
-        result = yield closed_loop(
-            tb.env, tb.gateway, spec.name,
-            n_requests=n_requests, concurrency=1,
-            payload_bytes=spec.request_bytes if spec.uses_rdma else None,
-        )
-        return result
-
-    load = run_scenario(tb, [spec], backend, body)
-    if collection is not None:
-        collection.add(f"{workload_name}:{backend}", tb.tracer)
-    return Cell(
-        workload=workload_name,
-        backend=backend,
-        mean=load.mean_latency,
-        p50=load.percentile(50),
-        p99=load.percentile(99),
-        samples=sorted(load.latencies),
-    )
+    return closed_loop_cell(spec, backend, n_requests, 1, config.seed,
+                            collection, label=f"{workload_name}:{backend}")
 
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Regenerate Figure 6 (all nine cells plus improvement factors)."""
     config = config or DEFAULT_CONFIG
     collection = TraceCollection() if config.trace else None
-    cells: Dict[Tuple[str, str], Cell] = {}
-    for workload_name in ["web_server", "kv_client", "image_transformer"]:
-        for backend in BACKENDS:
-            cells[(workload_name, backend)] = run_cell(
-                workload_name, backend, config, collection
-            )
+    cells: Dict[Tuple[str, str], Cell] = {
+        (workload_name, backend): run_cell(workload_name, backend, config,
+                                           collection)
+        for workload_name in WORKLOAD_NAMES for backend in BACKENDS
+    }
 
     rows = []
-    for workload_name in ["web_server", "kv_client", "image_transformer"]:
+    for workload_name in WORKLOAD_NAMES:
         nic = cells[(workload_name, "lambda-nic")]
         for backend in BACKENDS:
             cell = cells[(workload_name, backend)]
@@ -75,7 +53,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
                 cell.p99 / nic.p99,
             ])
 
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="Figure 6",
         title="request latency, single lambda in isolation (ms)",
         headers=["workload", "backend", "mean_ms", "p50_ms", "p99_ms",
@@ -88,7 +66,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
         cells=cells,
         trace=collection,
     )
-    return report
 
 
 def ecdf(report: ExperimentReport, workload: str, backend: str):

@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..obs import TraceCollection
-from ..serverless import Testbed, closed_loop
 from ..workloads import standard_workloads
-from .calibration import BACKENDS, DEFAULT_CONFIG, ExperimentConfig
-from .harness import Cell, ExperimentReport, run_scenario
+from .calibration import BACKENDS, DEFAULT_CONFIG, WORKLOAD_NAMES, ExperimentConfig
+from .harness import Cell, ExperimentReport, closed_loop_cell
 
 
 def run_cell(workload_name: str, backend: str, concurrency: int,
@@ -24,27 +23,10 @@ def run_cell(workload_name: str, backend: str, concurrency: int,
     spec = standard_workloads()[workload_name]
     n_requests = (config.image_throughput_requests
                   if spec.kind == "image" else config.throughput_requests)
-    n_requests = max(n_requests, concurrency * 2)
-    tb = Testbed(seed=config.seed, n_workers=1,
-                 with_tracing=collection is not None)
-
-    def body(env):
-        result = yield closed_loop(
-            tb.env, tb.gateway, spec.name,
-            n_requests=n_requests, concurrency=concurrency,
-            payload_bytes=spec.request_bytes if spec.uses_rdma else None,
-        )
-        return result
-
-    load = run_scenario(tb, [spec], backend, body)
-    if collection is not None:
-        collection.add(f"{workload_name}:{backend}:c{concurrency}", tb.tracer)
-    return Cell(
-        workload=workload_name,
-        backend=backend,
-        mean=load.mean_latency,
-        throughput=load.throughput_rps,
-        extra={"concurrency": concurrency, "completed": load.completed},
+    return closed_loop_cell(
+        spec, backend, max(n_requests, concurrency * 2), concurrency,
+        config.seed, collection,
+        label=f"{workload_name}:{backend}:c{concurrency}",
     )
 
 
@@ -52,16 +34,15 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Regenerate Figure 7 (throughput at 1 and 56 threads)."""
     config = config or DEFAULT_CONFIG
     collection = TraceCollection() if config.trace else None
-    cells: Dict[Tuple[str, str, int], Cell] = {}
-    for workload_name in ["web_server", "kv_client", "image_transformer"]:
-        for backend in BACKENDS:
-            for concurrency in config.concurrencies:
-                cells[(workload_name, backend, concurrency)] = run_cell(
-                    workload_name, backend, concurrency, config, collection
-                )
+    cells: Dict[Tuple[str, str, int], Cell] = {
+        (workload_name, backend, concurrency): run_cell(
+            workload_name, backend, concurrency, config, collection)
+        for workload_name in WORKLOAD_NAMES for backend in BACKENDS
+        for concurrency in config.concurrencies
+    }
 
     rows = []
-    for workload_name in ["web_server", "kv_client", "image_transformer"]:
+    for workload_name in WORKLOAD_NAMES:
         for concurrency in config.concurrencies:
             nic = cells[(workload_name, "lambda-nic", concurrency)]
             for backend in BACKENDS:

@@ -15,7 +15,7 @@ from ..host import CpuParams, HostCPU
 from ..serverless import Testbed, round_robin_closed_loop
 from ..workloads import web_server_spec
 from .calibration import DEFAULT_CONFIG, ExperimentConfig, PAPER_TABLE2
-from .harness import Cell, ExperimentReport, run_scenario
+from .harness import Cell, ExperimentReport, deploy, load_cell, run_scenario
 
 #: The three contention scenarios of Figure 8 / Table 2.
 SCENARIOS = ["lambda-nic-56", "bare-metal-56", "bare-metal-1"]
@@ -48,31 +48,15 @@ def run_scenario_cell(scenario: str, config: ExperimentConfig) -> Cell:
     specs = [web_server_spec(f"web{index}") for index in range(3)]
     tb = _make_testbed(scenario, config)
 
-    def deploy_and_drive(env):
-        for spec in specs:
-            yield tb.manager.deploy(spec, backend)
-        results = yield round_robin_closed_loop(
-            tb.env, tb.gateway, [spec.name for spec in specs],
+    def body(env):
+        yield from deploy(tb, specs, backend)
+        return (yield round_robin_closed_loop(
+            env, tb.gateway, [spec.name for spec in specs],
             n_requests=config.contention_requests, concurrency=concurrency,
-        )
-        return results
+        ))
 
-    def scenario_body(env):
-        result = yield from deploy_and_drive(env)
-        return result
-
-    process = tb.env.process(scenario_body(tb.env))
-    tb.run(until=process)
-    combined = process.value["__all__"]
-    return Cell(
-        workload="3x web_server",
-        backend=scenario,
-        mean=combined.mean_latency,
-        p50=combined.percentile(50),
-        p99=combined.percentile(99),
-        throughput=combined.throughput_rps,
-        samples=sorted(combined.latencies),
-    )
+    combined = run_scenario(tb, body)["__all__"]
+    return load_cell("3x web_server", scenario, combined)
 
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:

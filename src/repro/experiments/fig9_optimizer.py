@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..compiler import CompilationUnit, Firmware, compile_unit
 from ..workloads import fig9_workloads
-from .calibration import DEFAULT_CONFIG, ExperimentConfig, PAPER_FIG9
+from .calibration import ExperimentConfig, PAPER_FIG9
 from .harness import ExperimentReport
 
 

@@ -1,36 +1,63 @@
-"""Shared experiment machinery: testbed runs and report formatting."""
+"""Shared experiment machinery: every driver builds, runs and reports
+its testbed scenarios through here.
+
+A scenario *body* is a generator function of the environment. It
+yields kernel events (a load generator, an etcd leader wait) and
+delegates with ``yield from`` to the harness's own steps
+(:func:`deploy`, :func:`open_loop_phase`). :func:`run_scenario` runs
+one body to completion on its testbed and returns the body's value.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import TraceCollection
-from ..serverless import Testbed
+from ..serverless import LoadResult, Testbed, closed_loop, open_loop
 from ..workloads import WorkloadSpec
 
 
-def run_scenario(
-    tb: Testbed,
-    specs: Sequence[WorkloadSpec],
-    backend_kind: str,
-    body: Callable,
-):
-    """Deploy ``specs`` on ``backend_kind``, then run ``body(env)``.
+def run_scenario(tb: Testbed, body: Callable) -> Any:
+    """Run ``body(env)`` as one process to completion; return its value.
+    An exception raised inside the body propagates out of here."""
+    return tb.run(until=tb.env.process(body(tb.env)))
 
-    ``body`` is a generator function; its return value is returned.
+
+def deploy(tb: Testbed, specs: Sequence[WorkloadSpec], backend_kind: str):
+    """Scenario step: deploy ``specs`` on ``backend_kind``, one by one;
+    returns their deploy records in order."""
+    records = []
+    for spec in specs:
+        records.append((yield tb.manager.deploy(spec, backend_kind)))
+    return records
+
+
+def request_bytes(spec: WorkloadSpec) -> Optional[int]:
+    """Payload size a client sends to ``spec`` (RDMA workloads only)."""
+    return spec.request_bytes if spec.uses_rdma else None
+
+
+def open_loop_phase(tb: Testbed, phase: str,
+                    loads: Iterable[Tuple[WorkloadSpec, float]],
+                    duration: float, **open_loop_kwargs):
+    """Scenario step: one open loop per ``(spec, rate_rps)``, run together.
+
+    Each loop draws its arrivals from the rng stream
+    ``load:<phase>:<workload>``. Returns ``{workload: LoadResult}``
+    once every loop has finished.
     """
-    tb.add_backend(backend_kind)
-
-    def scenario(env):
-        for spec in specs:
-            yield tb.manager.deploy(spec, backend_kind)
-        result = yield from body(env)
-        return result
-
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    return process.value
+    procs = {}
+    for spec, rate_rps in loads:
+        procs[spec.name] = open_loop(
+            tb.env, tb.gateway, spec.name,
+            rate_rps=rate_rps, duration=duration,
+            rng=tb.rng.stream(f"load:{phase}:{spec.name}"),
+            payload_bytes=request_bytes(spec),
+            **open_loop_kwargs,
+        )
+    yield tb.env.all_of(list(procs.values()))
+    return {name: proc.value for name, proc in procs.items()}
 
 
 @dataclass
@@ -79,8 +106,48 @@ class ExperimentReport:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
 
-    def print(self) -> None:  # pragma: no cover - convenience
-        print(self.format())
+
+def load_cell(workload: str, backend: str, load: LoadResult,
+              **extra: Any) -> Cell:
+    """A :class:`Cell` summarising one load run's latencies and rate."""
+    return Cell(
+        workload=workload,
+        backend=backend,
+        mean=load.mean_latency,
+        p50=load.percentile(50),
+        p99=load.percentile(99),
+        throughput=load.throughput_rps,
+        samples=sorted(load.latencies),
+        extra=extra,
+    )
+
+
+def closed_loop_cell(spec: WorkloadSpec, backend: str, n_requests: int,
+                     concurrency: int, seed: int,
+                     collection: Optional[TraceCollection] = None,
+                     label: str = "") -> Cell:
+    """One warm workload alone on a fresh one-worker testbed, measured
+    by a closed loop of ``n_requests`` at ``concurrency``.
+
+    With a ``collection``, the testbed traces and its spans are added
+    under ``label``.
+    """
+    tb = Testbed(seed=seed, n_workers=1, with_tracing=collection is not None)
+    tb.add_backend(backend)
+
+    def body(env):
+        yield from deploy(tb, [spec], backend)
+        return (yield closed_loop(
+            env, tb.gateway, spec.name,
+            n_requests=n_requests, concurrency=concurrency,
+            payload_bytes=request_bytes(spec),
+        ))
+
+    load = run_scenario(tb, body)
+    if collection is not None:
+        collection.add(label, tb.tracer)
+    return load_cell(spec.name, backend, load,
+                     concurrency=concurrency, completed=load.completed)
 
 
 def _render(value: Any) -> str:
@@ -95,10 +162,6 @@ def _render(value: Any) -> str:
             return f"{value * 1e3:.3f}m"
         return f"{value * 1e6:.2f}u"
     return str(value)
-
-
-def seconds_to_ms(value: float) -> float:
-    return value * 1e3
 
 
 def mib(value_bytes: float) -> float:

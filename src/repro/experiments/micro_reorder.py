@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..transport import ReorderBuffer
-from ..workloads import fig9_workloads
 from .calibration import (
-    DEFAULT_CONFIG,
     ExperimentConfig,
     PAPER_REORDER_FRACTION_PCT,
     PAPER_REORDER_INSTRUCTIONS,

@@ -27,18 +27,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..faults import FaultPlan
-from ..obs import TraceCollection
-from ..serverless import Testbed, open_loop
-from ..workloads import standard_workloads
+from . import fault_recovery
 from .calibration import DEFAULT_CONFIG, WORKLOAD_NAMES, ExperimentConfig
-# Same gateway stance, phase lengths and availability as the fault storm.
-from .fault_recovery import (
-    AFTER_SECONDS,
-    GATEWAY_KWARGS,
-    SETTLE_SECONDS,
-    availability,
-)
-from .harness import Cell, ExperimentReport
+# The fault storm's runner and report serve this storm too; its
+# availability is re-exported for this storm's benchmark gates.
+from .fault_recovery import availability, storm_report  # noqa: F401
+from .harness import ExperimentReport
 
 #: Migration controller stance for the storm: short drains so held
 #: requests see a bounded latency bump even when cutover races a fault.
@@ -112,132 +106,36 @@ def migration_schedule(t0: float):
 def run_storm(seed: int = 42, rate_rps: float = 25.0,
               after_rate_rps: Optional[float] = None,
               trace: bool = False) -> dict:
-    """Run the combined storm; returns raw results for reporting.
-
-    The returned dict has ``during`` / ``after`` ({workload:
-    LoadResult}), ``trace`` (fired faults), ``events`` (failover
-    actions), ``migrations`` (every Migration attempted), ``mttf``,
-    and the testbed itself.
-    """
-    tb = Testbed(
-        seed=seed, n_workers=2, with_etcd=True, with_failover=True,
-        with_migration=True, with_tracing=trace,
-        gateway_kwargs=dict(GATEWAY_KWARGS),
-        migration_kwargs=dict(MIGRATION_KWARGS),
+    """Run the combined storm: :func:`fault_recovery.run_storm`'s result
+    plus ``migrations`` (every Migration attempted)."""
+    storm = fault_recovery.run_storm(
+        seed=seed, rate_rps=rate_rps, after_rate_rps=after_rate_rps,
+        trace=trace, plan=build_plan, schedule=migration_schedule,
+        with_migration=True, migration_kwargs=dict(MIGRATION_KWARGS),
     )
-    tb.add_lambda_nic_backend()
-    tb.add_bare_metal_backend()
-    specs = [standard_workloads()[name] for name in WORKLOAD_NAMES]
-    after_rate = after_rate_rps if after_rate_rps is not None else rate_rps
-
-    def load_phase(phase: str, duration: float):
-        procs = {}
-        for spec in specs:
-            procs[spec.name] = open_loop(
-                tb.env, tb.gateway, spec.name,
-                rate_rps=rate_rps if phase == "during" else after_rate,
-                duration=duration,
-                rng=tb.rng.stream(f"load:{phase}:{spec.name}"),
-                payload_bytes=spec.request_bytes if spec.uses_rdma else None,
-            )
-        return procs
-
-    def migration_driver(env, t0):
-        for at, workload, kwargs in migration_schedule(t0):
-            delay = at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            # Fire and keep walking the schedule: a slow migration must
-            # not delay the next one (they target different workloads).
-            tb.migrator.migrate(workload, **kwargs)
-
-    def scenario(env):
-        yield tb.etcd_cluster.wait_for_leader()
-        for spec in specs:
-            yield tb.manager.deploy(spec, "lambda-nic")
-        for spec in specs:
-            yield tb.manager.prepare_standby(spec.name, "bare-metal")
-
-        t0 = env.now
-        plan = build_plan(t0)
-        tb.add_fault_injector(plan)
-        env.process(migration_driver(env, t0))
-
-        during_procs = load_phase(
-            "during", (plan.horizon - env.now) + SETTLE_SECONDS
-        )
-        yield env.all_of(list(during_procs.values()))
-        during = {name: proc.value for name, proc in during_procs.items()}
-
-        after_procs = load_phase("after", AFTER_SECONDS)
-        yield env.all_of(list(after_procs.values()))
-        after = {name: proc.value for name, proc in after_procs.items()}
-        return during, after
-
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    during, after = process.value
-    return {
-        "testbed": tb,
-        "during": during,
-        "after": after,
-        "trace": list(tb.injector.trace),
-        "events": list(tb.health.events),
-        "migrations": list(tb.migrator.migrations),
-        "mttf": tb.health.mean_time_to_failover(),
-    }
+    storm["migrations"] = list(storm["testbed"].migrator.migrations)
+    return storm
 
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """The registered experiment entry point."""
     config = config or DEFAULT_CONFIG
     storm = run_storm(seed=config.seed, trace=config.trace)
-    collection = None
-    if config.trace:
-        collection = TraceCollection()
-        collection.add("storm", storm["testbed"].tracer)
-
     tb = storm["testbed"]
-    cells = {}
-    rows = []
-    for name in WORKLOAD_NAMES:
-        during, after = storm["during"][name], storm["after"][name]
-        n_migrations = sum(
-            1 for m in storm["migrations"] if m.workload == name)
-        cells[name] = Cell(
-            workload=name, backend="lambda-nic",
-            mean=during.mean_latency, p50=during.percentile(50),
-            p99=during.percentile(99),
-            samples=sorted(during.latencies),
-            extra={
-                "availability": availability(during),
-                "after_p99": after.percentile(99),
-                "migrations": n_migrations,
-                "goodput_rps": during.goodput_rps,
-            },
-        )
-        rows.append([
-            name,
-            100.0 * availability(during),
-            during.goodput_rps,
-            during.percentile(99) * 1e3,
-            after.percentile(99) * 1e3,
-            n_migrations,
-            during.failures,
-        ])
-
     migrations = storm["migrations"]
+    per_workload = {
+        name: sum(1 for m in migrations if m.workload == name)
+        for name in WORKLOAD_NAMES
+    }
     n_completed = sum(1 for m in migrations if m.outcome == "completed")
     n_rolled = sum(1 for m in migrations if m.outcome == "rolled-back")
     held = tb.gateway.held_requests_total.total
     dupes = tb.gateway.duplicate_responses_total.total
     state_bytes = tb.migrator.state_bytes_total.total
-    report = ExperimentReport(
+    return storm_report(
+        storm, config.trace,
         experiment="Migration storm",
         title="live NIC↔host migration under fault injection",
-        headers=["workload", "avail_pct", "goodput_rps", "p99_ms_during",
-                 "p99_ms_after", "migrations", "failed"],
-        rows=rows,
         notes=[
             f"{len(migrations)} migrations ({n_completed} completed, "
             f"{n_rolled} rolled back); {len(storm['trace'])} faults fired; "
@@ -247,7 +145,5 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
             f"{int(dupes)} duplicate responses absorbed, "
             f"{int(state_bytes)} state bytes shipped",
         ],
-        cells=cells,
-        trace=collection,
+        columns={"migrations": per_workload},
     )
-    return report

@@ -31,10 +31,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..obs import TraceCollection
-from ..serverless import OverloadConfig, Testbed, open_loop
+from ..serverless import OverloadConfig, Testbed
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, ExperimentConfig
-from .harness import Cell, ExperimentReport
+from .harness import (
+    ExperimentReport,
+    deploy,
+    load_cell,
+    open_loop_phase,
+    run_scenario,
+)
 
 #: A small, slow NIC fleet: 2 NICs x 1 core x 2 threads at 50 kHz-class
 #: clock puts web_server service at ~27 ms — saturation at O(100) rps,
@@ -108,29 +114,19 @@ def run_phase(phase: str, scale: float, seed: int = 42,
         overload=OVERLOAD,
     )
     tb.add_lambda_nic_backend()
-    specs = standard_workloads()
+    workloads = standard_workloads()
+    specs = [workloads[name] for name in STORM_WORKLOADS]
 
     def scenario(env):
-        for name in STORM_WORKLOADS:
-            yield tb.manager.deploy(specs[name], "lambda-nic")
-        procs = {}
-        for name in STORM_WORKLOADS:
-            spec = specs[name]
-            procs[name] = open_loop(
-                env, tb.gateway, name,
-                rate_rps=SATURATION_RATE_RPS[name] * scale,
-                duration=duration,
-                rng=tb.rng.stream(f"load:{phase}:{name}"),
-                payload_bytes=spec.request_bytes if spec.uses_rdma else None,
-                arrival="mmpp",
-                deadline_seconds=DEADLINE_SECONDS,
-            )
-        yield env.all_of(list(procs.values()))
-        return {name: proc.value for name, proc in procs.items()}
+        yield from deploy(tb, specs, "lambda-nic")
+        return (yield from open_loop_phase(
+            tb, phase,
+            [(spec, SATURATION_RATE_RPS[spec.name] * scale)
+             for spec in specs],
+            duration, arrival="mmpp", deadline_seconds=DEADLINE_SECONDS,
+        ))
 
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    results = process.value
+    results = run_scenario(tb, scenario)
     gw = tb.gateway
     return {
         "testbed": tb,
@@ -173,18 +169,13 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     for phase, scale in PHASES:
         for name in STORM_WORKLOADS:
             result = storm[phase]["results"][name]
-            cells[f"{name}:{phase}"] = Cell(
-                workload=name, backend="lambda-nic",
-                mean=result.mean_latency, p50=result.percentile(50),
-                p99=result.percentile(99),
-                samples=sorted(result.latencies),
-                extra={
-                    "phase": phase,
-                    "goodput_rps": result.goodput_rps,
-                    "shed": result.shed,
-                    "expired": result.expired,
-                    "budget_exhausted": result.budget_exhausted,
-                },
+            cells[f"{name}:{phase}"] = load_cell(
+                name, "lambda-nic", result,
+                phase=phase,
+                goodput_rps=result.goodput_rps,
+                shed=result.shed,
+                expired=result.expired,
+                budget_exhausted=result.budget_exhausted,
             )
             rows.append([
                 name,

@@ -37,12 +37,12 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from ..obs import Histogram, MetricsRegistry
+from ..obs import Histogram, MetricsRegistry, percentile_of
 from ..serverless import Testbed, iter_arrivals, scheduled_open_loop
 from ..sim import ShardSpec, default_processes, make_shard_specs, run_shards
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, ExperimentConfig
-from .harness import ExperimentReport
+from .harness import ExperimentReport, deploy, run_scenario
 
 #: Counters conserved by the request partition: each increments once
 #: per request *inside the owning shard*, so sharded totals must equal
@@ -71,11 +71,6 @@ PERCENTILE_RTOL = 0.25
 #: benchmarks/test_scale_sweep.py — a single-core box cannot exhibit
 #: parallel speedup, so the gate only binds when cores >= 2).
 MIN_PARALLEL_EFFICIENCY = 0.7
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    from ..obs import percentile_of
-    return percentile_of(sorted_values, q)
 
 
 def _strip_histograms(registry: MetricsRegistry) -> MetricsRegistry:
@@ -114,24 +109,17 @@ def shard_worker(spec: ShardSpec) -> Dict[str, Any]:
             if spec.owns(record.request_id):
                 yield record
 
-    replay_wall = [0.0]
-
     def scenario(env):
-        yield tb.manager.deploy(spec_obj, params["backend"])
+        yield from deploy(tb, [spec_obj], params["backend"])
         started = time.perf_counter()
         result = yield scheduled_open_loop(
             env, tb.gateway, spec_obj.name, arrivals(),
         )
-        replay_wall[0] = time.perf_counter() - started
-        return result
+        return result, time.perf_counter() - started
 
     total_started = time.perf_counter()
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
+    load, replay_wall = run_scenario(tb, scenario)
     total_wall = time.perf_counter() - total_started
-    load = process.value
-    if isinstance(load, BaseException):
-        raise load
 
     latencies = sorted(load.latencies)
     ship_histograms = params.get("ship_histograms", True)
@@ -142,15 +130,15 @@ def shard_worker(spec: ShardSpec) -> Dict[str, Any]:
         "n_shards": spec.n_shards,
         "completed": load.completed,
         "failures": load.failures,
-        "p50": _percentile(latencies, 50.0),
-        "p99": _percentile(latencies, 99.0),
+        "p50": percentile_of(latencies, 50.0),
+        "p99": percentile_of(latencies, 99.0),
         "mean": (sum(latencies) / len(latencies)) if latencies else 0.0,
         "sim_duration": load.duration,
         "events": tb.env._eid,
         "registry": registry,
         "latencies": list(load.latencies) if params.get("ship_latencies")
         else None,
-        "replay_wall_seconds": replay_wall[0],
+        "replay_wall_seconds": replay_wall,
         "total_wall_seconds": total_wall,
     }
 

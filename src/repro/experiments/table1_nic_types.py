@@ -13,7 +13,7 @@ from typing import Optional
 from ..hw import SmartNIC
 from ..net import Network
 from ..sim import Environment, RngRegistry
-from .calibration import DEFAULT_CONFIG, ExperimentConfig, PAPER_TABLE1
+from .calibration import ExperimentConfig, PAPER_TABLE1
 from .harness import ExperimentReport
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..compiler import FIRMWARE_BASE_BYTES
 from ..serverless import Testbed, closed_loop
 from ..workloads import image_transformer_spec
 from .calibration import BACKENDS, DEFAULT_CONFIG, ExperimentConfig, PAPER_TABLE3
-from .harness import Cell, ExperimentReport, mib
+from .harness import Cell, ExperimentReport, deploy, mib, run_scenario
 
 #: The paper's burst size: the testbed CPU's thread count.
 BURST = 56
@@ -26,17 +25,15 @@ def run_cell(backend: str, config: ExperimentConfig) -> Cell:
     tb.add_backend(backend)
 
     def scenario(env):
-        yield tb.manager.deploy(spec, backend)
+        yield from deploy(tb, [spec], backend)
         window_start = env.now
         result = yield closed_loop(
-            tb.env, tb.gateway, spec.name, n_requests=BURST,
+            env, tb.gateway, spec.name, n_requests=BURST,
             concurrency=BURST, payload_bytes=spec.request_bytes,
         )
         return result, window_start
 
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    load, window_start = process.value
+    load, window_start = run_scenario(tb, scenario)
     window = max(1e-9, tb.env.now - window_start)
 
     host_cpu_pct = 0.0

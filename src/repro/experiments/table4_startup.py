@@ -12,7 +12,7 @@ from typing import Dict, Optional
 from ..serverless import Testbed
 from ..workloads import image_transformer_spec
 from .calibration import BACKENDS, DEFAULT_CONFIG, ExperimentConfig, PAPER_TABLE4
-from .harness import Cell, ExperimentReport, mib
+from .harness import Cell, ExperimentReport, deploy, mib, run_scenario
 
 
 def run_cell(backend: str, config: ExperimentConfig) -> Cell:
@@ -20,13 +20,7 @@ def run_cell(backend: str, config: ExperimentConfig) -> Cell:
     tb.add_backend(backend)
     spec = image_transformer_spec()
 
-    def scenario(env):
-        record = yield tb.manager.deploy(spec, backend)
-        return record
-
-    process = tb.env.process(scenario(tb.env))
-    tb.run(until=process)
-    record = process.value
+    (record,) = run_scenario(tb, lambda env: deploy(tb, [spec], backend))
     return Cell(
         workload="image_transformer",
         backend=backend,

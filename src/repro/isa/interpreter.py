@@ -128,6 +128,36 @@ def intrinsic_wcet(name: str) -> Optional[IntrinsicWcetFn]:
     return _INTRINSIC_WCET.get(name)
 
 
+class _ReadOnlyRegisters(dict):
+    """The copy of the register file an intrinsic sees: the verifier and
+    the JIT assume an intrinsic writes no register, so a write faults."""
+
+    __slots__ = ()
+
+    def __setitem__(self, name: str, value: Any) -> None:
+        raise ExecutionError(f"intrinsic wrote register {name!r}; "
+                             f"intrinsics may only read registers")
+
+
+def call_intrinsic(m: "Machine", name: str, args: Tuple[Any, ...]) -> None:
+    """Run intrinsic ``name`` on ``m`` — the one call path of both engines.
+
+    Charges its cycles and its declared memory effect; the intrinsic
+    sees the registers read-only.
+    """
+    fn = _INTRINSICS.get(name)
+    if fn is None:
+        raise ExecutionError(f"unknown intrinsic {name!r}")
+    registers = m.registers
+    m.registers = _ReadOnlyRegisters(registers)
+    try:
+        m.cycles += fn(m, args)
+    finally:
+        m.registers = registers
+    if intrinsic_writes_memory(name):
+        m.wrote_memory = True
+
+
 class Machine:
     """Mutable execution state for one lambda invocation.
 
@@ -334,13 +364,7 @@ def execute_straightline(m: Machine, instruction: Instruction) -> None:
     elif op in (Op.HASH, Op.CRC):
         m.write_register(args[0], hash32(op.value, m.read(args[1])))
     elif op is Op.INTRINSIC:
-        name = args[0]
-        fn = _INTRINSICS.get(name)
-        if fn is None:
-            raise ExecutionError(f"unknown intrinsic {name!r}")
-        m.cycles += fn(m, args[1:])
-        if intrinsic_writes_memory(name):
-            m.wrote_memory = True
+        call_intrinsic(m, args[0], args[1:])
     else:
         raise ExecutionError(f"unhandled opcode {op!r}")
 

@@ -61,14 +61,13 @@ from .interpreter import (
     Machine,
     _ALU_OPS,
     _BRANCH_OPS,
-    _INTRINSICS,
+    call_intrinsic,
     execute_straightline,
     hash32,
-    intrinsic_writes_memory,
 )
 from .program import Function, LambdaProgram
 from .verify import build_cfg, interval_states
-from .verify.cfg import BRANCH_OPS, MACHINE_TERMINATOR_OPS
+from .verify.cfg import BRANCH_OPS
 
 
 class JitLoweringError(Exception):
@@ -515,20 +514,11 @@ class _FunctionLowering:
         return lines, False
 
     def lower_intrinsic(self, args) -> Tuple[List[str], bool]:
-        name = args[0]
-        message = f"unknown intrinsic {name!r}"
-        lines = [
-            f"_ifn = _INTR.get({self.const(name)})",
-            "if _ifn is None:",
-            f"    raise ExecutionError({message!r})",
-        ]
-        # Intrinsics receive the machine and read registers through it,
-        # so locals must be synchronized both ways around the call.
-        lines += self.spill_lines()
-        lines.append(f"st.cycles += _ifn(st, {self.const(tuple(args[1:]))})")
-        lines.append(f"if _iwm({self.const(name)}):")
-        lines.append("    st.wrote_memory = True")
-        lines += self.reload_lines()
+        # Intrinsics read registers through the machine, so locals are
+        # spilled first; they cannot write registers, so nothing reloads.
+        lines = self.spill_lines()
+        lines.append(f"_intrinsic(st, {self.const(args[0])}, "
+                     f"{self.const(tuple(args[1:]))})")
         return lines, False
 
     # -- block/segment structure ----------------------------------------------
@@ -833,8 +823,7 @@ class JitProgram:
             "_bad_read": _bad_read,
             "_bad_destination": _bad_destination,
             "_trip": _step_trip,
-            "_INTR": _INTRINSICS,
-            "_iwm": intrinsic_writes_memory,
+            "_intrinsic": call_intrinsic,
             "_hash32": hash32,
             "_ceil": math.ceil,
         }

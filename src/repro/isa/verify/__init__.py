@@ -8,7 +8,7 @@ interactive SLO. This package provides that proof layer:
 * :mod:`.cfg` — per-function control-flow graphs (basic blocks, edges
   from branches/jumps/fallthrough, loop detection);
 * :mod:`.dataflow` — a generic worklist fixpoint framework;
-* :mod:`.analyses` — reaching definitions, liveness, initialized-register
+* :mod:`.analyses` — liveness, dead stores, initialized-register
   tracking (all interprocedural over the shared 16-register file);
 * :mod:`.intervals` — the one value analysis: interval abstract
   interpretation with widening/narrowing, exact folding of point
@@ -35,7 +35,6 @@ from .analyses import (
     instruction_defs,
     instruction_uses,
     may_write_registers,
-    reaching_definitions,
     uninitialized_reads,
 )
 from .cfg import (
@@ -98,7 +97,6 @@ __all__ = [
     "instruction_uses",
     "interval_states",
     "may_write_registers",
-    "reaching_definitions",
     "refine_branch",
     "region_footprint",
     "solve",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..instructions import Instruction, Op, is_mem_ref, is_register
-from ..program import Function, LambdaProgram
+from ..program import LambdaProgram
 from .cfg import BRANCH_OPS, CFG, BasicBlock, build_cfg
 from .dataflow import BACKWARD, DataflowProblem, DataflowResult, FORWARD, solve
 
@@ -505,46 +505,3 @@ def may_write_registers(program: LambdaProgram, name: str) -> FrozenSet[str]:
             if instruction.op is Op.CALL:
                 stack.append(instruction.args[0])
     return frozenset(written)
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-
-class _ReachingDefsProblem(DataflowProblem):
-    """Forward may-reach analysis over ``(register, body_index)`` defs.
-
-    ``index`` -1 denotes the definition "from outside" (function entry);
-    a CALL is modelled as a fresh definition of every register (the
-    callee may write any of them).
-    """
-
-    direction = FORWARD
-
-    def boundary(self, cfg: CFG, block: BasicBlock):
-        if block.bid != cfg.entry:
-            return None
-        return frozenset((reg, -1) for reg in ALL_REGISTERS)
-
-    def meet(self, a, b):
-        return a | b
-
-    def transfer(self, cfg: CFG, block: BasicBlock, reaching):
-        for index, instruction in block.instructions:
-            defs = instruction_defs(instruction)
-            if instruction.op is Op.CALL:
-                defs = ALL_REGISTERS
-            if not defs:
-                continue
-            reaching = frozenset(
-                item for item in reaching if item[0] not in defs
-            ) | frozenset((reg, index) for reg in defs)
-        return reaching
-
-
-def reaching_definitions(function: Function,
-                         cfg: Optional[CFG] = None) -> DataflowResult:
-    """Solve reaching definitions; states are ``{(register, def_index)}``."""
-    cfg = cfg or build_cfg(function)
-    return solve(cfg, _ReachingDefsProblem())

@@ -347,4 +347,7 @@ class RaftNode:
             client_seq=message.seq,
         ))
         self._client_waiting[index] = (client, message.seq)
+        # Replies advance the commit index; a leader without peers gets
+        # none, so its own append must count toward the majority here.
+        self._advance_commit_index()
         self._broadcast_append_entries()

@@ -425,7 +425,8 @@ class Environment:
     def run(self, until: Any = None) -> Any:
         """Run until the calendar empties, time ``until``, or event ``until``.
 
-        If ``until`` is an :class:`Event`, returns its value once it fires.
+        If ``until`` is an :class:`Event`, returns its value once it fires,
+        or raises its exception if it failed (a crashed process).
         """
         stop_value = None
         if until is not None:
@@ -433,6 +434,8 @@ class Environment:
                 if until.callbacks is not None:
                     until.callbacks.append(self._stop_callback)
                 elif until.triggered:
+                    if not until._ok:
+                        raise until._value
                     return until._value
             else:
                 at = float(until)
@@ -458,6 +461,8 @@ class Environment:
 
     @staticmethod
     def _stop_callback(event: Event) -> None:
+        if not event._ok:
+            raise event._value
         raise StopSimulation(event._value)
 
     # -- convenience constructors -----------------------------------------

@@ -28,6 +28,7 @@ from repro.isa import (
     Region,
     compile_jit,
     program_signature,
+    register_intrinsic,
 )
 import repro.isa.jit as jit_module
 from repro.workloads.registry import fig9_workloads, standard_workloads
@@ -304,6 +305,22 @@ def test_error_parity_unknown_intrinsic():
     ref, jt = run_both(program, {}, {}, None, None)
     assert ref[0] == "err" and ref == jt
     assert "unknown intrinsic" in ref[2]
+
+
+def test_intrinsic_register_write_raises_in_both_engines():
+    """An intrinsic sees the registers read-only: the verifier and the
+    JIT assume it writes none, so a write must fault, not diverge."""
+    def clobber_r1(machine, args):
+        machine.registers["r1"] = 99
+        return 0
+
+    register_intrinsic("clobber_r1", clobber_r1, writes_memory=False)
+    program = build(lambda f: f.mov("r1", 5)
+                    .emit(Op.INTRINSIC, "clobber_r1")
+                    .add("r2", "r1", 0).ret("r2"))
+    ref, jt = run_both(program, {}, {}, None, None)
+    assert ref[0] == "err" and ref == jt
+    assert "intrinsic wrote register 'r1'" in ref[2]
 
 
 def test_wrote_memory_flag():

@@ -153,6 +153,18 @@ def test_run_until_event_returns_value():
     assert env.now == 4.0
 
 
+def test_run_until_crashed_process_raises_its_exception():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(2.0)
+        raise KeyError("crashed")
+
+    with pytest.raises(KeyError, match="crashed"):
+        env.run(until=env.process(proc(env)))
+    assert env.now == 2.0
+
+
 def test_run_until_never_triggered_event_raises():
     env = Environment()
     lonely = env.event()
