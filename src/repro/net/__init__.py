@@ -14,7 +14,7 @@ from .headers import (
     UDPHeader,
     header_class,
 )
-from .link import Link, LinkStats
+from .link import Link, LinkStats, Train
 from .network import Network, Node, TEN_GBPS
 from .packet import DEADLINE_META, Packet, reset_packet_ids
 from .switch import Switch
@@ -41,6 +41,7 @@ __all__ = [
     "TCPHeader",
     "TEN_GBPS",
     "TraceRecord",
+    "Train",
     "UDPHeader",
     "header_class",
     "reset_packet_ids",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .headers import HeaderStack
 
@@ -37,8 +37,7 @@ class Packet:
 
     ``payload`` is an arbitrary Python object (bytes for realism, or a
     structured value); ``payload_bytes`` is its on-wire size and is what
-    serialization delay is computed from. ``trace`` accumulates
-    (location, time) pairs for latency accounting in tests.
+    serialization delay is computed from.
     """
 
     __slots__ = (
@@ -49,7 +48,6 @@ class Packet:
         "payload",
         "payload_bytes",
         "meta",
-        "trace",
     )
 
     def __init__(
@@ -70,7 +68,6 @@ class Packet:
         self.payload = payload
         self.payload_bytes = int(payload_bytes)
         self.meta: Dict[str, Any] = dict(meta or {})
-        self.trace: List[Tuple[str, float]] = []
 
     @property
     def size_bytes(self) -> int:
@@ -80,10 +77,6 @@ class Packet:
     @property
     def size_bits(self) -> int:
         return self.size_bytes * 8
-
-    def stamp(self, location: str, now: float) -> None:
-        """Record that the packet was at ``location`` at time ``now``."""
-        self.trace.append((location, now))
 
     def copy(self) -> "Packet":
         """A new packet (fresh id) with copied headers and metadata."""

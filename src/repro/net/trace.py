@@ -47,7 +47,11 @@ class PacketTracer:
         self.dropped_records = 0
 
     def attach_to(self, node: Node) -> None:
-        """Instrument one node's rx handler and tx path."""
+        """Instrument one node's rx handler and tx path.
+
+        The node then takes trains one packet at a time, so each
+        capture has its packet's own arrival instant.
+        """
         inner_handler = node.handler
 
         def traced_rx(packet: Packet) -> None:
@@ -55,14 +59,21 @@ class PacketTracer:
             if inner_handler is not None:
                 inner_handler(packet)
 
-        node.handler = traced_rx
+        node.attach(traced_rx)
         inner_send = node.send
+        inner_send_train = node.send_train
 
         def traced_tx(packet: Packet) -> None:
             self._record(node.name, "tx", packet)
             inner_send(packet)
 
+        def traced_tx_train(packets) -> None:
+            for packet in packets:
+                self._record(node.name, "tx", packet)
+            inner_send_train(packets)
+
         node.send = traced_tx  # type: ignore[method-assign]
+        node.send_train = traced_tx_train  # type: ignore[method-assign]
 
     def attach_to_network(self, network: Network) -> None:
         """Instrument every node currently in the network."""

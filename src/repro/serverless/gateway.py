@@ -777,6 +777,7 @@ class Gateway:
         segment = self.rdma_segment_bytes
         total = max(1, (size + segment - 1) // segment)
         blob = payload if isinstance(payload, (bytes, bytearray)) else None
+        packets = []
         for seq in range(total):
             chunk_size = min(segment, size - seq * segment)
             chunk = (bytes(blob[seq * segment: seq * segment + chunk_size])
@@ -801,4 +802,7 @@ class Gateway:
                 packet.meta[DEADLINE_META] = self._attempt_deadline(deadline)
             if span is not None:
                 Tracer.stamp_packet(packet, span)
-            self.node.send(packet)
+            packets.append(packet)
+        # One train: each link, the switch and the NIC take the whole
+        # message in one event.
+        self.node.send_train(packets)

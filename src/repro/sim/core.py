@@ -475,6 +475,30 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, at: float, value: Any = None) -> Timeout:
+        """A timeout firing at the absolute instant ``at`` (``>= now``).
+
+        ``timeout(at - now)`` lands on ``now + (at - now)``, which can
+        differ from ``at`` in the last bit; this one lands on ``at``.
+        """
+        now = self._now
+        if at < now:
+            raise ValueError(f"instant {at} is before now ({now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event.defused = False
+        event._delay = at - now
+        event._cancelled = False
+        self._eid += 1
+        if at == now:
+            self._now_normal.append((self._eid, event))
+        else:
+            _heappush(self._queue, (at, NORMAL, self._eid, event))
+        return event
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 

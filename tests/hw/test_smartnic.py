@@ -185,6 +185,38 @@ def test_rdma_multi_packet_reassembly():
     assert meta["first_word"] == int.from_bytes(b"\x07" * 8, "little")
 
 
+def test_rdma_dma_mixes_bytes_and_zero_segments_and_clips_to_the_object():
+    """Segments without bytes write zeros; a short or empty ``bytes``
+    payload advances the offset by its own length (or its wire size
+    when empty, writing nothing); the message is clipped to the 4 KiB
+    object."""
+    env, network, client, nic, firmware = make_setup(lambdas=[rdma_lambda()])
+    nic.bind_rdma(qp=5, lambda_name="img", object_name="img.image")
+    client.attach(lambda p: None)
+    memory = nic.lambda_memory("img.image")
+    memory[:] = b"\xff" * len(memory)
+    segments = [(b"\x01" * 1000, 1000), (None, 700), (None, 300),
+                (b"\x02" * 300, 1000), (b"", 200), (None, 900),
+                (b"\x03" * 1000, 1000), (None, 2000), (b"\x04" * 50, 50)]
+    for seq, (payload, payload_bytes) in enumerate(segments):
+        client.send(Packet(
+            "client", "nic",
+            HeaderStack([
+                EthernetHeader(), IPv4Header(), UDPHeader(),
+                LambdaHeader(wid=1, request_id=3, seq=seq,
+                             total_segments=len(segments)),
+                RdmaHeader(opcode="WRITE", qp=5, length=payload_bytes),
+            ]),
+            payload=payload, payload_bytes=payload_bytes,
+        ))
+    env.run()
+    assert nic.stats.rdma_messages == 1
+    expected = (b"\x01" * 1000 + b"\x00" * 1000 + b"\x02" * 300
+                + b"\xff" * 200 + b"\x00" * 900 + b"\x03" * 696)
+    assert len(expected) == len(memory) == 4096
+    assert bytes(nic.lambda_memory("img.image")) == expected
+
+
 def test_rdma_incomplete_message_waits():
     env, network, client, nic, firmware = make_setup(lambdas=[rdma_lambda()])
     nic.bind_rdma(qp=5, lambda_name="img", object_name="img.image")

@@ -27,7 +27,7 @@ PINNED = {
     "web_nic":
         "5e35fe81a1e4e802fdabf01fa47084d84052d9d760e57d3c57e5dd9bc0c99972",
     "image_rdma":
-        "bd992da09dcd3329576f6bc6e99451d338d4d7e232384188678bfbadaf950300",
+        "59f72e69b766bd3a832261537a5e9674dd2987550844aeadc0e756882388195c",
     "web_host":
         "9f9f96e4902cbe8d5532f9021134b5eb1e634b64dcba1e56757df136385c83cb",
     "storm_mixed":
@@ -49,7 +49,7 @@ RESULTS = {
 #: Kernel events in the same seed-42 smoke windows.
 EVENTS = {
     "web_nic": 1693,
-    "image_rdma": 801,
+    "image_rdma": 37,
     "web_host": 2733,
     "storm_mixed": 2518,
 }

@@ -1,12 +1,13 @@
 """The Store- and process-based link and switch, kept as a test oracle.
 
 ``repro.net`` models each link direction and the switch pipeline as
-analytic FIFO servers, one timeout per packet per server. This module
-keeps an earlier implementation of the same model: a serializer
-process per direction pulling packets from a :class:`~repro.sim.Store`,
-one propagation process per packet, and a forwarder process behind a
-``Store`` in the switch. Everything else (ports, routes, partitions,
-counters, hop spans) is inherited from ``repro.net``.
+analytic FIFO servers that take whole packet trains, one timeout per
+train per server. This module keeps an earlier implementation of the
+same model, one packet at a time: a serializer process per direction
+pulling packets from a :class:`~repro.sim.Store`, one propagation
+process per packet, and a forwarder process behind a ``Store`` in the
+switch. A train is simply its packets sent back to back. Ports,
+routes, partitions and counters are inherited from ``repro.net``.
 ``tests/net/test_hop_oracle.py`` drives both with the same random
 traffic and requires identical results wherever no two stages share
 an instant. Only tests import it.
@@ -15,27 +16,39 @@ an instant. Only tests import it.
 from __future__ import annotations
 
 from repro import net
-from repro.net import Packet
-from repro.net.link import _Direction as _ServerDirection
+from repro.net import LinkStats, Packet
 from repro.obs import Tracer
 from repro.sim import Store
 
 
-class _Direction(_ServerDirection):
+class _Direction:
     """One direction of a full-duplex link, served by a process."""
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.queue: Store = Store(self.env)
+    def __init__(self, env, name, bandwidth_bps, propagation_delay,
+                 drop_probability, rng) -> None:
+        self.env = env
+        self.name = name
+        self.bandwidth_bps = bandwidth_bps
+        self.propagation_delay = propagation_delay
+        self.drop_probability = drop_probability
+        self.rng = rng
+        self.up = True
+        self.stats = LinkStats()
+        self.deliver = None
+        self.queue: Store = Store(env)
         #: Enqueue timestamps for traced packets only, so the hop span
         #: covers queueing + serialization + propagation.
         self._enqueue_ts = {}
-        self.env.process(self._serializer())
+        env.process(self._serializer())
 
-    def send(self, packet: Packet) -> None:
-        if self.env.tracer is not None and Tracer.context(packet)[0]:
-            self._enqueue_ts[id(packet)] = self.env.now
-        self.queue.put(packet)
+    def send(self, packets, sent=None) -> None:
+        for packet in packets:
+            if self.env.tracer is not None and Tracer.context(packet)[0]:
+                self._enqueue_ts[id(packet)] = self.env.now
+            self.queue.put(packet)
+
+    def set_up(self, up: bool) -> None:
+        self.up = up
 
     def _serializer(self):
         while True:
@@ -61,9 +74,23 @@ class _Direction(_ServerDirection):
 
     def _propagate(self, packet: Packet, enqueued_at):
         yield self.env.timeout(self.propagation_delay)
-        packet.stamp(self.name, self.env.now)
         self._trace_hop(packet, enqueued_at)
         self.deliver(packet)
+
+    def _trace_hop(self, packet, sent_at, dropped=None) -> None:
+        tracer = self.env.tracer
+        if tracer is None:
+            return
+        trace_id, parent = Tracer.context(packet)
+        if not trace_id:
+            return
+        tags = {"bytes": packet.size_bytes}
+        if dropped is not None:
+            tags["dropped"] = dropped
+        tracer.end(tracer.begin(
+            "net.link", "net", trace_id=trace_id, parent=parent,
+            node=self.name, start=sent_at, tags=tags,
+        ))
 
 
 class Link(net.Link):
@@ -75,11 +102,13 @@ class Link(net.Link):
         super().__init__(env, a, b, bandwidth_bps, propagation_delay,
                          drop_probability, rng)
         self._ab = _Direction(env, f"{a}->{b}", bandwidth_bps,
-                              propagation_delay, self._to_b,
-                              drop_probability, rng)
+                              propagation_delay, drop_probability, rng)
         self._ba = _Direction(env, f"{b}->{a}", bandwidth_bps,
-                              propagation_delay, self._to_a,
-                              drop_probability, rng)
+                              propagation_delay, drop_probability, rng)
+
+    def attach(self, endpoint: str, deliver, retract=None) -> None:
+        """Every receiver takes one packet at a time here."""
+        self._towards(endpoint).deliver = deliver
 
 
 class Switch(net.Switch):
@@ -93,7 +122,15 @@ class Switch(net.Switch):
         self._entry_ts = {}
         env.process(self._forwarder())
 
-    def _receive(self, packet: Packet) -> None:
+    def attach_link(self, link, peer: str) -> None:
+        self._links[peer] = link
+        link.attach(self.name, self._receive_packet)
+        self._table[peer] = peer
+
+    def _reroute(self) -> None:
+        """The partition check happens as each packet leaves."""
+
+    def _receive_packet(self, packet: Packet) -> None:
         if self.env.tracer is not None and Tracer.context(packet)[0]:
             self._entry_ts[id(packet)] = self.env.now
         self._pipeline.put(packet)
@@ -107,13 +144,13 @@ class Switch(net.Switch):
             peer = self._table.get(packet.dst)
             if peer is None:
                 self.stats.packets_dropped_unknown += 1
-                self._trace_hop(packet, entered_at, "dropped_unknown")
-                continue
-            if self._crosses_partition(packet.src, peer):
+                verdict = "dropped_unknown"
+            elif self._crosses_partition(packet.src, peer):
                 self.stats.packets_dropped_partition += 1
-                self._trace_hop(packet, entered_at, "dropped_partition")
-                continue
-            packet.stamp(self.name, self.env.now)
-            self.stats.packets_forwarded += 1
-            self._trace_hop(packet, entered_at, "forwarded")
-            self._links[peer].send(self.name, packet)
+                verdict = "dropped_partition"
+            else:
+                self.stats.packets_forwarded += 1
+                verdict = "forwarded"
+            self._trace_hop(packet, entered_at, self.env.now, verdict)
+            if verdict == "forwarded":
+                self._links[peer].send(self.name, packet)

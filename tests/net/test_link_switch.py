@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.net import HeaderStack, Link, Network, Packet, Switch, UDPHeader
+from repro.obs import Tracer
 from repro.sim import Environment, RngRegistry
-from repro.net import HeaderStack, Link, Network, Packet, UDPHeader
 
 
 def make_packet(src, dst, payload_bytes=100):
@@ -113,22 +114,31 @@ def test_network_latency_components():
     assert arrival[0] == pytest.approx(1e-6 + 1e-6 + 2e-6 + 1e-6 + 1e-6)
 
 
+def hop_instants(tracer, trace_id):
+    """``{hop: instant the packet left it}`` from the packet's hop spans."""
+    return {span.node: span.end for span in tracer.spans
+            if span.trace_id == trace_id}
+
+
 def test_switch_serves_simultaneous_arrivals_in_arrival_order():
     env = Environment()
+    tracer = Tracer(env)
+    env.set_tracer(tracer)
     network = Network(env, switching_latency=2e-6)
     received = []
     for name in ("a", "b", "c"):
         network.add_node(name).attach(received.append)
     first, second = make_packet("a", "c"), make_packet("b", "c")
+    first.meta["trace"], second.meta["trace"] = (1, None), (2, None)
     network.send_from("a", first)
     network.send_from("b", second)
     env.run()
     # Equal sizes over identical uplinks: both reach the switch at once,
     # and its one pipeline switches them one after the other.
-    assert dict(first.trace)["a->switch"] == dict(second.trace)["b->switch"]
-    left_first, left_second = (dict(first.trace)["switch"],
-                               dict(second.trace)["switch"])
-    assert left_second - left_first == pytest.approx(2e-6)
+    hops_first, hops_second = hop_instants(tracer, 1), hop_instants(tracer, 2)
+    assert hops_first["a->switch"] == hops_second["b->switch"]
+    assert hops_second["switch"] - hops_first["switch"] == \
+        pytest.approx(2e-6)
     assert received == [first, second]
 
 
@@ -256,17 +266,23 @@ def test_network_unknown_destination_dropped():
 
 
 def test_packet_trace_stamps():
+    """A traced packet's hop spans name every hop it crossed, in order."""
     env = Environment()
+    tracer = Tracer(env)
+    env.set_tracer(tracer)
     network = Network(env)
     a = network.add_node("m1")
     b = network.add_node("m2")
     b.attach(lambda p: None)
     packet = make_packet("m1", "m2")
+    packet.meta["trace"] = (1, None)
     a.send(packet)
     env.run()
-    locations = [location for location, _ in packet.trace]
-    assert locations[0] == "m1"
-    assert "switch" in locations
+    hops = sorted(tracer.spans, key=lambda span: span.end)
+    assert [span.node for span in hops] == ["m1->switch", "switch",
+                                            "switch->m2"]
+    assert hops[0].start == 0.0
+    assert hops[-1].end == env.now
 
 
 def test_packet_size_accounting():
@@ -294,3 +310,35 @@ def test_node_counters():
     env.run()
     assert a.tx_packets == 1
     assert b.rx_packets == 1
+
+
+def test_packet_meeting_a_held_train_segment_at_the_switch_queues_behind_it():
+    """b's packet reaches the switch in the instant segment 2 of a's
+    train does. The switch already holds that train, so the segment is
+    switched first and the packet goes before segment 3."""
+    tick = 2.0 ** -20
+    env = Environment()
+    tracer = Tracer(env)
+    env.set_tracer(tracer)
+    switch = Switch(env, switching_latency=4 * tick)
+    links = {}
+    for name in ("a", "b", "c"):
+        links[name] = Link(env, name, "switch", bandwidth_bps=8 / tick,
+                           propagation_delay=0.0)
+        switch.attach_link(links[name], peer=name)
+        links[name].attach(name, lambda p: None)
+    train = [make_packet("a", "c", payload_bytes=0) for _ in range(4)]
+    for trace_id, segment in enumerate(train, start=1):
+        segment.meta["trace"] = (trace_id, None)
+    lone = make_packet("b", "c", payload_bytes=0)
+    lone.meta["trace"] = (9, None)
+    links["a"].send_train("a", train)
+    env.timeout(16 * tick).callbacks.append(
+        lambda event: links["b"].send("b", lone))
+    env.run()
+    switched = {span.trace_id: (span.start / tick, span.end / tick)
+                for span in tracer.spans if span.node == "switch"}
+    # 8-byte packets take 8 ticks a hop: a's reach the switch at 8, 16,
+    # 24 and 32 ticks, b's at 24.
+    assert switched == {1: (8, 12), 2: (16, 20), 3: (24, 28), 9: (24, 32),
+                        4: (32, 36)}
