@@ -73,6 +73,21 @@ def test_instant_has_zero_duration():
     assert span.duration == 0.0
 
 
+def test_instant_at_a_given_instant():
+    tracer = Tracer(FakeEnv())
+    span = tracer.instant("nic.drop", "nic", at=2.5)
+    assert span.start == span.end == 2.5
+
+
+def test_discard_removes_only_the_given_spans_in_order():
+    tracer = Tracer(FakeEnv())
+    spans = [tracer.instant(f"s{i}") for i in range(6)]
+    tracer.discard([spans[4], None, spans[1]])
+    assert [span.name for span in tracer.spans] == ["s0", "s2", "s3", "s5"]
+    tracer.discard([])
+    assert len(tracer.spans) == 4
+
+
 def test_end_is_none_safe():
     tracer = Tracer(FakeEnv())
     tracer.end(None)  # must not raise
