@@ -118,8 +118,8 @@ class PacketByPacket:
             index += 1
             deliver(packets[index - 1])
         if index < len(packets):
-            wait = self.env.timeout_at(times[index], (train, index))
-            wait.callbacks.append(self._resume)
+            wait = self.env.timeout_at(times[index], (train, index),
+                                       self._resume)
             self._waits[id(train)] = wait
 
     def retract(self, train: Train, removed: List[Packet]) -> None:
@@ -233,8 +233,7 @@ class _Direction:
                 return
             train = Train(kept, times, offered, free_before, total)
         self.free_at = free
-        timeout = env.timeout_at(train.times[0], train)
-        timeout.callbacks.append(self._handed)
+        timeout = env.timeout_at(train.times[0], train, self._handed)
         train.timeout = timeout
         self._trains.append(train)
         if not self.up:

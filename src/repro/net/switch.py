@@ -177,8 +177,7 @@ class Switch:
             outs.append(at + (free - at))
         self._free_at = free
         batch = _Batch(packets, arrivals, outs, free_before)
-        timeout = self.env.timeout_at(outs[0], batch)
-        timeout.callbacks.append(self._switched)
+        timeout = self.env.timeout_at(outs[0], batch, self._switched)
         batch.timeout = timeout
         self._batches.append(batch)
 

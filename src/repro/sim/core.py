@@ -475,18 +475,21 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, at: float, value: Any = None) -> Timeout:
+    def timeout_at(self, at: float, value: Any = None,
+                   callback: Optional[Callable[[Event], None]] = None
+                   ) -> Timeout:
         """A timeout firing at the absolute instant ``at`` (``>= now``).
 
         ``timeout(at - now)`` lands on ``now + (at - now)``, which can
         differ from ``at`` in the last bit; this one lands on ``at``.
+        ``callback``, if given, is the event's first callback.
         """
         now = self._now
         if at < now:
             raise ValueError(f"instant {at} is before now ({now})")
         event = Timeout.__new__(Timeout)
         event.env = self
-        event.callbacks = []
+        event.callbacks = [] if callback is None else [callback]
         event._value = value
         event._ok = True
         event.defused = False
