@@ -126,6 +126,10 @@ BASE_CYCLES = {
     Op.HASH: 6, Op.CRC: 6, Op.INTRINSIC: 4,
 }
 
+#: Word accesses: op -> (position of the memory reference, is a write).
+WORD_ACCESS = {Op.LOAD: (-1, False), Op.LOADD: (-1, False),
+               Op.STORE: (-2, True), Op.STORED: (0, True)}
+
 #: Bytes of instruction store that one IR instruction occupies. The
 #: Netronome ME instruction word is 64 bits wide.
 INSTRUCTION_BYTES = 8

@@ -389,7 +389,7 @@ class Interpreter:
         function = program.function(entry or program.entry)
 
         # Call stack of (function, labels, pc).
-        frame = [function, function.labels(), 0]
+        frame = [function, function.decoded.labels, 0]
         stack: List[list] = []
 
         while True:
@@ -419,7 +419,7 @@ class Interpreter:
             elif op is Op.CALL:
                 stack.append(frame)
                 callee = program.function(args[0])
-                frame = [callee, callee.labels(), 0]
+                frame = [callee, callee.decoded.labels, 0]
             elif op is Op.RET:
                 if args:
                     m.return_value = m.read(args[0])

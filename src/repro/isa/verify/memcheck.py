@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..instructions import Op, REGION_CAPACITY_BYTES, Region, is_mem_ref
+from ..instructions import (
+    Op, REGION_CAPACITY_BYTES, WORD_ACCESS, Region, is_mem_ref)
 from ..program import AccessMode, LambdaProgram
 from .intervals import Interval, IntervalStates, interval_states
 from .report import Finding, Severity
@@ -202,19 +203,13 @@ def check_memory(
 
         for index, instruction in enumerate(function.body):
             op = instruction.op
-            if op in (Op.LOAD, Op.LOADD):
-                memref = instruction.args[-1]
+            if op in WORD_ACCESS:
+                position, is_write = WORD_ACCESS[op]
+                memref = instruction.args[position]
                 if is_mem_ref(memref):
                     _word_access(findings, program, name, index, instruction,
                                  memref, range_of(index, memref[2]),
-                                 is_write=False)
-            elif op in (Op.STORE, Op.STORED):
-                memref = instruction.args[-2] if op is Op.STORE \
-                    else instruction.args[0]
-                if is_mem_ref(memref):
-                    _word_access(findings, program, name, index, instruction,
-                                 memref, range_of(index, memref[2]),
-                                 is_write=True)
+                                 is_write=is_write)
             elif op is Op.MEMCPY:
                 dst_ref, src_ref, length = instruction.args
                 length_range = range_of(index, length)

@@ -96,9 +96,9 @@ def census(name: str, seed: int = 42, smoke: bool = True) -> tuple:
         events[caller(sys._getframe(1))] += 1
         schedule(event, *args, **kwargs)
 
-    def counted_at(at, value=None):
+    def counted_at(at, value=None, callback=None):
         events[caller(sys._getframe(1))] += 1
-        return timeout_at(at, value)
+        return timeout_at(at, value, callback)
 
     env.schedule, env.timeout_at = counted, counted_at
     try:

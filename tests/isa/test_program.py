@@ -33,7 +33,7 @@ def test_builder_produces_valid_program():
 def test_labels_do_not_count_as_instructions():
     function = Function("f", [ins(Op.LABEL, "top"), ins(Op.NOP), ins(Op.JMP, "top")])
     assert function.instruction_count == 2
-    assert function.labels() == {"top": 0}
+    assert function.decoded.labels == {"top": 0}
 
 
 def test_memory_object_validation():
