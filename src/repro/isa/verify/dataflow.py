@@ -127,7 +127,7 @@ def solve(cfg: CFG, problem: DataflowProblem) -> DataflowResult:
             raise FixpointError(
                 f"dataflow did not converge after {visits} visits on "
                 f"{len(blocks)} blocks (function "
-                f"{cfg.function.name!r})"
+                f"{cfg.name!r})"
             )
         bid = work.popleft()
         queued.discard(bid)
