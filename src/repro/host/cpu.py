@@ -9,7 +9,8 @@ constantly — exactly the contrast the paper's Figure 8 measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..obs import CounterAttribute, MetricsRegistry, NodeStats
 from ..sim import Environment, Event
@@ -58,24 +59,24 @@ class CpuStats(NodeStats):
 
 
 class _LifoThreadPool:
-    """LIFO pool of hardware-thread ids with blocking acquire."""
+    """LIFO pool of hardware-thread ids; waiters are served in FIFO order."""
 
-    def __init__(self, env: Environment, n: int) -> None:
-        self.env = env
+    def __init__(self, n: int) -> None:
         self._free: List[int] = list(range(n))[::-1]
-        self._waiters: List[Event] = []
+        self._waiting: Deque[tuple] = deque()
 
-    def acquire(self) -> Event:
-        event = self.env.event()
+    def acquire(self, then: Callable[[int, Any], None], value: Any) -> None:
+        """Run ``then(thread_id, value)`` once a thread is free."""
         if self._free:
-            event.succeed(self._free.pop())
+            then(self._free.pop(), value)
         else:
-            self._waiters.append(event)
-        return event
+            self._waiting.append((then, value))
 
     def release(self, thread_id: int) -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed(thread_id)
+        """Hand ``thread_id`` to the oldest waiter, or free it."""
+        if self._waiting:
+            then, value = self._waiting.popleft()
+            then(thread_id, value)
         else:
             self._free.append(thread_id)
 
@@ -85,7 +86,7 @@ class _LifoThreadPool:
 
     @property
     def waiting(self) -> int:
-        return len(self._waiters)
+        return len(self._waiting)
 
 
 class HostCPU:
@@ -100,7 +101,7 @@ class HostCPU:
         self.n_threads = n_threads if n_threads is not None else self.params.n_threads
         if self.n_threads <= 0:
             raise ValueError("n_threads must be positive")
-        self._pool = _LifoThreadPool(env, self.n_threads)
+        self._pool = _LifoThreadPool(self.n_threads)
         self._last_task: List[Optional[str]] = [None] * self.n_threads
         self.stats = CpuStats(registry=metrics, node=node)
 
@@ -112,22 +113,37 @@ class HostCPU:
     def run_queue_length(self) -> int:
         return self._pool.waiting
 
-    def execute(self, task_id: str, cpu_seconds: float, trace=None):
-        """Process: occupy one hardware thread for ``cpu_seconds``.
+    def execute(self, task_id: str, cpu_seconds: float, trace=None) -> Event:
+        """Occupy one hardware thread for ``cpu_seconds``.
 
         Charges a context switch if the thread last ran a different
-        task. Returns the total time occupied (including the switch).
-        ``trace`` is an optional ``(trace_id, parent_span_id)`` pair;
-        the span then covers run-queue wait plus occupancy.
+        task. The returned event fires with the total time occupied
+        (including the switch). ``trace`` is an optional
+        ``(trace_id, parent_span_id)`` pair; the span then covers
+        run-queue wait plus occupancy.
         """
-        queued_at = self.env.now
-        thread_id = yield self._pool.acquire()
-        cost = cpu_seconds
+        done = self.env.event()
+        self.run(task_id, cpu_seconds, done.succeed, trace)
+        return done
+
+    def run(self, task_id: str, cpu_seconds: float,
+            then: Callable[[float], None], trace=None) -> None:
+        """:meth:`execute` with a callback: ``then(cost)`` runs once the
+        thread is released."""
+        self._pool.acquire(self._granted, (task_id, cpu_seconds, then, trace,
+                                           self.env.now))
+
+    def _granted(self, thread_id: int, job: tuple) -> None:
+        task_id, cost = job[0], job[1]
         if self._last_task[thread_id] != task_id:
             cost += self.params.context_switch_seconds
             self.stats.context_switches += 1
             self._last_task[thread_id] = task_id
-        yield self.env.timeout(cost)
+        self.env.timeout_at(self.env.now + cost, (thread_id, cost, job),
+                            self._ran)
+
+    def _ran(self, event) -> None:
+        thread_id, cost, (task_id, _, then, trace, queued_at) = event._value
         self.stats.requests += 1
         self.stats.busy_seconds += cost
         self.stats.add_task_busy(task_id, cost)
@@ -140,7 +156,7 @@ class HostCPU:
                 tags={"task": task_id},
             ))
         self._pool.release(thread_id)
-        return cost
+        then(cost)
 
     def account(self, task_id: str, cpu_seconds: float) -> None:
         """Attribute CPU time without occupying a thread (kernel work)."""

@@ -25,7 +25,7 @@ from ..net import (
 from ..net.network import Node
 from ..net.packet import DEADLINE_META
 from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
-from ..sim import Environment, Resource
+from ..sim import Environment, Event, Server
 from .cpu import HostCPU
 from .params import HostParams
 from .runtime import HostMemory, Runtime
@@ -46,9 +46,9 @@ class Deployment:
     code_bytes: int = 1024 * 1024
     max_workers: Optional[int] = None
     warm: bool = False
-    semaphore: Optional[Resource] = None
+    semaphore: Optional[Server] = None
     #: Interpreter lock (GIL) shared by all requests of this deployment.
-    compute_lock: Optional[Resource] = None
+    compute_lock: Optional[Server] = None
 
     @property
     def package_bytes(self) -> int:
@@ -110,7 +110,7 @@ class RequestContext:
         header = self.request.headers.get("LambdaHeader")
         return header.request_id if header else 0
 
-    def compute(self, cpu_seconds: float, gil: bool = True):
+    def compute(self, cpu_seconds: float, gil: bool = True) -> Event:
         """Occupy a CPU hardware thread for ``cpu_seconds`` of work.
 
         The runtime's compute multiplier is applied, and if the runtime
@@ -118,26 +118,34 @@ class RequestContext:
         lock is held for the duration. Pass ``gil=False`` for work done
         inside vectorised libraries that release the GIL (e.g. numpy
         pixel kernels) — such work runs in parallel across threads.
+        The returned event fires with the CPU time charged.
         """
-        runtime = self.deployment.runtime
-        scaled = cpu_seconds * runtime.compute_multiplier
+        done = self.env.event()
+        self.run(cpu_seconds, done.succeed, gil)
+        return done
 
-        def run():
-            if gil and self.deployment.compute_lock is not None:
-                with self.deployment.compute_lock.request() as lock:
-                    yield lock
-                    result = yield self.env.process(
-                        self.server.cpu.execute(self.deployment.name, scaled,
-                                                trace=self.trace)
-                    )
-            else:
-                result = yield self.env.process(
-                    self.server.cpu.execute(self.deployment.name, scaled,
-                                            trace=self.trace)
-                )
-            return result
+    def run(self, cpu_seconds: float, then: Callable[[float], None],
+            gil: bool = True) -> None:
+        """:meth:`compute` with a callback: the interpreter lock (if
+        any), then a CPU thread, then ``then(cost)`` once both are
+        released."""
+        scaled = cpu_seconds * self.deployment.runtime.compute_multiplier
+        lock = self.deployment.compute_lock
+        if gil and lock is not None:
+            lock.acquire(self._locked, (lock, scaled, then))
+        else:
+            self.server.cpu.run(self.deployment.name, scaled, then,
+                                trace=self.trace)
 
-        return self.env.process(run())
+    def _locked(self, job: tuple) -> None:
+        lock, scaled, then = job
+
+        def unlock(cost: float) -> None:
+            lock.release()
+            then(cost)
+
+        self.server.cpu.run(self.deployment.name, scaled, unlock,
+                            trace=self.trace)
 
     def call(self, dst: str, method: str = "GET", key: str = "",
              request_bytes: int = 64, timeout: float = 0.05, retries: int = 3):
@@ -148,6 +156,24 @@ class RequestContext:
                 timeout=timeout, retries=retries, trace=self.trace,
             )
         )
+
+
+class _Handling:
+    """One request's state between the host stack's stages."""
+
+    __slots__ = ("packet", "arrival", "epoch", "span", "deadline", "ctx",
+                 "dispatch_start", "handler_span", "tx_start")
+
+    def __init__(self, packet: Packet, arrival: float, epoch: int) -> None:
+        self.packet = packet
+        self.arrival = arrival
+        self.epoch = epoch
+        self.span = None
+        self.deadline = None
+        self.ctx: Optional[RequestContext] = None
+        self.dispatch_start = arrival
+        self.handler_span = None
+        self.tx_start = arrival
 
 
 class ServiceTimeout(Exception):
@@ -183,7 +209,7 @@ class HostServer:
         self._epoch = 0
         self._deployments: Dict[str, Deployment] = {}
         self._by_wid: Dict[int, Deployment] = {}
-        self._shared_locks: Dict[str, Resource] = {}
+        self._shared_locks: Dict[str, Server] = {}
         self._pending: Dict[int, Any] = {}
         self._call_ids = itertools.count(1_000_000)
         node.attach(self.receive)
@@ -210,18 +236,18 @@ class HostServer:
             code_bytes=code_bytes, max_workers=max_workers, warm=warm,
         )
         if max_workers is not None:
-            deployment.semaphore = Resource(self.env, capacity=max_workers)
+            deployment.semaphore = Server(max_workers)
         if runtime.serialize_compute:
             if runtime.shared_interpreter:
                 # One interpreter process hosts every workload of this
                 # runtime on this server: one GIL for all of them.
                 lock = self._shared_locks.get(runtime.name)
                 if lock is None:
-                    lock = Resource(self.env, capacity=1)
+                    lock = Server(1)
                     self._shared_locks[runtime.name] = lock
                 deployment.compute_lock = lock
             else:
-                deployment.compute_lock = Resource(self.env, capacity=1)
+                deployment.compute_lock = Server(1)
         self.memory.allocate(runtime.memory_overhead_bytes)
         self._deployments[name] = deployment
         self._by_wid[wid] = deployment
@@ -298,26 +324,32 @@ class HostServer:
                 header.request_id in self._pending:
             self._pending.pop(header.request_id).succeed(packet)
             return
-        self.env.process(self._handle(packet))
+        self._handle(packet)
 
-    def _handle(self, packet: Packet):
-        arrival = self.env.now
-        epoch = self._epoch
+    def _handle(self, packet: Packet) -> None:
+        """Start one request: the kernel's receive path, then
+        :meth:`_received`."""
+        h = _Handling(packet, self.env.now, self._epoch)
         tracer = self.env.tracer
-        span = None
         if tracer is not None:
             trace_id, parent = Tracer.context(packet)
             if trace_id:
-                span = tracer.begin("host.handle", "host",
-                                    trace_id=trace_id, parent=parent,
-                                    node=self.name)
+                h.span = tracer.begin("host.handle", "host",
+                                      trace_id=trace_id, parent=parent,
+                                      node=self.name)
+        self.env.timeout_at(h.arrival + self.params.kernel.rx_seconds, h,
+                            self._received)
+
+    def _received(self, event) -> None:
+        h = event._value
+        packet, span = h.packet, h.span
+        tracer = self.env.tracer
         kernel = self.params.kernel
-        yield self.env.timeout(kernel.rx_seconds)
         self.cpu.account("kernel", kernel.cpu_per_packet_seconds)
         if span is not None:
             tracer.end(tracer.begin(
                 "host.kernel_rx", "host", trace_id=span.trace_id,
-                parent=span, node=self.name, start=arrival,
+                parent=span, node=self.name, start=h.arrival,
             ))
 
         header = packet.headers.get("LambdaHeader")
@@ -332,7 +364,7 @@ class HostServer:
             if span is not None:
                 tracer.end(span, tags={"verdict": "dropped_cold"})
             return
-        deadline = packet.meta.get(DEADLINE_META)
+        deadline = h.deadline = packet.meta.get(DEADLINE_META)
         if deadline is not None and self.env.now > deadline:
             # Kernel-rx dequeue check: the deadline passed before the
             # runtime ever saw the request.
@@ -350,14 +382,22 @@ class HostServer:
         # For Python-based runtimes the dispatch path itself runs under
         # the interpreter (request parse, demux), so it is CPU work
         # under the GIL; for a raw runtime it is pure latency.
-        ctx = RequestContext(self, deployment, packet)
+        ctx = h.ctx = RequestContext(self, deployment, packet)
         if span is not None:
             ctx.trace = (span.trace_id, span.span_id)
-        dispatch_start = self.env.now
+        h.dispatch_start = self.env.now
         if deployment.runtime.serialize_compute:
-            yield ctx.compute(deployment.runtime.dispatch_seconds)
+            ctx.run(deployment.runtime.dispatch_seconds,
+                    lambda _cost: self._dispatched(h))
         else:
-            yield self.env.timeout(deployment.runtime.dispatch_seconds)
+            self.env.timeout_at(
+                h.dispatch_start + deployment.runtime.dispatch_seconds, h,
+                lambda timeout: self._dispatched(timeout._value))
+
+    def _dispatched(self, h: "_Handling") -> None:
+        span, ctx, deadline = h.span, h.ctx, h.deadline
+        deployment = ctx.deployment
+        tracer = self.env.tracer
         if deployment.runtime.cpu_overhead_seconds:
             self.cpu.account(
                 deployment.name, deployment.runtime.cpu_overhead_seconds
@@ -365,13 +405,14 @@ class HostServer:
         if span is not None:
             tracer.end(tracer.begin(
                 "host.dispatch", "host", trace_id=span.trace_id,
-                parent=span, node=self.name, start=dispatch_start,
+                parent=span, node=self.name, start=h.dispatch_start,
                 tags={"runtime": deployment.runtime.name},
             ))
         if self.shedder is not None:
             # The dispatch wait (runtime demux, GIL queueing) is the
             # host's run-queue sojourn signal.
-            self.shedder.observe(self.env.now - dispatch_start, self.env.now)
+            self.shedder.observe(self.env.now - h.dispatch_start,
+                                 self.env.now)
         if deadline is not None and self.env.now > deadline:
             # Run-queue dequeue check: the request aged out while
             # queued for dispatch — drop before running the handler.
@@ -380,60 +421,77 @@ class HostServer:
                 tracer.end(span, tags={"verdict": "expired_dispatch"})
             return
 
-        handler_span = None
         if span is not None:
-            handler_span = tracer.begin(
+            h.handler_span = tracer.begin(
                 "host.handler", "host", trace_id=span.trace_id,
                 parent=span, node=self.name,
                 tags={"lambda": deployment.name},
             )
-        try:
-            if deployment.semaphore is not None:
-                with deployment.semaphore.request() as slot:
-                    yield slot
-                    yield from deployment.handler(ctx)
-            else:
-                yield from deployment.handler(ctx)
-        except Exception:
+        if deployment.semaphore is not None:
+            deployment.semaphore.acquire(self._run_handler, h)
+        else:
+            self._run_handler(h)
+
+    def _run_handler(self, h: "_Handling") -> None:
+        """Drive the workload's handler generator with one process."""
+        process = self.env.process(h.ctx.deployment.handler(h.ctx))
+        process.callbacks.append(
+            lambda done: self._handled(h, done))
+
+    def _handled(self, h: "_Handling", done) -> None:
+        span, deployment = h.span, h.ctx.deployment
+        tracer = self.env.tracer
+        if deployment.semaphore is not None:
+            deployment.semaphore.release()
+        if not done._ok:
+            error = done._value
+            if not isinstance(error, Exception):
+                return  # Not defused: the kernel re-raises it.
+            done.defused = True
             # A crashing lambda must not take the worker down: the
             # request is dropped (the client's retry/timeout handles
             # it) and the failure is counted. Exceptions provoked by a
             # machine crash mid-request are the machine's fault, not
             # the handler's, and are not counted against it.
-            if epoch == self._epoch:
+            if h.epoch == self._epoch:
                 self.stats.handler_errors += 1
             if span is not None:
-                tracer.end(handler_span, tags={"error": 1})
+                tracer.end(h.handler_span, tags={"error": 1})
                 tracer.end(span, tags={"verdict": "handler_error"})
             return
         if span is not None:
-            tracer.end(handler_span)
+            tracer.end(h.handler_span)
 
-        if epoch != self._epoch:
+        if h.epoch != self._epoch:
             # The machine crashed while this request was in flight:
             # the response died with it.
             if span is not None:
                 tracer.end(span, tags={"verdict": "crashed"})
             return
-        if deadline is not None and self.env.now > deadline:
+        if h.deadline is not None and self.env.now > h.deadline:
             # In-flight race: the handler had started before the
             # deadline passed. Allowed but counted; the response still
             # goes out (the gateway absorbs it as late).
             self.stats.expired_completions += 1
-        tx_start = self.env.now
-        yield self.env.timeout(kernel.tx_seconds)
-        self.cpu.account("kernel", kernel.cpu_per_packet_seconds)
+        h.tx_start = self.env.now
+        self.env.timeout_at(h.tx_start + self.params.kernel.tx_seconds, h,
+                            self._sent)
 
+    def _sent(self, event) -> None:
+        h = event._value
+        span = h.span
+        self.cpu.account("kernel", self.params.kernel.cpu_per_packet_seconds)
         self.stats.requests_served += 1
-        self.stats.count_lambda(deployment.name)
-        self.stats.latencies.append(self.env.now - arrival)
+        self.stats.count_lambda(h.ctx.deployment.name)
+        self.stats.latencies.append(self.env.now - h.arrival)
         if span is not None:
+            tracer = self.env.tracer
             tracer.end(tracer.begin(
                 "host.kernel_tx", "host", trace_id=span.trace_id,
-                parent=span, node=self.name, start=tx_start,
+                parent=span, node=self.name, start=h.tx_start,
             ))
             tracer.end(span, tags={"verdict": "ok"})
-        self._respond(packet, ctx)
+        self._respond(h.packet, h.ctx)
 
     def _respond(self, request: Packet, ctx: RequestContext) -> None:
         headers = request.headers.copy()

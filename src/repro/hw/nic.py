@@ -63,6 +63,10 @@ REORDER_CYCLES_PER_SEGMENT = 30
 #: for programs it cannot lower.
 ENGINE_TIERS = ("interpreter", "jit")
 
+#: A finished serve span's ``verdict`` tag; anything else is host-bound.
+_VERDICT_TAGS = {VERDICT_FORWARD: "forward", VERDICT_TO_HOST: "to_host",
+                 VERDICT_DROP: "drop"}
+
 
 class NicStats(LambdaStats):
     """Per-NIC accounting, backed by a typed metrics registry.
@@ -268,6 +272,9 @@ class SmartNIC:
         #: PCIe fault) and drops every packet until :meth:`restore`.
         self.online = True
         self.firmware: Optional[Firmware] = None
+        #: ``(compiled_for(program),)`` of the installed firmware once
+        #: the JIT first ran it; None until then.
+        self._jit: Optional[tuple] = None
         self._wid_to_lambda: Dict[int, str] = {}
         self._lambda_memory: Dict[str, bytearray] = {}
         #: Monotone persistent-state version: bumped by every write to
@@ -336,6 +343,7 @@ class SmartNIC:
         for obj in program.objects.values():
             self.memory.allocate(obj.region, obj.size_bytes)
         self.firmware = firmware
+        self._jit = None
         self._wid_to_lambda = {
             wid: name for name, wid in firmware.lambda_ids.items()
         }
@@ -717,9 +725,9 @@ class SmartNIC:
             rpc = packet.headers.get("RpcHeader")
             if rpc is not None:
                 service_meta["service_status"] = rpc.status
-            self.env.process(self._serve(original, extra_meta=service_meta))
+            self._serve(original, extra_meta=service_meta)
             return
-        self.env.process(self._serve(packet))
+        self._serve(packet)
 
     def _execute(self, packet: Packet, headers: Dict[str, Dict[str, Any]],
                  meta: Dict[str, Any],
@@ -756,8 +764,16 @@ class SmartNIC:
                 if trace_tags is not None:
                     trace_tags["memo"] = "hit"
                 return cached
-        result, wrote_memory = self.engine.execute(
-            program, headers=headers, meta=meta,
+        jit = self._jit
+        if jit is None:
+            # Looked up once per install: an installed program is never
+            # edited (DESIGN.md §10), so the JIT's staleness guard holds
+            # until the next install.
+            jit = self._jit = (self.engine.compiled_for(program),)
+        else:
+            self.engine.stats.hits += 1
+        result, wrote_memory = self.engine.execute_compiled(
+            jit[0], program, headers=headers, meta=meta,
             memory=self._lambda_memory,
         )
         if trace_tags is not None:
@@ -782,7 +798,13 @@ class SmartNIC:
         return (repr(payload), packet.payload_bytes)
 
     def _serve(self, packet: Packet, extra_meta: Optional[Dict[str, Any]] = None,
-               extra_cycles: int = 0):
+               extra_cycles: int = 0, rdma=None) -> None:
+        """Parse, execute and dispatch one request to an NPU thread now;
+        the rest runs when the thread finishes.
+
+        ``rdma`` is the ``(span, bytes)`` of the RDMA message this pass
+        completes: its span ends with the serve span.
+        """
         arrival = self.env.now
         tracer = self.env.tracer
         serve_span = None
@@ -835,14 +857,14 @@ class SmartNIC:
                 self.stats.expired_on_arrival += 1
                 self._trace_drop(packet, "expired")
                 if serve_span is not None:
-                    tracer.end(serve_span, tags={"verdict": "expired"})
+                    self._end_serve(serve_span, {"verdict": "expired"}, rdma)
                 return
         if (self.shedder is not None and not continuation
                 and self.shedder.should_shed()):
             self.stats.shed += 1
             self._trace_drop(packet, "shed")
             if serve_span is not None:
-                tracer.end(serve_span, tags={"verdict": "shed"})
+                self._end_serve(serve_span, {"verdict": "shed"}, rdma)
             return
 
         if serve_span is not None:
@@ -868,7 +890,8 @@ class SmartNIC:
             # Every island is failed: nothing can execute the request.
             self.stats.dropped_nic_down += 1
             if serve_span is not None:
-                tracer.end(serve_span, tags={"verdict": "dropped_no_cores"})
+                self._end_serve(serve_span, {"verdict": "dropped_no_cores"},
+                                rdma)
             return
         core = self.scheduler.pick_core(cores, lambda_name or "<none>")
         duration = cycles / self.clock_hz
@@ -880,93 +903,99 @@ class SmartNIC:
             if self.shedder is not None:
                 self.shedder.observe(waited, self.env.now)
 
-        elapsed = yield self.env.process(core.execute(
-            cycles,
+        def served(elapsed):
+            # The thread is done (or dropped the work at its dequeue).
+            if elapsed is None:
+                # Dequeue check: the deadline passed while queued for an
+                # NPU thread — the core dropped the work without
+                # charging cycles, so expired requests never execute.
+                self.stats.expired_on_dequeue += 1
+                self._trace_drop(packet, "expired_dequeue")
+                if serve_span is not None:
+                    self._end_serve(serve_span,
+                                    {"verdict": "expired_dequeue"}, rdma)
+                return
+            if deadline is not None and self.env.now > deadline:
+                # The in-flight race window: the execution had started
+                # (or was committed) before the deadline passed. It is
+                # allowed but counted — the overload gates bound this.
+                self.stats.expired_completions += 1
+
+            self.stats.total_cycles += cycles
+            self.stats.busy_seconds += cycles / self.clock_hz
+            if lambda_name is not None:
+                self.stats.count_lambda(lambda_name)
+            # Outbound service calls (kv client -> memcached).
+            for emitted in result.emitted:
+                self._call_service(packet, lambda_header, emitted, deadline)
+
+            verdict = result.verdict
+            if verdict == VERDICT_FORWARD:
+                self.stats.requests_served += 1
+                self.stats.latencies.append(self.env.now - arrival)
+            elif verdict != VERDICT_DROP:
+                # To the host, or a fallthrough without a verdict.
+                self.stats.sent_to_host += 1
+            if serve_span is not None:
+                self._end_serve(serve_span, {
+                    "verdict": _VERDICT_TAGS.get(verdict, "to_host"),
+                    "cycles": cycles,
+                }, rdma)
+            if verdict == VERDICT_FORWARD:
+                self._send_response(packet, result)
+            elif verdict != VERDICT_DROP and self.host_handler is not None:
+                self.host_handler(packet)
+
+        core.execute(
+            cycles, served,
             trace=((serve_span.trace_id, serve_span.span_id)
                    if serve_span is not None else None),
             deadline=deadline,
             on_dequeue=dequeued,
-        ))
-        if elapsed is None:
-            # Dequeue check: the deadline passed while queued for an
-            # NPU thread — the core dropped the work without charging
-            # cycles, so expired requests are never executed.
-            self.stats.expired_on_dequeue += 1
-            self._trace_drop(packet, "expired_dequeue")
-            if serve_span is not None:
-                tracer.end(serve_span, tags={"verdict": "expired_dequeue"})
+        )
+
+    def _end_serve(self, serve_span, tags: Dict[str, Any], rdma) -> None:
+        """End a serve span and, after it, the RDMA message's span."""
+        tracer = self.env.tracer
+        tracer.end(serve_span, tags=tags)
+        if rdma is not None:
+            tracer.end(rdma[0], tags={"bytes": rdma[1]})
+
+    def _call_service(self, packet: Packet, lambda_header, emitted,
+                      deadline: Optional[float]) -> None:
+        """Send one service call the lambda emitted; its response
+        resumes the lambda against ``packet``."""
+        dst = emitted.meta.get("emit_dst")
+        if not dst:
             return
-        if deadline is not None and self.env.now > deadline:
-            # The in-flight race window: the execution had started (or
-            # was committed) before the deadline passed. It is allowed
-            # but counted — the overload gates bound this.
-            self.stats.expired_completions += 1
-
-        self.stats.total_cycles += cycles
-        self.stats.busy_seconds += cycles / self.clock_hz
-        if lambda_name is not None:
-            self.stats.count_lambda(lambda_name)
-
-        # Outbound service calls emitted by the lambda (kv client -> memcached).
-        for emitted in result.emitted:
-            dst = emitted.meta.get("emit_dst")
-            if not dst:
-                continue
-            request_id = (lambda_header or {}).get("request_id", 0)
-            self._pending_calls[request_id] = packet
-            call = Packet(
-                src=self.name,
-                dst=dst,
-                headers=HeaderStack([
-                    EthernetHeader(),
-                    IPv4Header(src_ip=self.name, dst_ip=dst),
-                    UDPHeader(),
-                    LambdaHeader(
-                        wid=(lambda_header or {}).get("wid", 0),
-                        request_id=request_id,
-                    ),
-                    RpcHeader(
-                        method=str(emitted.meta.get("emit_method", "GET")),
-                        key=str(emitted.meta.get("emit_key", "")),
-                    ),
-                ]),
-                payload_bytes=int(emitted.meta.get("emit_bytes", 64)),
-            )
-            # The call outlives this serve pass, so it carries the
-            # original (still-open) request context, not the serve span.
-            # The deadline rides along too: the eventual response pass
-            # is as useless past the deadline as the request itself.
-            if deadline is not None:
-                call.meta[DEADLINE_META] = deadline
-            Tracer.propagate(packet, call)
-            self.node.send(call)
-
-        if result.verdict == VERDICT_FORWARD:
-            self.stats.requests_served += 1
-            self.stats.latencies.append(self.env.now - arrival)
-            if serve_span is not None:
-                tracer.end(serve_span,
-                           tags={"verdict": "forward", "cycles": cycles})
-            self._send_response(packet, result)
-        elif result.verdict == VERDICT_TO_HOST:
-            self.stats.sent_to_host += 1
-            if serve_span is not None:
-                tracer.end(serve_span,
-                           tags={"verdict": "to_host", "cycles": cycles})
-            if self.host_handler is not None:
-                self.host_handler(packet)
-        elif result.verdict == VERDICT_DROP:
-            if serve_span is not None:
-                tracer.end(serve_span,
-                           tags={"verdict": "drop", "cycles": cycles})
-        else:
-            # Fallthrough without a verdict: treat as host-bound.
-            self.stats.sent_to_host += 1
-            if serve_span is not None:
-                tracer.end(serve_span,
-                           tags={"verdict": "to_host", "cycles": cycles})
-            if self.host_handler is not None:
-                self.host_handler(packet)
+        request_id = (lambda_header or {}).get("request_id", 0)
+        self._pending_calls[request_id] = packet
+        call = Packet(
+            src=self.name,
+            dst=dst,
+            headers=HeaderStack([
+                EthernetHeader(),
+                IPv4Header(src_ip=self.name, dst_ip=dst),
+                UDPHeader(),
+                LambdaHeader(
+                    wid=(lambda_header or {}).get("wid", 0),
+                    request_id=request_id,
+                ),
+                RpcHeader(
+                    method=str(emitted.meta.get("emit_method", "GET")),
+                    key=str(emitted.meta.get("emit_key", "")),
+                ),
+            ]),
+            payload_bytes=int(emitted.meta.get("emit_bytes", 64)),
+        )
+        # The call outlives this serve pass, so it carries the original
+        # (still-open) request context, not the serve span. The deadline
+        # rides along too: the eventual response pass is as useless
+        # past the deadline as the request itself.
+        if deadline is not None:
+            call.meta[DEADLINE_META] = deadline
+        Tracer.propagate(packet, call)
+        self.node.send(call)
 
     def _send_response(self, request: Packet, result) -> None:
         headers = request.headers.copy()
@@ -1010,10 +1039,9 @@ class SmartNIC:
             self._rdma_open[src] = key
         for index, ordered in completed:
             self.stats.rdma_messages += 1
-            self.env.process(self._complete_rdma(ordered, total,
-                                                 packets[index]))
+            self._complete_rdma(ordered, total, packets[index])
 
-    def _complete_rdma(self, ordered, total, last_packet: Packet) -> Any:
+    def _complete_rdma(self, ordered, total, last_packet: Packet) -> None:
         binding = self._rdma_bindings.get(
             last_packet.headers.require("RdmaHeader").qp
         )
@@ -1030,13 +1058,10 @@ class SmartNIC:
                           "reorder_cycles": reorder_cycles},
                 )
         if binding is None:
-            # No binding: punt whole message to host.
-            yield self.env.timeout(reorder_cycles / self.clock_hz)
-            self.stats.sent_to_host += 1
-            if tracer is not None:
-                tracer.end(rdma_span, tags={"verdict": "to_host"})
-            if self.host_handler is not None:
-                self.host_handler(last_packet)
+            # No binding: punt whole message to host once reordered.
+            self.env.timeout_at(
+                self.env.now + reorder_cycles / self.clock_hz,
+                (last_packet, rdma_span), self._punt_rdma)
             return
         lambda_name, object_name = binding
         target = self._lambda_memory[object_name]
@@ -1067,12 +1092,17 @@ class SmartNIC:
             _zero_fill(target, offset, zeros)
         # Trigger the lambda with an event RPC (paper D3): the request
         # header dispatches as usual but the data is already in memory.
-        yield self.env.process(
-            self._serve(
-                last_packet,
-                extra_meta={"rdma_len": total_len, "rdma_object": object_name},
-                extra_cycles=reorder_cycles,
-            )
+        self._serve(
+            last_packet,
+            extra_meta={"rdma_len": total_len, "rdma_object": object_name},
+            extra_cycles=reorder_cycles,
+            rdma=None if rdma_span is None else (rdma_span, total_len),
         )
-        if tracer is not None:
-            tracer.end(rdma_span, tags={"bytes": total_len})
+
+    def _punt_rdma(self, event) -> None:
+        last_packet, rdma_span = event._value
+        self.stats.sent_to_host += 1
+        if rdma_span is not None:
+            self.env.tracer.end(rdma_span, tags={"verdict": "to_host"})
+        if self.host_handler is not None:
+            self.host_handler(last_packet)

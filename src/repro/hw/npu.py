@@ -2,16 +2,16 @@
 
 Each core has a private instruction store, local memory, and a fixed
 number of hardware threads; lambdas run to completion on one thread
-(paper D1). A core is modelled as a capacity-``threads`` resource whose
-holders charge simulated time equal to ``cycles / clock_hz``.
+(paper D1). A core is modelled as a capacity-``threads`` FIFO server
+whose holders charge simulated time equal to ``cycles / clock_hz``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from ..sim import Environment, Resource
+from ..sim import Environment, Server
 
 
 @dataclass
@@ -41,7 +41,7 @@ class NPUCore:
         self.island_id = island_id
         self.threads = threads
         self.clock_hz = clock_hz
-        self.slots = Resource(env, capacity=threads)
+        self._threads = Server(threads)
         self.stats = CoreStats()
         #: False while the core's island is failed (fault injection);
         #: the NIC dispatcher never schedules onto an offline core.
@@ -49,15 +49,15 @@ class NPUCore:
 
     @property
     def busy_threads(self) -> int:
-        return self.slots.count
+        return self._threads.busy
 
     @property
     def queue_depth(self) -> int:
-        return len(self.slots.queue)
+        return self._threads.waiting
 
-    def execute(self, cycles: int, trace=None, deadline=None,
-                on_dequeue=None):
-        """Process generator: occupy one thread for ``cycles``.
+    def execute(self, cycles: int, then: Callable[[Optional[float]], None],
+                trace=None, deadline=None, on_dequeue=None) -> None:
+        """Occupy one thread for ``cycles``, then call ``then(elapsed)``.
 
         Run-to-completion: once started, the work is never preempted.
         ``trace`` is an optional ``(trace_id, parent_span_id)`` pair; a
@@ -67,25 +67,33 @@ class NPUCore:
         grant — the dequeue point of the NPU run queue. Run-to-
         completion with a known cycle count makes lateness provable
         before any cycle is charged: work that cannot finish by its
-        deadline returns ``None`` without executing. ``on_dequeue``
+        deadline gets ``then(None)`` without executing. ``on_dequeue``
         (optional callable) receives the thread-grant queue wait in
-        seconds, the sojourn signal the load shedders watch. Without a
-        deadline the return value is the elapsed (queue + busy)
-        seconds, as before.
+        seconds, the sojourn signal the load shedders watch. Otherwise
+        ``elapsed`` is the queue plus busy seconds.
         """
-        start = self.env.now
-        with self.slots.request() as slot:
-            yield slot
-            if on_dequeue is not None:
-                on_dequeue(self.env.now - start)
-            if (deadline is not None
-                    and self.env.now + cycles / self.clock_hz > deadline):
-                return None
-            duration = cycles / self.clock_hz
-            yield self.env.timeout(duration)
-            self.stats.requests += 1
-            self.stats.cycles += cycles
-            self.stats.busy_seconds += duration
+        self._threads.acquire(self._granted, (cycles, then, trace, deadline,
+                                              on_dequeue, self.env.now))
+
+    def _granted(self, job: tuple) -> None:
+        cycles, then, _, deadline, on_dequeue, start = job
+        now = self.env.now
+        if on_dequeue is not None:
+            on_dequeue(now - start)
+        duration = cycles / self.clock_hz
+        if deadline is not None and now + duration > deadline:
+            self._threads.release()
+            then(None)
+            return
+        self.env.timeout_at(now + duration, job, self._finished)
+
+    def _finished(self, event) -> None:
+        cycles, then, trace, _, _, start = event._value
+        stats = self.stats
+        stats.requests += 1
+        stats.cycles += cycles
+        stats.busy_seconds += cycles / self.clock_hz
+        self._threads.release()
         tracer = self.env.tracer
         if tracer is not None and trace is not None:
             trace_id, parent_id = trace
@@ -94,7 +102,7 @@ class NPUCore:
                 node=f"island{self.island_id}/core{self.core_id}",
                 start=start, tags={"cycles": cycles},
             ))
-        return self.env.now - start
+        then(self.env.now - start)
 
     def __repr__(self) -> str:
         return (

@@ -879,7 +879,22 @@ class JitInterpreter:
         entry: Optional[str] = None,
     ) -> Tuple[ExecutionResult, bool]:
         """Run to completion; returns (result, wrote_persistent_memory)."""
-        compiled = self.compiled_for(program)
+        return self.execute_compiled(self.compiled_for(program), program,
+                                     headers, meta, memory, entry)
+
+    def execute_compiled(
+        self,
+        compiled: Optional[JitProgram],
+        program: LambdaProgram,
+        headers: Optional[Dict[str, Dict[str, Any]]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        memory: Optional[Dict[str, bytearray]] = None,
+        entry: Optional[str] = None,
+    ) -> Tuple[ExecutionResult, bool]:
+        """:meth:`execute` with the compilation already looked up: a
+        caller that keeps ``compiled_for(program)`` (``None`` when the
+        program fell back) while the program is unchanged skips the
+        staleness guard."""
         if compiled is None:
             self.last_tier = "interpreter"
             # The interpreter does not track writes: count the run as

@@ -762,39 +762,52 @@ def estimate_wcet(
     ranges = ranges or {}
 
     # Callees-first order over the call graph; recursion is an error.
+    # A depth-first walk with an explicit stack: a recursive closure
+    # would be a reference cycle holding the program and the result
+    # until the cyclic collector ran.
     order: List[str] = []
     state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(name: str) -> bool:
-        """Returns False if a cycle goes through ``name``."""
-        if name not in program.functions:
-            return True  # Structural validation reports the bad call.
-        mark = state.get(name)
-        if mark == 2:
-            return True
-        if mark == 1:
-            return False
-        state[name] = 1
-        ok = True
-        for callee in program.functions[name].decoded.callees():
-            if not visit(callee):
-                ok = False
-                if callee not in result.function_cycles:
-                    result.function_cycles[callee] = None
-        state[name] = 2
-        order.append(name)
-        if not ok:
-            result.findings.append(Finding(
-                severity=Severity.ERROR,
-                code="recursion",
-                message=f"recursive call cycle through {name!r}; "
-                        "WCET is unbounded",
-                function=name,
-            ))
-            result.function_cycles[name] = None
-        return ok
-
-    visit(entry)
+    functions = program.functions
+    cycles_of = result.function_cycles
+    # Frames are [name, callee iterator, ok]; ok turns False when a
+    # recursion cycle goes through the frame's function.
+    stack: List[list] = []
+    if entry in functions:
+        state[entry] = 1
+        stack.append([entry, iter(functions[entry].decoded.callees()), True])
+    while stack:
+        frame = stack[-1]
+        for callee in frame[1]:
+            if callee not in functions:
+                continue  # Structural validation reports the bad call.
+            mark = state.get(callee)
+            if mark == 2:
+                continue
+            if mark == 1:
+                frame[2] = False
+                if callee not in cycles_of:
+                    cycles_of[callee] = None
+                continue
+            state[callee] = 1
+            stack.append([callee, iter(functions[callee].decoded.callees()),
+                          True])
+            break
+        else:
+            stack.pop()
+            name, _, ok = frame
+            state[name] = 2
+            order.append(name)
+            if not ok:
+                result.findings.append(Finding(
+                    severity=Severity.ERROR,
+                    code="recursion",
+                    message=f"recursive call cycle through {name!r}; "
+                            "WCET is unbounded",
+                    function=name,
+                ))
+                cycles_of[name] = None
+                if stack:
+                    stack[-1][2] = False
 
     for name in order:
         if result.function_cycles.get(name, 0) is None:

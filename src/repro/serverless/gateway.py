@@ -28,7 +28,7 @@ from ..net import (
 )
 from ..net.network import Node
 from ..obs import Tracer
-from ..sim import Environment, Resource
+from ..sim import Environment, Event, Server
 from .breaker import STATE_VALUES, CircuitBreaker
 from .metrics import MetricsRegistry
 from .overload import CoDelShedder, DEADLINE_META, OverloadConfig, RetryBudget
@@ -89,6 +89,36 @@ class RetryBudgetExhausted(GatewayTimeout):
     reason = "retry_budget_exhausted"
 
 
+class _Call:
+    """One user request's state across its attempts' callbacks."""
+
+    __slots__ = ("done", "workload", "payload", "size", "deadline", "budget",
+                 "route", "retries", "start", "root", "request_id",
+                 "proxy_span", "queued_at", "target", "timer", "hedge_wait",
+                 "backoff_span")
+
+    def __init__(self, done: Event, workload: str, payload: Any, size: int,
+                 deadline: Optional[float], budget) -> None:
+        self.done = done
+        self.workload = workload
+        self.payload = payload
+        self.size = size
+        self.deadline = deadline
+        self.budget = budget
+        self.route: Optional[Route] = None
+        self.retries = 0
+        self.start: Optional[float] = None
+        self.root = None
+        self.request_id = 0
+        self.proxy_span = None
+        self.queued_at = 0.0
+        self.target: Optional[str] = None
+        #: The attempt's pending timer (hedge or timeout), if any.
+        self.timer = None
+        self.hedge_wait = 0.0
+        self.backoff_span = None
+
+
 #: Upper bound on remembered dual-routed request ids (dedup window).
 MIRROR_DEDUP_WINDOW = 4096
 
@@ -144,10 +174,12 @@ class Gateway:
                 rng=overload_rng if overload_rng is not None else rng,
                 max_probability=overload.shed_max_probability,
             )
-        self._proxy = Resource(env, capacity=proxy_concurrency)
+        self._proxy = Server(proxy_concurrency)
         self._routes: Dict[str, Route] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._ids = itertools.count(1)
+        #: request_id -> the request (a ``_Call``) or probe waiter
+        #: (an event) expecting its response.
         self._pending: Dict[int, Any] = {}
         #: Migration draining state: workloads whose new requests are
         #: queued behind an event (released at cutover or rollback).
@@ -465,7 +497,7 @@ class Gateway:
             else:
                 self._mirrored[request_id] = copies - 1
         waiter = self._pending.pop(request_id, None)
-        if waiter is None or waiter.triggered:
+        if waiter is None:
             if copies is not None:
                 # A dual-routed copy already answered this request:
                 # absorb the duplicate so the caller observes exactly
@@ -478,12 +510,15 @@ class Gateway:
             # but slow, which the monitor wants to see.
             self.late_responses_total.inc()
             return
-        waiter.succeed(packet)
+        if waiter.__class__ is _Call:
+            self._answered(waiter, packet)
+        else:
+            waiter.succeed(packet)  # A health probe's waiter.
 
     def request(self, workload: str, payload: Any = None,
                 payload_bytes: Optional[int] = None,
-                deadline: Optional[float] = None):
-        """Process: one user request through the gateway.
+                deadline: Optional[float] = None) -> Event:
+        """One user request through the gateway; returns its event.
 
         ``deadline`` is an absolute sim time; it is stamped into every
         packet sent for the request so downstream queues can drop
@@ -492,248 +527,279 @@ class Gateway:
         deadline the configured ``OverloadConfig.deadline_seconds``
         (if any) applies.
 
-        Returns a :class:`RequestOutcome`; raises
-        :class:`GatewayTimeout` after ``max_retries`` unanswered sends
-        (or one of its typed subclasses for shed / expired /
-        budget-exhausted outcomes).
+        The event succeeds with a :class:`RequestOutcome`, or fails
+        with :class:`GatewayTimeout` after ``max_retries`` unanswered
+        sends (or one of its typed subclasses for shed / expired /
+        budget-exhausted outcomes). Each attempt runs as callbacks: the
+        proxy slot, the proxy delay and the send, then one timer
+        (a hedge timer first where a hedge applies) that
+        :meth:`_receive` cancels when the response arrives.
         """
-        return self.env.process(
-            self._request(workload, payload, payload_bytes, deadline)
-        )
-
-    def _request(self, workload: str, payload: Any,
-                 payload_bytes: Optional[int],
-                 deadline: Optional[float] = None):
+        env = self.env
+        done = env.event()
         size = payload_bytes if payload_bytes is not None else (
             len(payload) if isinstance(payload, (bytes, bytearray)) else 64
         )
         ov = self.overload
         if deadline is None and ov is not None and \
                 ov.deadline_seconds is not None:
-            deadline = self.env.now + ov.deadline_seconds
+            deadline = env.now + ov.deadline_seconds
         if self._shedder is not None and self._shedder.should_shed():
             # Admission control happens before any queueing or sends:
             # a shed request costs the system nothing downstream.
             self.shed_total.inc(labels={"workload": workload})
             self._fail(workload, "shed")
-            tracer = self.env.tracer
+            tracer = env.tracer
             if tracer is not None:
                 tracer.instant("gateway.shed", "gateway",
                                trace_id=tracer.new_trace(), node=self.name,
                                tags={"workload": workload})
-            raise RequestShed(f"request to {workload!r} shed under overload")
+            return done.fail(
+                RequestShed(f"request to {workload!r} shed under overload"))
         budget = self.retry_budget(workload)
         if budget is not None:
             budget.note_request()
-        retries = 0
-        start = None
+        call = _Call(done, workload, payload, size, deadline, budget)
         hold = self._holds.get(workload)
         if hold is not None and not hold.triggered:
             # A migration drain is in progress: queue behind it. The
             # wait counts toward measured latency (the client is
             # waiting), so draining shows up as a bounded p99 bump.
             self.held_requests_total.inc(labels={"workload": workload})
-            start = self.env.now
-            yield hold
-            try:
-                route = self.route_for(workload)
-            except KeyError:
-                self._fail(workload, "timeout")
-                raise GatewayTimeout(
-                    f"workload {workload!r} was undeployed mid-request"
-                ) from None
-        else:
-            route = self.route_for(workload)
+            call.start = env.now
+            hold.callbacks.append(lambda _hold: self._unheld(call))
+            return done
+        try:
+            call.route = self.route_for(workload)
+        except KeyError as error:
+            return done.fail(error)
+        self._begin(call)
+        return done
+
+    def _unheld(self, call: "_Call") -> None:
+        try:
+            call.route = self.route_for(call.workload)
+        except KeyError:
+            self._give_up(call, GatewayTimeout(
+                f"workload {call.workload!r} was undeployed mid-request"))
+            return
+        self._begin(call)
+
+    def _begin(self, call: "_Call") -> None:
         tracer = self.env.tracer
-        root = None
         if tracer is not None:
-            root = tracer.begin(
+            call.root = tracer.begin(
                 "gateway.request", "gateway", trace_id=tracer.new_trace(),
-                node=self.name, tags={"workload": workload},
+                node=self.name, tags={"workload": call.workload},
             )
-        while True:
-            request_id = next(self._ids)
-            waiter = self.env.event()
-            self._pending[request_id] = waiter
-            self._outstanding[workload] = \
-                self._outstanding.get(workload, 0) + 1
-            proxy_span = None
-            if tracer is not None:
-                proxy_span = tracer.begin(
-                    "gateway.proxy", "gateway", trace_id=root.trace_id,
-                    parent=root, node=self.name,
-                    tags={"request_id": request_id},
-                )
-            # Proxy (NAT / route lookup / header insertion) — serialised.
-            queued_at = self.env.now
-            with self._proxy.request() as slot:
-                yield slot
-                if self._shedder is not None:
-                    # The proxy queue is the gateway's sojourn signal.
-                    self._shedder.observe(self.env.now - queued_at,
-                                          self.env.now)
-                if deadline is not None and self.env.now > deadline:
-                    # Dequeue check: the deadline passed while queued
-                    # behind the proxy — drop instead of sending dead
-                    # work downstream.
-                    self._pending.pop(request_id, None)
-                    self._drop_outstanding(workload)
-                    self.expired_total.inc(labels={"workload": workload})
-                    self._fail(workload, "expired")
-                    if tracer is not None:
-                        tracer.end(proxy_span, tags={"expired": 1})
-                        tracer.end(root, tags={"ok": 0, "expired": 1,
-                                               "retries": retries})
-                    raise RequestExpired(
-                        f"request to {workload!r} expired in the proxy queue"
-                    )
-                yield self.env.timeout(self.proxy_seconds)
-                target = self._pick_target(route)
-                if start is None:
-                    # Latency is measured from the moment the gateway
-                    # sends the request (paper §6.3.1), not including
-                    # its own queued proxy time.
-                    start = self.env.now
-                if tracer is not None:
-                    tracer.end(proxy_span, tags={"target": target})
-                self._send_request(route, target, request_id, payload, size,
-                                   span=root, deadline=deadline)
-                mirror = self._mirrors.get(workload)
-                if mirror is not None:
-                    # Dual-route the same request id to the migration
-                    # target; _receive dedups whichever answers second.
-                    self._register_mirrored(request_id, 2)
-                    self.mirrored_requests_total.inc(
-                        labels={"workload": workload}
-                    )
-                    self._send_request(mirror, mirror.next_target(),
-                                       request_id, payload, size, span=root,
-                                       deadline=deadline)
-            wait_timeout = self.request_timeout
-            if deadline is not None:
-                # Waiting past the deadline is pointless: the caller
-                # has already given up on this request.
-                wait_timeout = min(wait_timeout,
-                                   max(0.0, deadline - self.env.now))
-            hedge_delay = None
-            if mirror is None and retries == 0 and len(route.targets) > 1:
-                hedge_delay = self._hedge_delay(workload)
-            if hedge_delay is not None and hedge_delay < wait_timeout:
-                # Tail-at-scale hedging: wait out the configured
-                # percentile first, then race a second copy (same
-                # request id; _receive absorbs whichever loses).
-                outcome = yield self.env.any_of(
-                    [waiter, self.env.timeout(hedge_delay, value=None)]
-                )
-                if not waiter.triggered:
-                    if budget is None or budget.withdraw():
-                        hedge_target = self._pick_target(route)
-                        self._register_mirrored(request_id, 2)
-                        self.hedged_requests_total.inc(
-                            labels={"workload": workload}
-                        )
-                        if tracer is not None:
-                            tracer.instant(
-                                "gateway.hedge", "gateway",
-                                trace_id=root.trace_id, parent=root,
-                                node=self.name,
-                                tags={"target": hedge_target},
-                            )
-                        self._send_request(route, hedge_target, request_id,
-                                           payload, size, span=root,
-                                           deadline=deadline)
-                    outcome = yield self.env.any_of(
-                        [waiter,
-                         self.env.timeout(wait_timeout - hedge_delay,
-                                          value=None)]
-                    )
-                response = waiter.value if waiter.triggered else None
-            else:
-                outcome = yield self.env.any_of(
-                    [waiter, self.env.timeout(wait_timeout, value=None)]
-                )
-                response = waiter.value if waiter in outcome else None
-            self._pending.pop(request_id, None)
+        self._attempt(call)
+
+    def _attempt(self, call: "_Call") -> None:
+        """Queue one attempt for the (serialised) proxy."""
+        request_id = call.request_id = next(self._ids)
+        self._pending[request_id] = call
+        workload = call.workload
+        self._outstanding[workload] = self._outstanding.get(workload, 0) + 1
+        tracer = self.env.tracer
+        if tracer is not None:
+            call.proxy_span = tracer.begin(
+                "gateway.proxy", "gateway", trace_id=call.root.trace_id,
+                parent=call.root, node=self.name,
+                tags={"request_id": request_id},
+            )
+        call.queued_at = self.env.now
+        self._proxy.acquire(self._proxy_granted, call)
+
+    def _proxy_granted(self, call: "_Call") -> None:
+        now = self.env.now
+        if self._shedder is not None:
+            # The proxy queue is the gateway's sojourn signal.
+            self._shedder.observe(now - call.queued_at, now)
+        if call.deadline is not None and now > call.deadline:
+            # Dequeue check: the deadline passed while queued behind the
+            # proxy — drop instead of sending dead work downstream.
+            workload = call.workload
+            self._pending.pop(call.request_id, None)
             self._drop_outstanding(workload)
-            if response is not None:
-                if target in self._breakers:
-                    self._breakers[target].record_success(self.env.now)
-                latency = self.env.now - start
-                self.latency_histogram.observe(
-                    latency, labels={"workload": workload}
-                )
-                self.requests_total.inc(labels={"workload": workload})
-                if tracer is not None:
-                    tracer.end(root, tags={"ok": 1, "target": target,
-                                           "retries": retries})
-                return RequestOutcome(workload, latency, response, True, retries)
-            # Forget any mirror copies for the timed-out id: arrivals
-            # from here on are late responses, not duplicates.
-            self._mirrored.pop(request_id, None)
-            if deadline is not None and self.env.now >= deadline:
-                # The client's deadline passed while waiting: retrying
-                # could only produce work nobody wants. The breaker is
-                # left alone — the target was never given a full
-                # request_timeout to answer.
-                self.expired_total.inc(labels={"workload": workload})
-                self._fail(workload, "expired")
-                if tracer is not None:
-                    tracer.end(root, tags={"ok": 0, "expired": 1,
-                                           "retries": retries})
-                raise RequestExpired(
-                    f"request to {workload!r} passed its deadline unanswered"
-                )
-            self.breaker_for(target).record_failure(self.env.now)
-            retries += 1
-            self.retries_total.inc(labels={"workload": workload})
+            self.expired_total.inc(labels={"workload": workload})
+            tracer = self.env.tracer
+            if tracer is not None:
+                tracer.end(call.proxy_span, tags={"expired": 1})
+            self._give_up(call, RequestExpired(
+                f"request to {workload!r} expired in the proxy queue"),
+                expired=1, retries=call.retries)
+            self._proxy.release()
+            return
+        # Proxy (NAT / route lookup / header insertion) — serialised.
+        self.env.timeout_at(now + self.proxy_seconds, call, self._proxied)
+
+    def _proxied(self, event) -> None:
+        call = event._value
+        now = self.env.now
+        route, workload, request_id = call.route, call.workload, \
+            call.request_id
+        target = call.target = self._pick_target(route)
+        if call.start is None:
+            # Latency is measured from the moment the gateway sends the
+            # request (paper §6.3.1), not including its own queued
+            # proxy time.
+            call.start = now
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.end(call.proxy_span, tags={"target": target})
+        self._send_request(route, target, request_id, call.payload,
+                           call.size, span=call.root, deadline=call.deadline)
+        mirror = self._mirrors.get(workload)
+        if mirror is not None:
+            # Dual-route the same request id to the migration target;
+            # _receive dedups whichever answers second.
+            self._register_mirrored(request_id, 2)
+            self.mirrored_requests_total.inc(labels={"workload": workload})
+            self._send_request(mirror, mirror.next_target(), request_id,
+                               call.payload, call.size, span=call.root,
+                               deadline=call.deadline)
+        wait_timeout = self.request_timeout
+        if call.deadline is not None:
+            # Waiting past the deadline is pointless: the caller has
+            # already given up on this request.
+            wait_timeout = min(wait_timeout, max(0.0, call.deadline - now))
+        hedge_delay = None
+        if mirror is None and call.retries == 0 and len(route.targets) > 1:
+            hedge_delay = self._hedge_delay(workload)
+        if hedge_delay is not None and hedge_delay < wait_timeout:
+            # Tail-at-scale hedging: wait out the configured percentile
+            # first, then race a second copy (same request id;
+            # _receive absorbs whichever loses).
+            call.hedge_wait = wait_timeout - hedge_delay
+            call.timer = self.env.timeout_at(now + hedge_delay, call,
+                                             self._hedge)
+        else:
+            call.timer = self.env.timeout_at(now + wait_timeout, call,
+                                             self._unanswered)
+        self._proxy.release()
+
+    def _hedge(self, event) -> None:
+        call = event._value
+        budget = call.budget
+        if budget is None or budget.withdraw():
+            route = call.route
+            hedge_target = self._pick_target(route)
+            self._register_mirrored(call.request_id, 2)
+            self.hedged_requests_total.inc(labels={"workload": call.workload})
+            tracer = self.env.tracer
             if tracer is not None:
                 tracer.instant(
-                    "gateway.timeout", "gateway", trace_id=root.trace_id,
-                    parent=root, node=self.name,
-                    tags={"target": target, "attempt": retries},
+                    "gateway.hedge", "gateway", trace_id=call.root.trace_id,
+                    parent=call.root, node=self.name,
+                    tags={"target": hedge_target},
                 )
-            if retries > self.max_retries:
-                self._fail(workload, "timeout")
-                if tracer is not None:
-                    tracer.end(root, tags={"ok": 0, "retries": retries})
-                raise GatewayTimeout(
-                    f"request to {workload!r} unanswered after {retries - 1} retries"
-                )
-            if budget is not None and not budget.withdraw():
-                # Fail fast: the workload has burned its retry
-                # allowance, and piling on more load is exactly how
-                # retry storms turn overload into collapse.
-                self.retry_budget_exhausted_total.inc(
-                    labels={"workload": workload}
-                )
-                self._fail(workload, "retry_budget_exhausted")
-                if tracer is not None:
-                    tracer.end(root, tags={"ok": 0, "retries": retries,
-                                           "budget_exhausted": 1})
-                raise RetryBudgetExhausted(
-                    f"request to {workload!r}: retry budget exhausted"
-                )
-            backoff_span = None
-            if tracer is not None:
-                backoff_span = tracer.begin(
-                    "gateway.backoff", "gateway", trace_id=root.trace_id,
-                    parent=root, node=self.name, tags={"attempt": retries},
-                )
-            yield self.env.timeout(self._backoff_delay(retries))
-            if tracer is not None:
-                tracer.end(backoff_span)
-            # Re-read the route: a failover may have re-pointed the
-            # workload (new targets, new wid) while we were backing off.
-            try:
-                route = self.route_for(workload)
-            except KeyError:
-                self._fail(workload, "timeout")
-                if tracer is not None:
-                    tracer.end(root, tags={"ok": 0, "retries": retries,
-                                           "undeployed": 1})
-                raise GatewayTimeout(
-                    f"workload {workload!r} was undeployed mid-request"
-                ) from None
+            self._send_request(route, hedge_target, call.request_id,
+                               call.payload, call.size, span=call.root,
+                               deadline=call.deadline)
+        call.timer = self.env.timeout_at(self.env.now + call.hedge_wait, call,
+                                         self._unanswered)
+
+    def _answered(self, call: "_Call", response: Packet) -> None:
+        """The attempt's response arrived (``_receive`` popped it)."""
+        call.timer.cancel()
+        call.timer = None
+        workload, target = call.workload, call.target
+        self._drop_outstanding(workload)
+        now = self.env.now
+        if target in self._breakers:
+            self._breakers[target].record_success(now)
+        latency = now - call.start
+        self.latency_histogram.observe(latency, labels={"workload": workload})
+        self.requests_total.inc(labels={"workload": workload})
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.end(call.root, tags={"ok": 1, "target": target,
+                                        "retries": call.retries})
+        call.done.succeed(
+            RequestOutcome(workload, latency, response, True, call.retries))
+
+    def _unanswered(self, event) -> None:
+        """The attempt timed out: retry after a backoff, or fail."""
+        call = event._value
+        call.timer = None
+        workload, target, request_id = call.workload, call.target, \
+            call.request_id
+        self._pending.pop(request_id, None)
+        self._drop_outstanding(workload)
+        # Forget any mirror copies for the timed-out id: arrivals from
+        # here on are late responses, not duplicates.
+        self._mirrored.pop(request_id, None)
+        now = self.env.now
+        tracer = self.env.tracer
+        root = call.root
+        if call.deadline is not None and now >= call.deadline:
+            # The client's deadline passed while waiting: retrying could
+            # only produce work nobody wants. The breaker is left alone
+            # — the target was never given a full request_timeout to
+            # answer.
+            self.expired_total.inc(labels={"workload": workload})
+            self._give_up(call, RequestExpired(
+                f"request to {workload!r} passed its deadline unanswered"),
+                expired=1, retries=call.retries)
+            return
+        self.breaker_for(target).record_failure(now)
+        retries = call.retries = call.retries + 1
+        self.retries_total.inc(labels={"workload": workload})
+        if tracer is not None:
+            tracer.instant(
+                "gateway.timeout", "gateway", trace_id=root.trace_id,
+                parent=root, node=self.name,
+                tags={"target": target, "attempt": retries},
+            )
+        if retries > self.max_retries:
+            self._give_up(call, GatewayTimeout(
+                f"request to {workload!r} unanswered after "
+                f"{retries - 1} retries"), retries=retries)
+            return
+        budget = call.budget
+        if budget is not None and not budget.withdraw():
+            # Fail fast: the workload has burned its retry allowance,
+            # and piling on more load is exactly how retry storms turn
+            # overload into collapse.
+            self.retry_budget_exhausted_total.inc(
+                labels={"workload": workload}
+            )
+            self._give_up(call, RetryBudgetExhausted(
+                f"request to {workload!r}: retry budget exhausted"),
+                retries=retries, budget_exhausted=1)
+            return
+        if tracer is not None:
+            call.backoff_span = tracer.begin(
+                "gateway.backoff", "gateway", trace_id=root.trace_id,
+                parent=root, node=self.name, tags={"attempt": retries},
+            )
+        self.env.timeout_at(now + self._backoff_delay(retries), call,
+                            self._backed_off)
+
+    def _backed_off(self, event) -> None:
+        call = event._value
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.end(call.backoff_span)
+        # Re-read the route: a failover may have re-pointed the workload
+        # (new targets, new wid) while we were backing off.
+        try:
+            call.route = self.route_for(call.workload)
+        except KeyError:
+            self._give_up(call, GatewayTimeout(
+                f"workload {call.workload!r} was undeployed mid-request"),
+                retries=call.retries, undeployed=1)
+            return
+        self._attempt(call)
+
+    def _give_up(self, call: "_Call", error: GatewayTimeout, **tags) -> None:
+        """Fail the request with ``error``, counted under its reason;
+        the request's span (if any) ends with ``ok=0`` and ``tags``."""
+        self._fail(call.workload, error.reason)
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.end(call.root, tags={"ok": 0, **tags})
+        call.done.fail(error)
 
     def _send_request(self, route: Route, target: str, request_id: int,
                       payload: Any, size: int, span=None,
@@ -777,9 +843,15 @@ class Gateway:
         segment = self.rdma_segment_bytes
         total = max(1, (size + segment - 1) // segment)
         blob = payload if isinstance(payload, (bytes, bytearray)) else None
-        # Computed once per message; each packet gets its own headers.
+        # Computed once per message. The outer headers are shared by
+        # every segment (nothing edits a header in flight: a response
+        # edits a copy); each packet has its own stack, lambda and RDMA
+        # headers, and meta.
         stamp = None if deadline is None else self._attempt_deadline(deadline)
         src, wid, qp = self.name, route.wid, route.rdma_qp
+        ethernet = EthernetHeader()
+        ip = IPv4Header(src_ip=src, dst_ip=target)
+        udp = UDPHeader()
         packets = []
         for seq in range(total):
             chunk_size = min(segment, size - seq * segment)
@@ -789,9 +861,9 @@ class Gateway:
                 src=src,
                 dst=target,
                 headers=HeaderStack([
-                    EthernetHeader(),
-                    IPv4Header(src_ip=src, dst_ip=target),
-                    UDPHeader(),
+                    ethernet,
+                    ip,
+                    udp,
                     LambdaHeader(wid=wid, request_id=request_id,
                                  seq=seq, total_segments=total),
                     RdmaHeader(opcode="WRITE", qp=qp,

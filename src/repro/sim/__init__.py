@@ -15,7 +15,7 @@ from .core import (
     URGENT,
 )
 from .process import Initialize, Process
-from .resources import Release, Request, Resource
+from .resources import Server
 from .rng import RngRegistry, exponential
 from .shard import (
     ShardSpec,
@@ -26,7 +26,6 @@ from .shard import (
     shard_seed,
     split_arrivals,
 )
-from .stores import Store
 
 __all__ = [
     "AllOf",
@@ -39,14 +38,11 @@ __all__ = [
     "Initialize",
     "NORMAL",
     "Process",
-    "Release",
-    "Request",
-    "Resource",
     "RngRegistry",
+    "Server",
     "ShardSpec",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "URGENT",
     "default_processes",

@@ -1,98 +1,65 @@
 """Shared, capacity-limited resources.
 
-:class:`Resource` models a pool of identical servers (e.g. CPU cores or
-NPU threads): processes ``request()`` a slot, wait in FIFO order, and
-``release()`` it when done. A granted slot is held until its holder
-releases it; nothing is ever evicted, matching the run-to-completion
-lambdas of the model.
+:class:`Server` is the request datapath's stage server (the gateway
+proxy, NPU threads, interpreter locks, worker limits): a stage hands it
+a callback, which runs at once while a slot is free and otherwise when
+an earlier holder releases one, in FIFO order. It schedules no events.
+A granted slot is held until its holder releases it; nothing is ever
+evicted, matching the run-to-completion lambdas of the model.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
-
-from .core import Event, Environment
+from typing import Any, Callable, Deque
 
 
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+class Server:
+    """``capacity`` slots handed to callbacks in FIFO order.
 
-    Usable as a context manager so the slot is always released::
-
-        with resource.request() as req:
-            yield req
-            ...
+    ``acquire(then, value)`` runs ``then(value)`` at once when a slot is
+    free and nobody waits, else when a release reaches it. ``release()``
+    passes the slot straight to the oldest waiter. A waiter's callback
+    that releases again (work dropped at its dequeue) does not recurse:
+    the outermost release grants the next waiter, so a long queue of
+    dropped work costs no stack.
     """
 
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger_requests()
+    __slots__ = ("capacity", "busy", "_waiting", "_handing")
 
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel() if not self.triggered else self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an un-granted request from the wait queue."""
-        if self in self.resource._queue:
-            self.resource._queue.remove(self)
-
-
-class Release(Event):
-    """Immediate event confirming a slot release."""
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        self.request = request
-        resource._do_release(request)
-        self.succeed()
-
-
-class Resource:
-    """A pool of ``capacity`` identical slots with a FIFO wait queue."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
+    def __init__(self, capacity: int = 1) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
         self.capacity = capacity
-        self.users: List[Request] = []
-        self._queue: Deque[Request] = deque()
+        #: Slots currently held.
+        self.busy = 0
+        self._waiting: Deque[tuple] = deque()
+        self._handing = False
 
     @property
-    def count(self) -> int:
-        """Slots currently held."""
-        return len(self.users)
+    def waiting(self) -> int:
+        """Callbacks queued for a slot."""
+        return len(self._waiting)
 
-    @property
-    def queue(self) -> List[Request]:
-        """Requests still waiting (read-only view)."""
-        return list(self._queue)
+    def acquire(self, then: Callable[[Any], None], value: Any = None) -> None:
+        """Run ``then(value)`` holding one slot."""
+        if self.busy < self.capacity and not self._waiting:
+            self.busy += 1
+            then(value)
+        else:
+            self._waiting.append((then, value))
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires once granted."""
-        return Request(self)
-
-    def release(self, request: Request) -> Release:
-        """Return a previously granted slot."""
-        return Release(self, request)
-
-    def _do_release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self._queue:
-            # Released before being granted.
-            self._queue.remove(request)
-        self._trigger_requests()
-
-    def _trigger_requests(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            request = self._queue.popleft()
-            self.users.append(request)
-            request.succeed()
+    def release(self) -> None:
+        """Free one slot; queued callbacks take free slots in order."""
+        self.busy -= 1
+        waiting = self._waiting
+        if not waiting or self._handing:
+            return
+        self._handing = True
+        try:
+            while waiting and self.busy < self.capacity:
+                self.busy += 1
+                then, value = waiting.popleft()
+                then(value)
+        finally:
+            self._handing = False

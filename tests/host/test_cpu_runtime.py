@@ -20,7 +20,7 @@ def test_cpu_executes_work():
     done = []
 
     def work(env, cpu):
-        cost = yield env.process(cpu.execute("web", 1e-3))
+        cost = yield cpu.execute("web", 1e-3)
         done.append((env.now, cost))
 
     env.process(work(env, cpu))
@@ -35,7 +35,7 @@ def test_cpu_thread_limit_queues_work():
     finishes = []
 
     def work(env, cpu):
-        yield env.process(cpu.execute("web", 1e-3))
+        yield cpu.execute("web", 1e-3)
         finishes.append(env.now)
 
     env.process(work(env, cpu))
@@ -51,7 +51,7 @@ def test_same_task_keeps_thread_warm():
 
     def loop(env, cpu):
         for _ in range(10):
-            yield env.process(cpu.execute("web", 1e-4))
+            yield cpu.execute("web", 1e-4)
 
     env.process(loop(env, cpu))
     env.run()
@@ -65,7 +65,7 @@ def test_distinct_tasks_context_switch_every_time():
 
     def loop(env, cpu):
         for index in range(9):
-            yield env.process(cpu.execute(f"lambda{index % 3}", 1e-4))
+            yield cpu.execute(f"lambda{index % 3}", 1e-4)
 
     env.process(loop(env, cpu))
     env.run()
@@ -78,11 +78,11 @@ def test_context_switch_adds_latency():
     durations = []
 
     def work(env, cpu):
-        cost = yield env.process(cpu.execute("a", 1e-4))
+        cost = yield cpu.execute("a", 1e-4)
         durations.append(cost)
-        cost = yield env.process(cpu.execute("b", 1e-4))
+        cost = yield cpu.execute("b", 1e-4)
         durations.append(cost)
-        cost = yield env.process(cpu.execute("b", 1e-4))
+        cost = yield cpu.execute("b", 1e-4)
         durations.append(cost)
 
     env.process(work(env, switching))
@@ -97,7 +97,7 @@ def test_cpu_utilization_and_task_attribution():
     cpu = HostCPU(env, CpuParams(n_threads=2, context_switch_seconds=0.0))
 
     def work(env, cpu):
-        yield env.process(cpu.execute("img", 5e-3))
+        yield cpu.execute("img", 5e-3)
 
     env.process(work(env, cpu))
     env.run(until=10e-3)

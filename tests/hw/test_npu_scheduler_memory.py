@@ -18,12 +18,7 @@ def test_core_executes_for_cycle_time():
     env = Environment()
     core = NPUCore(env, 0, 0, threads=2, clock_hz=1e6)
     durations = []
-
-    def work(env, core):
-        duration = yield env.process(core.execute(1000))
-        durations.append(duration)
-
-    env.process(work(env, core))
+    core.execute(1000, durations.append)
     env.run()
     assert durations == [pytest.approx(1e-3)]
     assert core.stats.requests == 1
@@ -34,13 +29,8 @@ def test_core_threads_limit_concurrency():
     env = Environment()
     core = NPUCore(env, 0, 0, threads=2, clock_hz=1e6)
     finish_times = []
-
-    def work(env, core):
-        yield env.process(core.execute(1000))
-        finish_times.append(env.now)
-
     for _ in range(4):
-        env.process(work(env, core))
+        core.execute(1000, lambda _elapsed: finish_times.append(env.now))
     env.run()
     # Two run immediately, two wait for a free thread.
     assert finish_times == pytest.approx([1e-3, 1e-3, 2e-3, 2e-3])
@@ -70,7 +60,7 @@ def test_shortest_queue_prefers_idle_core():
     env = Environment()
     cores = make_cores(env, n=3)
     # Occupy core 0.
-    env.process(cores[0].execute(10_000))
+    cores[0].execute(10_000, lambda _elapsed: None)
     env.run(until=1e-9)
     scheduler = ShortestQueueScheduler()
     assert scheduler.pick_core(cores, "web").core_id == 1

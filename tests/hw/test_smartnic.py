@@ -88,6 +88,30 @@ def test_request_gets_response():
     assert 1e-6 < at < 50e-6
 
 
+def test_jit_is_looked_up_once_per_install():
+    """Each execution counts a compile-cache hit, but the staleness guard
+    runs once per install; installing a program whose body was replaced
+    recompiles it."""
+    env, network, client, nic, firmware = make_setup()
+    client.attach(lambda packet: None)
+    cycles = []
+    for request_id in (1, 2, 3):
+        before = nic.stats.total_cycles
+        client.send(lambda_packet(wid=1, request_id=request_id))
+        env.run()
+        cycles.append(nic.stats.total_cycles - before)
+    stats = nic.engine.stats
+    assert (stats.misses, stats.hits) == (1, 2)
+    function = firmware.program.functions["echo"]
+    function.body = function.body[:1] + function.body  # one more HLOAD
+    nic.install_firmware(firmware)
+    before = nic.stats.total_cycles
+    client.send(lambda_packet(wid=1, request_id=4))
+    env.run()
+    assert (stats.misses, stats.hits) == (2, 2)
+    assert nic.stats.total_cycles - before > cycles[0] == cycles[-1]
+
+
 def test_unknown_wid_goes_to_host():
     host_packets = []
     env, network, client, nic, firmware = make_setup(

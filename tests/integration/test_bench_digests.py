@@ -25,13 +25,13 @@ from bench.workloads import WORKLOADS
 #: Seed-42 smoke-size digests (``run_repeat(name, 42, smoke=True)``).
 PINNED = {
     "web_nic":
-        "5e35fe81a1e4e802fdabf01fa47084d84052d9d760e57d3c57e5dd9bc0c99972",
+        "09d7e26013399ed7e7993459782deb603eeddfe78d796720cb71f22ab9bf9650",
     "image_rdma":
-        "59f72e69b766bd3a832261537a5e9674dd2987550844aeadc0e756882388195c",
+        "b80a149779d87dc059801a2e35cbd7fa1932539f1df7ae63324964031cbc29a1",
     "web_host":
-        "9f9f96e4902cbe8d5532f9021134b5eb1e634b64dcba1e56757df136385c83cb",
+        "1fcbbc3c5b482974a087c194445c1fd66f8daad8c209f40d072c78062853e6c6",
     "storm_mixed":
-        "d59f12618a9bc44aad478ed2de9263150d7dc96841e87addf20a3870a8ee7fb6",
+        "431e0e8020515406ed205082dca15570e9c3498e31a9e2827b91daa976f36985",
 }
 
 #: Seed-42 smoke-window simulated results (``smoke_window(name, 42)``).
@@ -48,10 +48,10 @@ RESULTS = {
 
 #: Kernel events in the same seed-42 smoke windows.
 EVENTS = {
-    "web_nic": 1693,
-    "image_rdma": 37,
-    "web_host": 2733,
-    "storm_mixed": 2518,
+    "web_nic": 813,
+    "image_rdma": 24,
+    "web_host": 1293,
+    "storm_mixed": 1387,
 }
 
 

@@ -153,3 +153,17 @@ def test_image_rdma_full_window_is_at_most_60_events_per_request():
     assert per_request <= 60
     assert net["splits"] > 0
     assert by_layer(events)["net"] == net_events(net)
+
+
+@pytest.mark.parametrize("name, limit", [("web_nic", 14), ("web_host", 22)])
+def test_single_packet_full_window_event_budget(name, limit):
+    """Each request stage is a timeout plus a callback: the gateway's
+    proxy delay, its attempt timer and the caller's event, the NPU's
+    busy time or the host's kernel, CPU and handler stages, and the
+    net layer's three events per one-way packet."""
+    events, net, requests = census(name, smoke=False)
+    per_request = sum(events.values()) / requests
+    print(f"\n{name}: {per_request:.1f} events per request; "
+          f"by layer {dict(by_layer(events))}")
+    assert per_request <= limit
+    assert by_layer(events)["net"] == net_events(net)

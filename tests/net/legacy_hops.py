@@ -4,9 +4,9 @@
 analytic FIFO servers that take whole packet trains, one timeout per
 train per server. This module keeps an earlier implementation of the
 same model, one packet at a time: a serializer process per direction
-pulling packets from a :class:`~repro.sim.Store`, one propagation
-process per packet, and a forwarder process behind a ``Store`` in the
-switch. A train is simply its packets sent back to back. Ports,
+pulling packets from a :class:`Store` (the bounded FIFO channel below),
+one propagation process per packet, and a forwarder process behind a
+``Store`` in the switch. A train is simply its packets sent back to back. Ports,
 routes, partitions and counters are inherited from ``repro.net``.
 ``tests/net/test_hop_oracle.py`` drives both with the same random
 traffic and requires identical results wherever no two stages share
@@ -15,10 +15,85 @@ an instant. Only tests import it.
 
 from __future__ import annotations
 
+from typing import Any, List
+
 from repro import net
 from repro.net import LinkStats, Packet
 from repro.obs import Tracer
-from repro.sim import Store
+from repro.sim import Environment, Event
+
+
+class StorePut(Event):
+    def __init__(self, store: "Store", item: Any) -> None:
+        super().__init__(store.env)
+        self.item = item
+        store._put_waiters.append(self)
+        store._trigger()
+
+
+class StoreGet(Event):
+    def __init__(self, store: "Store") -> None:
+        super().__init__(store.env)
+        store._get_waiters.append(self)
+        store._trigger()
+
+    def cancel(self) -> None:
+        """Withdraw an unfulfilled get from the wait queue."""
+        waiters = getattr(self, "_waiters", None)
+        if waiters is not None and self in waiters:
+            waiters.remove(self)
+
+
+class Store:
+    """FIFO item queue with bounded capacity."""
+
+    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.env = env
+        self.capacity = capacity
+        self.items: List[Any] = []
+        self._put_waiters: List[StorePut] = []
+        self._get_waiters: List[StoreGet] = []
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def put(self, item: Any) -> StorePut:
+        """Insert ``item``; fires once there is room."""
+        return StorePut(self, item)
+
+    def get(self) -> StoreGet:
+        """Remove and return the next item; fires once one exists."""
+        event = StoreGet(self)
+        event._waiters = self._get_waiters
+        return event
+
+    # -- internal ----------------------------------------------------------
+
+    def _do_put(self, put: StorePut) -> bool:
+        if len(self.items) < self.capacity:
+            self.items.append(put.item)
+            put.succeed()
+            return True
+        return False
+
+    def _do_get(self, get: StoreGet) -> bool:
+        if self.items:
+            get.succeed(self.items.pop(0))
+            return True
+        return False
+
+    def _trigger(self) -> None:
+        progressed = True
+        while progressed:
+            progressed = False
+            if self._put_waiters and self._do_put(self._put_waiters[0]):
+                self._put_waiters.pop(0)
+                progressed = True
+            if self._get_waiters and self._do_get(self._get_waiters[0]):
+                self._get_waiters.pop(0)
+                progressed = True
 
 
 class _Direction:

@@ -6,7 +6,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import NORMAL, URGENT, Environment, Resource, Store
+from repro.sim import NORMAL, URGENT, Environment
+from tests.net.legacy_hops import Store
+from tests.serverless.legacy_datapath import Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,

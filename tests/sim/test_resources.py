@@ -1,8 +1,54 @@
-"""Tests for the FIFO Resource."""
+"""Tests for the callback datapath's FIFO ``Server``, and for the
+event-granting ``Resource`` the process datapath oracle
+(``tests/serverless/legacy_datapath.py``) uses."""
 
 import pytest
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Server
+from tests.serverless.legacy_datapath import Resource
+
+
+def test_server_grants_free_slots_at_once_and_hands_over_in_fifo_order():
+    server = Server(capacity=2)
+    log = []
+    for name in "abcd":
+        server.acquire(log.append, name)
+    assert log == ["a", "b"]
+    assert (server.busy, server.waiting) == (2, 2)
+    server.release()
+    assert log == ["a", "b", "c"]
+    server.acquire(log.append, "e")  # Queues behind d.
+    server.release()
+    server.release()
+    assert log == ["a", "b", "c", "d", "e"]
+    server.release()
+    server.release()
+    assert (server.busy, server.waiting) == (0, 0)
+
+
+def test_server_release_inside_a_grant_does_not_recurse():
+    """Thousands of waiters that drop their work at the grant (and so
+    release at once) are served by one loop, in order, not by nested
+    calls."""
+    server = Server(capacity=1)
+    granted = []
+
+    def dropped(index):
+        granted.append(index)
+        server.release()
+
+    server.acquire(granted.append, "holder")
+    for index in range(5000):
+        server.acquire(dropped, index)
+    server.release()
+    assert granted == ["holder"] + list(range(5000))
+    assert (server.busy, server.waiting) == (0, 0)
+
+
+def test_server_validates_capacity():
+    for capacity in (0, -1):
+        with pytest.raises(ValueError):
+            Server(capacity)
 
 
 def test_resource_capacity_enforced():

@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.sim import Environment, Store
+from repro.sim import Environment
+from tests.net.legacy_hops import Store
 
 
 def test_store_fifo_order():
