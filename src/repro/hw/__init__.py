@@ -1,6 +1,5 @@
 """SmartNIC hardware model: NPU cores, memory hierarchy, scheduler, NIC."""
 
-from .memo import ExecutionMemoCache, MemoCacheStats
 from .memory import NicMemory, NicMemoryError
 from .nic import (
     NicStats,
@@ -18,9 +17,7 @@ from .scheduler import (
 
 __all__ = [
     "CoreStats",
-    "ExecutionMemoCache",
     "Island",
-    "MemoCacheStats",
     "NPUCore",
     "NicMemory",
     "NicMemoryError",

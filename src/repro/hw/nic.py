@@ -14,7 +14,6 @@ under the NIC state at its own arrival instant. See
 from __future__ import annotations
 
 import ctypes
-import hashlib
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -43,7 +42,6 @@ from ..net.packet import DEADLINE_META
 from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
 from ..sim import Environment
 from ..transport import ReorderBuffer
-from .memo import ExecutionMemoCache, make_key
 from .memory import NicMemory
 from .npu import Island, NPUCore
 from .scheduler import Scheduler, UniformRandomScheduler
@@ -125,32 +123,33 @@ class NicStats(LambdaStats):
                  node: str = "") -> None:
         super().__init__(registry, node)
         # Engine compile-cache statistics, per tier. The counters live
-        # on the engine objects (CompileCacheStats); these gauges mirror
-        # the current totals into the registry so tier behaviour —
-        # including JIT lowering fallbacks — is observable in scrapes.
-        self._compile_hits = self.registry.gauge(
-            "nic_compile_cache_hits", "compile-cache hits per engine tier")
-        self._compile_misses = self.registry.gauge(
-            "nic_compile_cache_misses",
-            "compile-cache misses (compilations) per engine tier")
-        self._compile_fallbacks = self.registry.gauge(
-            "nic_compile_cache_fallbacks",
-            "programs an engine tier could not lower")
+        # on the engine objects (CompileCacheStats); these gauges read
+        # the current totals when scraped, so tier behaviour — including
+        # JIT lowering fallbacks — is observable at no per-run cost.
+        self._compile_fields = (
+            (self.registry.gauge("nic_compile_cache_hits",
+                                 "compile-cache hits per engine tier"),
+             "hits"),
+            (self.registry.gauge(
+                "nic_compile_cache_misses",
+                "compile-cache misses (compilations) per engine tier"),
+             "misses"),
+            (self.registry.gauge("nic_compile_cache_fallbacks",
+                                 "programs an engine tier could not lower"),
+             "fallbacks"),
+        )
 
-    def record_compile_stats(self, tier: str, stats) -> None:
-        """Mirror one engine tier's CompileCacheStats into the registry."""
-        labels = dict(self.labels or {})
-        labels["tier"] = tier
-        self._compile_hits.set(float(stats.hits), labels)
-        self._compile_misses.set(float(stats.misses), labels)
-        self._compile_fallbacks.set(float(stats.fallbacks), labels)
+    def track_compile_stats(self, tier: str, stats) -> None:
+        """Mirror one engine tier's CompileCacheStats into the registry:
+        the gauges read its counters whenever they are read."""
+        labels = {**(self.labels or {}), "tier": tier}
+        for gauge, field in self._compile_fields:
+            gauge.track(stats, field, labels)
 
     def compile_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier compile-cache totals as plain dicts (tests/REPL)."""
         out: Dict[str, Dict[str, int]] = {}
-        for gauge, field in ((self._compile_hits, "hits"),
-                             (self._compile_misses, "misses"),
-                             (self._compile_fallbacks, "fallbacks")):
+        for gauge, field in self._compile_fields:
             for tier, value in self._by_name(gauge, "tier", int).items():
                 out.setdefault(tier, {})[field] = value
         return out
@@ -196,6 +195,9 @@ class SmartNIC:
     633 MHz with 2 GiB of on-board memory.
     """
 
+    #: Always None: bench/repeat.py reads it until ROADMAP's memo PR A.
+    memo = None
+
     def __init__(
         self,
         env: Environment,
@@ -208,8 +210,6 @@ class SmartNIC:
         host_handler: Optional[Callable[[Packet], None]] = None,
         rng=None,
         firmware_swap_seconds: float = 2.0,
-        enable_memo: bool = True,
-        memo_entries: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         engine: str = "jit",
         shedder=None,
@@ -251,12 +251,6 @@ class SmartNIC:
         #: (proved by tests/isa/test_jit.py).
         self.engine = (JitInterpreter(clock_hz=clock_hz) if engine == "jit"
                        else Interpreter(clock_hz=clock_hz))
-        #: Result memoization is only sound with the JIT, which reports
-        #: whether an execution wrote persistent memory.
-        self.memo: Optional[ExecutionMemoCache] = (
-            ExecutionMemoCache(memo_entries)
-            if (engine == "jit" and enable_memo) else None
-        )
 
         self.islands: List[Island] = []
         self.cores: List[NPUCore] = []
@@ -392,7 +386,7 @@ class SmartNIC:
         """Direct access to a persistent object (tests/inspection).
 
         The returned bytearray is mutable, so this counts as a
-        potential write for the memo cache.
+        potential write and bumps :attr:`state_epoch`.
         """
         data = self._lambda_memory[object_name]
         self._state_written()
@@ -400,10 +394,8 @@ class SmartNIC:
 
     def _state_written(self) -> None:
         """Every persistent-memory write funnels through here: bump
-        the migration epoch fence and drop memoised results."""
+        the migration epoch fence."""
         self.state_epoch += 1
-        if self.memo is not None:
-            self.memo.invalidate()
 
     # -- live-migration state transfer ----------------------------------------
 
@@ -436,7 +428,7 @@ class SmartNIC:
         written (truncated to their declared size); unknown names are
         ignored so firmware-version skew degrades to a partial import,
         not corruption. Returns bytes written. The import is a fence:
-        it bumps :attr:`state_epoch` and flushes the memo cache.
+        it bumps :attr:`state_epoch`.
         """
         if not self.online:
             raise RuntimeError(f"{self.name} cannot import state while dark")
@@ -450,9 +442,7 @@ class SmartNIC:
             n = min(len(blob), len(target))
             target[:n] = blob[:n]
             written += n
-        self.state_epoch += 1
-        if self.memo is not None:
-            self.memo.fence()
+        self._state_written()
         return written
 
     @property
@@ -729,73 +719,44 @@ class SmartNIC:
             return
         self._serve(packet)
 
-    def _execute(self, packet: Packet, headers: Dict[str, Dict[str, Any]],
+    def _execute(self, headers: Dict[str, Dict[str, Any]],
                  meta: Dict[str, Any],
                  trace_tags: Optional[Dict[str, Any]] = None):
         """Run the firmware against one parsed request.
 
-        Uses the configured engine tier. Under the JIT, the execution
-        memo cache is consulted first: a pure execution of a
-        byte-identical request is replayed instead of re-run. The key
-        is computed from the *pre-execution* inputs (the lambda mutates
-        ``headers`` and ``meta`` in place) and any execution that
-        writes persistent memory flushes the cache, so stateful lambdas
-        never replay stale results.
+        Uses the configured engine tier. An execution that writes
+        persistent memory bumps :attr:`state_epoch`.
         """
         program = self.firmware.program
         if self.engine_tier == "interpreter":
-            if trace_tags is not None:
-                trace_tags["engine"] = "interpreter"
-                trace_tags["memo"] = "off"
-            return self.engine.run(
+            result, wrote_memory = self.engine.execute(
                 program, headers=headers, meta=meta,
                 memory=self._lambda_memory,
             )
-        if trace_tags is not None:
-            trace_tags["engine"] = "jit"
-            trace_tags["memo"] = "off" if self.memo is None else "miss"
-        memo = self.memo
-        key = None
-        if memo is not None:
-            key = make_key(program, program.entry, headers, meta,
-                           self._payload_digest(packet))
-            cached = memo.get(key)
-            if cached is not None:
-                if trace_tags is not None:
-                    trace_tags["memo"] = "hit"
-                return cached
-        jit = self._jit
-        if jit is None:
-            # Looked up once per install: an installed program is never
-            # edited (DESIGN.md §10), so the JIT's staleness guard holds
-            # until the next install.
-            jit = self._jit = (self.engine.compiled_for(program),)
+            tier = "interpreter"
         else:
-            self.engine.stats.hits += 1
-        result, wrote_memory = self.engine.execute_compiled(
-            jit[0], program, headers=headers, meta=meta,
-            memory=self._lambda_memory,
-        )
-        if trace_tags is not None:
+            jit = self._jit
+            if jit is None:
+                # Looked up once per install: an installed program is
+                # never edited (DESIGN.md §10), so the JIT's staleness
+                # guard holds until the next install.
+                jit = self._jit = (self.engine.compiled_for(program),)
+                self.stats.track_compile_stats(self.engine_tier,
+                                               self.engine.stats)
+            else:
+                self.engine.stats.hits += 1
+            result, wrote_memory = self.engine.execute_compiled(
+                jit[0], program, headers=headers, meta=meta,
+                memory=self._lambda_memory,
+            )
             # The JIT may degrade to the interpreter per program; report
-            # the tier that actually ran (memo hits keep "jit").
-            trace_tags["engine"] = self.engine.last_tier
-        self.stats.record_compile_stats(self.engine_tier, self.engine.stats)
+            # the tier that actually ran.
+            tier = self.engine.last_tier
+        if trace_tags is not None:
+            trace_tags["engine"] = tier
         if wrote_memory:
             self._state_written()
-        elif memo is not None:
-            memo.put(key, result)
         return result
-
-    @staticmethod
-    def _payload_digest(packet: Packet) -> Any:
-        payload = packet.payload
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            return (hashlib.sha256(bytes(payload)).digest(),
-                    packet.payload_bytes)
-        # Synthetic payloads with no byte representation: fold their
-        # repr in; non-reprable objects make the request uncacheable.
-        return (repr(payload), packet.payload_bytes)
 
     def _serve(self, packet: Packet, extra_meta: Optional[Dict[str, Any]] = None,
                extra_cycles: int = 0, rdma=None) -> None:
@@ -876,7 +837,7 @@ class SmartNIC:
         exec_tags: Optional[Dict[str, Any]] = (
             {} if serve_span is not None else None
         )
-        result = self._execute(packet, headers, meta, trace_tags=exec_tags)
+        result = self._execute(headers, meta, trace_tags=exec_tags)
         cycles = result.cycles + PIPELINE_OVERHEAD_CYCLES + extra_cycles
         if serve_span is not None:
             exec_tags["lambda"] = lambda_name or "<none>"
@@ -1066,7 +1027,7 @@ class SmartNIC:
         lambda_name, object_name = binding
         target = self._lambda_memory[object_name]
         # The DMA below writes persistent memory behind the engine's
-        # back; cached results may depend on the old contents.
+        # back: it moves the migration fence.
         self._state_written()
         # A segment without bytes carries zeros: each run of them is
         # one write, clipped to the object like the bytes.

@@ -21,15 +21,33 @@ def reachable_functions(program: LambdaProgram,
                         entry: Optional[str] = None) -> Set[str]:
     """Function names reachable via calls from ``entry`` (default: the
     program's entry)."""
+    return set(call_order(program, entry))
+
+
+def call_order(program: LambdaProgram,
+               entry: Optional[str] = None) -> List[str]:
+    """The functions reachable from ``entry``, callers before callees:
+    reverse postorder of a DFS of the call graph that takes each body's
+    calls in body order. The order depends on nothing but the program.
+    """
+    order: List[str] = []
     seen: Set[str] = set()
-    stack = [entry or program.entry]
+    # Iterative DFS with an explicit "callees done" marker.
+    stack: List[Tuple[str, bool]] = [(entry or program.entry, False)]
     while stack:
-        name = stack.pop()
+        name, done = stack.pop()
+        if done:
+            order.append(name)
+            continue
         if name in seen or name not in program.functions:
             continue
         seen.add(name)
-        stack.extend(program.functions[name].decoded.callees())
-    return seen
+        stack.append((name, True))
+        for callee in reversed(program.functions[name].decoded.callees()):
+            if callee not in seen:
+                stack.append((callee, False))
+    order.reverse()
+    return order
 
 
 def unreachable_code(function: Function) -> List[int]:

@@ -81,9 +81,9 @@ _INTRINSICS: Dict[str, IntrinsicFn] = {}
 
 #: Effect declarations: does the intrinsic mutate persistent memory
 #: objects? Anything that does (or is undeclared) makes the enclosing
-#: execution stateful, which the NIC's memo cache must treat as an
-#: invalidation point. Per-request state (``meta``, headers, the
-#: response payload) does not count — it is captured in the result.
+#: execution stateful: it bumps the NIC's state epoch, the migration
+#: fence. Per-request state (``meta``, headers, the response payload)
+#: does not count — it is captured in the result.
 _INTRINSIC_WRITES_MEMORY: Dict[str, bool] = {}
 
 #: Static worst-case cost models for the verifier's WCET estimator. A
@@ -101,8 +101,8 @@ def register_intrinsic(name: str, fn: IntrinsicFn,
     """Register a bulk operation usable via ``Op.INTRINSIC``.
 
     ``writes_memory`` declares whether the intrinsic mutates persistent
-    memory objects; the conservative default keeps undeclared intrinsics
-    safe for the execution memo cache (their runs are never memoised).
+    memory objects; the conservative default has undeclared intrinsics
+    bump the NIC's state epoch, so a migration never ships stale state.
     ``wcet`` optionally supplies a static cost model for the verifier;
     without one, programs using the intrinsic get no WCET bound.
     """
@@ -197,7 +197,7 @@ class Machine:
         self.return_value: Any = None
         self.step_limit = step_limit
         #: Set by stores, memcpy and memory-writing intrinsics; the
-        #: memo cache treats such executions as invalidation points.
+        #: NIC bumps its state epoch after such executions.
         self.wrote_memory = False
 
     def result(self) -> ExecutionResult:
@@ -385,6 +385,17 @@ class Interpreter:
         memory: Optional[Dict[str, bytearray]] = None,
         entry: Optional[str] = None,
     ) -> ExecutionResult:
+        return self.execute(program, headers, meta, memory, entry)[0]
+
+    def execute(
+        self,
+        program: LambdaProgram,
+        headers: Optional[Dict[str, Dict[str, Any]]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        memory: Optional[Dict[str, bytearray]] = None,
+        entry: Optional[str] = None,
+    ) -> Tuple[ExecutionResult, bool]:
+        """Run to completion; returns (result, wrote_persistent_memory)."""
         m = Machine(program, headers, meta, memory, self.step_limit)
         function = program.function(entry or program.entry)
 
@@ -435,7 +446,7 @@ class Interpreter:
             else:
                 execute_straightline(m, instruction)
 
-        return m.result()
+        return m.result(), m.wrote_memory
 
 
 _ALU_OPS = {

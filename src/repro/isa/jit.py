@@ -27,7 +27,7 @@ per-instruction overhead by compiling a
 
 Semantics are **cycle-exact and verdict-identical** to the reference
 interpreter — including error messages, region-access accounting,
-persistent-memory-write tracking for the NIC's memo cache, and the step
+persistent-memory-write tracking for the NIC's state epoch, and the step
 limit — proven differentially against the interpreter
 (``tests/isa/test_jit.py`` plus the hypothesis fuzz suite).
 
@@ -897,8 +897,8 @@ class JitInterpreter:
         staleness guard."""
         if compiled is None:
             self.last_tier = "interpreter"
-            # The interpreter does not track writes: count the run as
-            # memory-writing so the memo never replays it.
+            # Conservatively count a fallback run as memory-writing: it
+            # always bumps the NIC's state epoch.
             return self.fallback.run(program, headers, meta, memory,
                                      entry), True
         self.last_tier = "jit"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
-from .instructions import INSTRUCTION_BYTES, Instruction, Region
+from .instructions import INSTRUCTION_BYTES, Instruction, Op, Region
 
 #: What :meth:`LambdaProgram.validate` says of each dangling reference.
 _UNDEFINED = {"call": "calls undefined",
@@ -67,7 +67,9 @@ class Function:
     @property
     def instruction_count(self) -> int:
         """Real instructions only (labels are assembler fictions)."""
-        return sum(1 for instruction in self.body if instruction.is_real)
+        body = self.body
+        return len(body) - [instruction.op for instruction in body].count(
+            Op.LABEL)
 
 
 class LambdaProgram:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..analysis import reachable_functions
+from ..analysis import call_order
 from ..program import LambdaProgram
 from .cfg import (
     ALL_MASK,
@@ -316,7 +316,8 @@ def uninitialized_reads(
     entry_init: Dict[str, int] = {name: ALL_MASK for name in decoded}
     if entry in entry_init:
         entry_init[entry] = 0
-    reachable = reachable_functions(program, entry)
+    # Callers before callees, so one pass carries each narrowing down.
+    reachable = call_order(program, entry)
     results: Dict[str, DataflowResult] = {}
     changed = True
     while changed:

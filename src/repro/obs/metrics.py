@@ -106,6 +106,8 @@ class Gauge:
         self.name = name
         self.help_text = help_text
         self._values: Dict[LabelSet, float] = {}
+        #: Labelsets whose value is ``getattr(obj, attr)`` at read time.
+        self._tracked: Dict[LabelSet, Tuple[object, str]] = {}
 
     def set(self, value: float, labels: Optional[Dict[str, str]] = None) -> None:
         self._values[_labelset(labels)] = value
@@ -114,24 +116,36 @@ class Gauge:
         key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def track(self, obj: object, attr: str,
+              labels: Optional[Dict[str, str]] = None) -> None:
+        """Read this labelset's value from ``obj.attr`` whenever the
+        gauge is read, so a hot counter costs nothing to mirror."""
+        self._tracked[_labelset(labels)] = (obj, attr)
+
+    def _sync(self) -> Dict[LabelSet, float]:
+        for key, (obj, attr) in self._tracked.items():
+            self._values[key] = float(getattr(obj, attr))
+        return self._values
+
     def value(self, labels: Optional[Dict[str, str]] = None) -> float:
-        return self._values.get(_labelset(labels), 0.0)
+        return self._sync().get(_labelset(labels), 0.0)
 
     def items(self) -> List[Tuple[Dict[str, str], float]]:
         """(labels dict, value) pairs for every labelset seen."""
-        return [(dict(key), value) for key, value in self._values.items()]
+        return [(dict(key), value) for key, value in self._sync().items()]
 
     def copy(self) -> "Gauge":
-        """An independent gauge with the same values."""
+        """An independent gauge with the same values, tracked ones read
+        now."""
         copied = Gauge(self.name, self.help_text)
-        copied._values = dict(self._values)
+        copied._values = dict(self._sync())
         return copied
 
     def merge(self, other: "Gauge") -> "Gauge":
         """A new gauge summing both operands (commutative by design)."""
         merged = Gauge(self.name, self.help_text or other.help_text)
         for source in (self, other):
-            for key, value in source._values.items():
+            for key, value in source._sync().items():
                 merged._values[key] = merged._values.get(key, 0.0) + value
         return merged
 

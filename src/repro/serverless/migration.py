@@ -26,7 +26,7 @@ as a crash-safe state machine::
   exported at a source epoch, shipped over the RDMA substrate, and the
   epoch re-checked: any concurrent write bumps the source's
   ``state_epoch`` and forces a re-export (the epoch fence). Importing
-  fences the target's memo cache.
+  bumps the target's state epoch.
 * **CUTOVER** — a single synchronous step (no simulation yields): flip
   the gateway route, update the deployment record, release held
   requests. Either everything flips or nothing does.

@@ -130,7 +130,7 @@ def checksum_wcet(program, args, reader) -> int:
 def install_intrinsics() -> None:
     """Idempotently register all workload intrinsics.
 
-    Effect declarations matter for the NIC's execution memo cache:
+    Effect declarations matter for the NIC's state epoch:
     ``reply_from_memory`` and ``checksum`` only read objects (their
     outputs land in per-request state), while ``grayscale`` rewrites
     the image buffer in place and therefore marks its executions as

@@ -6,8 +6,8 @@ untraced run of the same seeded scenario must be *byte-identical* in
 every observable output (exact float latencies, event count, final
 sim time, per-component counters). Each parametrised case exercises a
 different execution path: both engine tiers (the default JIT and the
-reference interpreter), memoization on/off,
-the host (bare-metal) backend, and the RDMA/memcached path.
+reference interpreter), the host (bare-metal) backend, and the
+RDMA/memcached path.
 """
 
 import pytest
@@ -16,10 +16,9 @@ from repro.serverless import Testbed, closed_loop
 from repro.workloads import standard_workloads
 
 CASES = [
-    ("jit-memo", "web_server", "lambda-nic", {}),
+    ("jit", "web_server", "lambda-nic", {}),
     ("jit-explicit", "web_server", "lambda-nic", {"engine": "jit"}),
     ("interpreter", "web_server", "lambda-nic", {"engine": "interpreter"}),
-    ("jit-no-memo", "web_server", "lambda-nic", {"enable_memo": False}),
     ("bare-metal-host", "web_server", "bare-metal", {}),
     ("rdma-kv", "kv_client", "lambda-nic", {}),
 ]

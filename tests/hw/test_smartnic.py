@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.isa.jit as jit_module
 from repro.compiler import CompilationUnit, compile_unit
 from repro.hw import SmartNIC, UniformRandomScheduler
 from repro.isa import AccessMode, ProgramBuilder
@@ -44,7 +45,7 @@ def rdma_lambda(name="img"):
     return builder.build()
 
 
-def make_setup(lambdas=None, host_handler=None):
+def make_setup(lambdas=None, host_handler=None, **nic_kwargs):
     env = Environment()
     rng = RngRegistry(seed=7)
     network = Network(env)
@@ -52,7 +53,7 @@ def make_setup(lambdas=None, host_handler=None):
     nic_node = network.add_node("nic")
     nic = SmartNIC(
         env, nic_node, n_cores=4, threads_per_core=2,
-        rng=rng.stream("nic"), host_handler=host_handler,
+        rng=rng.stream("nic"), host_handler=host_handler, **nic_kwargs,
     )
     unit = CompilationUnit()
     for index, program in enumerate(lambdas or [echo_lambda()]):
@@ -102,6 +103,9 @@ def test_jit_is_looked_up_once_per_install():
         cycles.append(nic.stats.total_cycles - before)
     stats = nic.engine.stats
     assert (stats.misses, stats.hits) == (1, 2)
+    # The registry gauges read the engine's totals.
+    assert nic.stats.compile_cache_stats() == {
+        "jit": {"hits": 2, "misses": 1, "fallbacks": 0}}
     function = firmware.program.functions["echo"]
     function.body = function.body[:1] + function.body  # one more HLOAD
     nic.install_firmware(firmware)
@@ -109,6 +113,7 @@ def test_jit_is_looked_up_once_per_install():
     client.send(lambda_packet(wid=1, request_id=4))
     env.run()
     assert (stats.misses, stats.hits) == (2, 2)
+    assert nic.stats.compile_cache_stats()["jit"]["misses"] == 2
     assert nic.stats.total_cycles - before > cycles[0] == cycles[-1]
 
 
@@ -354,3 +359,195 @@ def test_hitless_firmware_update_serves_during_flash():
     env.run()
     assert nic.stats.dropped_during_swap == 0
     assert len(responses) == 2
+
+
+# -- state epoch: every persistent-memory write moves the fence ------------
+
+
+def kv_store_lambda(name="kvstore", slots=64):
+    """A stateful GET/SET store keyed on the request id.
+
+    ``seq`` selects the operation (0 = GET, 1 = SET) and
+    ``total_segments`` carries the value on SETs, so everything rides on
+    existing LambdaHeader fields.
+    """
+    builder = ProgramBuilder(name)
+    builder.object("store", slots * 8, AccessMode.READ_WRITE)
+    fn = builder.function(name)
+    fn.hload("r1", "LambdaHeader", "seq")
+    fn.hload("r2", "LambdaHeader", "request_id")
+    fn.band("r3", "r2", slots - 1)
+    fn.mul("r4", "r3", 8)
+    put = fn.fresh_label("put")
+    fn.beq("r1", 1, put)
+    fn.load("r5", "store", "r4")
+    fn.mstore("value", "r5")
+    fn.mstore("response_bytes", 64)
+    fn.forward()
+    fn.label(put)
+    fn.hload("r6", "LambdaHeader", "total_segments")
+    fn.store("store", "r4", "r6")
+    fn.mstore("stored", "r6")
+    fn.mstore("response_bytes", 64)
+    fn.forward()
+    builder.close(fn)
+    return builder.build()
+
+
+def kv_packet(request_id, seq=0, value=1):
+    return Packet(
+        "client", "nic",
+        HeaderStack([
+            EthernetHeader(), IPv4Header(), UDPHeader(),
+            LambdaHeader(wid=1, request_id=request_id, seq=seq,
+                         total_segments=value),
+        ]),
+        payload_bytes=64,
+    )
+
+
+def test_pure_executions_leave_state_epoch():
+    env, network, client, nic, firmware = make_setup()
+    responses = []
+    client.attach(lambda p: responses.append(p))
+    epoch = nic.state_epoch
+    for _ in range(5):
+        client.send(lambda_packet(wid=1, request_id=42))
+    env.run()
+    assert len(responses) == 5
+    assert all(p.meta["lambda_meta"]["echoed"] == 42 for p in responses)
+    assert nic.stats.requests_served == 5
+    assert nic.state_epoch == epoch
+
+
+def test_impure_executions_bump_state_epoch():
+    """GET / SET / GET on the same key: the SET's store moves the epoch
+    and the GET after it observes the write."""
+    env, network, client, nic, firmware = make_setup(
+        lambdas=[kv_store_lambda()])
+    responses = []
+    client.attach(lambda p: responses.append(p))
+    epochs = []
+
+    def exercise(env):
+        for seq, value in ((0, 1), (1, 777), (0, 1)):
+            client.send(kv_packet(request_id=5, seq=seq, value=value))
+            yield env.timeout(1e-3)
+            epochs.append(nic.state_epoch)
+
+    start = nic.state_epoch
+    env.process(exercise(env))
+    env.run()
+    metas = [p.meta["lambda_meta"] for p in responses]
+    assert metas[0]["value"] == 0
+    assert metas[1]["stored"] == 777
+    assert metas[2]["value"] == 777
+    assert epochs == [start, start + 1, start + 1]
+
+
+def test_rdma_write_bumps_state_epoch():
+    env, network, client, nic, firmware = make_setup(lambdas=[rdma_lambda()])
+    nic.bind_rdma(qp=5, lambda_name="img", object_name="img.image")
+    responses = []
+    client.attach(lambda p: responses.append(p))
+    epochs = []
+
+    def exercise(env):
+        client.send(lambda_packet(wid=1, request_id=1))
+        yield env.timeout(1e-3)
+        epochs.append(nic.state_epoch)
+        client.send(Packet(                      # RDMA write into image
+            "client", "nic",
+            HeaderStack([
+                EthernetHeader(), IPv4Header(), UDPHeader(),
+                LambdaHeader(wid=1, request_id=9, seq=0, total_segments=1),
+                RdmaHeader(opcode="WRITE", qp=5, length=1000),
+            ]),
+            payload=b"\x07" * 1000, payload_bytes=1000,
+        ))
+        yield env.timeout(1e-3)
+        epochs.append(nic.state_epoch)
+        client.send(lambda_packet(wid=1, request_id=1))
+        yield env.timeout(1e-3)
+        epochs.append(nic.state_epoch)
+
+    env.process(exercise(env))
+    env.run()
+    words = [p.meta["lambda_meta"]["first_word"] for p in responses]
+    assert words[0] == 0
+    assert words[-1] == int.from_bytes(b"\x07" * 8, "little")
+    # The DMA moved the epoch once; the lambda's loads moved it never.
+    assert epochs == [epochs[0], epochs[0] + 1, epochs[0] + 1]
+
+
+def test_lambda_memory_access_bumps_state_epoch():
+    env, network, client, nic, firmware = make_setup(lambdas=[rdma_lambda()])
+    epoch = nic.state_epoch
+    nic.lambda_memory("img.image")[0] = 9
+    assert nic.state_epoch == epoch + 1
+
+
+def test_firmware_install_bumps_state_epoch():
+    env, network, client, nic, firmware = make_setup()
+    epoch = nic.state_epoch
+    nic.install_firmware(firmware)
+    assert nic.state_epoch == epoch + 1
+
+
+def _drive(n=30, **nic_kwargs):
+    env, network, client, nic, firmware = make_setup(
+        lambdas=[kv_store_lambda()], **nic_kwargs
+    )
+    responses = []
+    client.attach(lambda p: responses.append((env.now, p)))
+
+    def exercise(env):
+        for index in range(n):
+            seq = 1 if index % 3 == 0 else 0
+            client.send(kv_packet(request_id=index % 8, seq=seq,
+                                  value=index))
+            yield env.timeout(2e-6)
+
+    env.process(exercise(env))
+    env.run()
+    return nic, [(at, p.meta["lambda_meta"]) for at, p in responses]
+
+
+def test_jit_matches_reference_engine_end_to_end():
+    """Same packet stream on both engine tiers, identical simulation,
+    and the same epoch: both count exactly the SETs as writes."""
+    ref_nic, reference = _drive(engine="interpreter")
+    jit_nic, jitted = _drive(engine="jit")
+    assert reference == jitted
+    assert ref_nic.stats.requests_served == jit_nic.stats.requests_served
+    assert ref_nic.stats.latencies == jit_nic.stats.latencies
+    assert ref_nic.stats.total_cycles == jit_nic.stats.total_cycles
+    # The install, then the 10 SETs.
+    assert ref_nic.state_epoch == jit_nic.state_epoch == 1 + 10
+
+
+def test_jit_fallback_matches_reference_and_bumps_state_epoch(monkeypatch):
+    """A program the JIT cannot lower runs on the reference interpreter:
+    the simulation is unchanged and, since the interpreter does not
+    track writes, every execution bumps the epoch."""
+    ref_nic, reference = _drive(engine="interpreter")
+
+    def explode(program):
+        raise jit_module.JitLoweringError("forced for test")
+
+    monkeypatch.setattr(jit_module, "JitProgram", explode)
+    nic, fallback = _drive(engine="jit")
+    assert fallback == reference
+    assert nic.stats.latencies == ref_nic.stats.latencies
+    assert nic.stats.total_cycles == ref_nic.stats.total_cycles
+    assert nic.engine.last_tier == "interpreter"
+    assert nic.engine.stats.fallbacks == 1
+    assert nic.state_epoch == 1 + 30  # the install, then every execution
+
+
+@pytest.mark.parametrize("engine", ["fast" "path", "JIT"])
+def test_unknown_engine_is_rejected(engine):
+    """The retired pre-decoded tier and other unknown names are refused,
+    and the error names the two valid tiers."""
+    with pytest.raises(ValueError, match=r"\('interpreter', 'jit'\)"):
+        make_setup(engine=engine)

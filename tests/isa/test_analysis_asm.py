@@ -21,6 +21,7 @@ from repro.isa import (
     reachable_functions,
     unreachable_code,
 )
+from repro.isa.analysis import call_order
 
 
 def test_reachable_functions_follows_calls():
@@ -34,6 +35,22 @@ def test_reachable_functions_follows_calls():
         ],
     )
     assert reachable_functions(program) == {"p", "a", "b"}
+
+
+def test_call_order_puts_callers_before_callees():
+    program = LambdaProgram(
+        "p",
+        [
+            Function("p", [ins(Op.CALL, "b"), ins(Op.CALL, "a"),
+                           ins(Op.RET)]),
+            Function("a", [ins(Op.CALL, "c"), ins(Op.RET)]),
+            Function("b", [ins(Op.CALL, "c"), ins(Op.RET)]),
+            Function("c", [ins(Op.RET)]),
+            Function("dead", [ins(Op.CALL, "c"), ins(Op.RET)]),
+        ],
+    )
+    assert call_order(program) == ["p", "a", "b", "c"]
+    assert call_order(program, "a") == ["a", "c"]
 
 
 def test_unreachable_code_after_ret():

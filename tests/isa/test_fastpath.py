@@ -8,7 +8,7 @@ counts, instruction counts, region-access profiles, emitted packets,
 header/meta mutations, response payloads, persistent-memory effects —
 and the same errors with the same messages. The one documented
 difference is the write flag, which is always ``True`` on a fallback
-run so the execution memo never replays it.
+run so it always bumps the NIC's state epoch.
 
 Every test here forces lowering to fail and counts the attempts, so the
 cached failure (one lowering attempt per program signature) is checked

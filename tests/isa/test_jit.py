@@ -399,8 +399,8 @@ def test_fallback_to_interpreter(monkeypatch):
     jit = JitInterpreter()
     result, wrote = jit.execute(program, headers={}, meta={})
     assert result == Interpreter().run(program, headers={}, meta={})
-    # The interpreter does not track writes, so a fallback run always
-    # counts as memory-writing (the memo never replays it).
+    # A fallback run always counts as memory-writing, so it bumps the
+    # NIC's state epoch.
     assert wrote is True
     assert jit.last_tier == "interpreter"
     assert jit.stats.fallbacks == 1

@@ -85,6 +85,22 @@ def test_gauge_set_add_and_merge():
     assert gauge.merge(other).value() == other.merge(gauge).value() == 7
 
 
+def test_tracked_gauge_reads_its_source_when_read():
+    class Source:
+        hits = 1
+
+    source = Source()
+    gauge = Gauge("hits")
+    gauge.track(source, "hits", {"tier": "jit"})
+    source.hits = 5
+    assert gauge.value({"tier": "jit"}) == 5.0
+    assert gauge.items() == [({"tier": "jit"}, 5.0)]
+    snapshot = gauge.copy()
+    source.hits = 9
+    assert snapshot.value({"tier": "jit"}) == 5.0
+    assert gauge.merge(snapshot).value({"tier": "jit"}) == 14.0
+
+
 # -- CounterAttribute descriptor --------------------------------------------
 
 

@@ -506,7 +506,7 @@ class LegacySmartNIC(SmartNIC):
         exec_tags: Optional[Dict[str, Any]] = (
             {} if serve_span is not None else None
         )
-        result = self._execute(packet, headers, meta, trace_tags=exec_tags)
+        result = self._execute(headers, meta, trace_tags=exec_tags)
         cycles = result.cycles + PIPELINE_OVERHEAD_CYCLES + extra_cycles
         if serve_span is not None:
             exec_tags["lambda"] = lambda_name or "<none>"

@@ -1,13 +1,9 @@
-"""Wall-clock speed gates for the lambda engines.
+"""Wall-clock speed gate for the lambda engines.
 
-Two ratios, each the median of several warm rounds so that one slow
-round on a loaded host does not decide the outcome:
-
-* the JIT runs the web-server lambda at least ``MIN_JIT_SPEEDUP`` times
-  faster than the reference interpreter, and never on its interpreter
-  fallback;
-* replaying a memoised pure execution (the KV-client lookup path) beats
-  executing it on the JIT.
+The JIT runs the web-server lambda at least ``MIN_JIT_SPEEDUP`` times
+faster than the reference interpreter, and never on its interpreter
+fallback. The ratio is the median of several warm rounds so that one
+slow round on a loaded host does not decide the outcome.
 
 End-to-end simulator speed is measured by ``python3 bench/run.py``;
 these gates only check that the fast tiers keep paying for themselves.
@@ -19,7 +15,6 @@ import statistics
 import time
 from typing import Dict, List, Tuple
 
-from repro.hw.memo import ExecutionMemoCache, make_key
 from repro.isa import Interpreter, JitInterpreter
 from repro.workloads import standard_workloads
 
@@ -76,43 +71,3 @@ def engine_rates(requests: int, rounds: int) -> Dict[str, float]:
         "jit_fallbacks": jit.stats.fallbacks,
     }
 
-
-def memo_rates(requests: int, rounds: int) -> Dict[str, float]:
-    """Memo replay rate of one repeated pure KV-client request.
-
-    The lookup path never writes persistent memory, so the first
-    request executes and every repeat is a replay.
-    """
-    program = standard_workloads()["kv_client"].nic_factory()
-    jit = JitInterpreter()
-    memo = ExecutionMemoCache(max_entries=64)
-    memory = fresh_memory(program)
-    headers = {"LambdaHeader": {"wid": 2, "request_id": 7, "seq": 0,
-                                "is_response": 0}}
-    meta = {"has_LambdaHeader": 1, "ingress_port": 0}
-
-    def serve_once() -> None:
-        h = {k: dict(v) for k, v in headers.items()}
-        m = dict(meta)
-        key = make_key(program, program.entry, h, m, payload_digest=b"")
-        if memo.get(key) is not None:
-            return
-        result, wrote = jit.execute(program, headers=h, meta=m,
-                                    memory=memory)
-        if wrote:
-            memo.invalidate()
-        else:
-            memo.put(key, result)
-
-    def one_round() -> float:
-        started = time.perf_counter()
-        for _ in range(requests):
-            serve_once()
-        return time.perf_counter() - started
-
-    serve_once()  # populate (also warms the compile cache)
-    elapsed = statistics.median(one_round() for _ in range(rounds))
-    return {
-        "memo_replay_per_s": requests / elapsed,
-        "memo_hit_rate": memo.stats.hit_rate(),
-    }
