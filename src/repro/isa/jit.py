@@ -9,8 +9,10 @@ per-instruction overhead by compiling a
 
 * one generated Python function per lambda IR function;
 * basic blocks (from the function's decoded form,
-  :class:`~repro.isa.verify.DecodedFunction`) emitted as straight-line
-  statements under a small integer block dispatcher, with registers
+  :class:`~repro.isa.verify.DecodedFunction`) emitted in order as
+  straight-line statements, each under its own ``if _b == bid:`` test:
+  forward control falls through to the later tests in the same pass,
+  and only a back-edge restarts the dispatch loop; registers are
   lowered to Python locals;
 * the verifier's interval analysis
   (:func:`~repro.isa.verify.interval_states`) seeds the lowering:
@@ -543,6 +545,22 @@ class _FunctionLowering:
     def next_block(self, bid: int) -> int:
         return bid + 1 if bid + 1 < len(self.cfg.blocks) else _IMPLICIT
 
+    @staticmethod
+    def goto(target: int, block) -> List[str]:
+        """Statements passing control from ``block`` to block ``target``.
+
+        Blocks are emitted in order, each as its own ``if _b == bid:``,
+        so a later block (or the implicit return) is reached by falling
+        forward through the remaining tests; only a jump back to this
+        block or an earlier one restarts the dispatch loop (``_b``
+        already names this block, so a self-loop only restarts).
+        """
+        if target == block.bid:
+            return ["continue"]
+        if 0 <= target < block.bid:
+            return [f"_b = {target}", "continue"]
+        return [f"_b = {target}"]
+
     # -- control-flow lowering --------------------------------------------------
 
     def lower_control(self, index: int, instruction: Instruction,
@@ -556,7 +574,7 @@ class _FunctionLowering:
             if not block.succs:
                 out.append(f"raise KeyError({self.const(args[0])})")
             else:
-                out.append(f"_b = {block.succs[0]}")
+                out += self.goto(block.succs[0], block)
             return out
         if op in _BRANCH_TEMPLATES:
             target = block.taken
@@ -567,7 +585,7 @@ class _FunctionLowering:
                 # Statically-decided branch: both operands are proven
                 # ints, so the comparison cannot fault.
                 taken = _BRANCH_OPS[op](a_val, b_val)
-                out.append(f"_b = {target if taken else fallthrough}")
+                out += self.goto(target if taken else fallthrough, block)
                 return out
             cond = _BRANCH_TEMPLATES[op].format(
                 a=self.read_expr(index, args[0]),
@@ -579,7 +597,7 @@ class _FunctionLowering:
                 out.append(f"_b = {fallthrough}")
             else:
                 out.append(f"if {cond}:")
-                out.append(f"    _b = {target}")
+                out += ["    " + line for line in self.goto(target, block)]
                 out.append("else:")
                 out.append(f"    _b = {fallthrough}")
             return out
@@ -650,14 +668,12 @@ class _FunctionLowering:
         out.emit("while True:")
         out.indent += 1
         for block in self.cfg.blocks:
-            guard = "if" if block.bid == 0 else "elif"
-            out.emit(f"{guard} _b == {block.bid}:  "
+            out.emit(f"if _b == {block.bid}:  "
                      f"# body[{block.start}:{block.end}]")
             out.indent += 1
             self.emit_block(block)
             out.indent -= 1
-        out.emit("else:  # implicit return (fell off the end)")
-        out.indent += 1
+        out.emit(f"# implicit return (fell off the end: _b == {_IMPLICIT})")
         if checked_implicit:
             out.emit("if st.executed >= st.step_limit:")
             out.emit("    st.step_limit_exceeded()")
@@ -665,7 +681,6 @@ class _FunctionLowering:
             out.emit(line)
         out.emit("return False")
         out.indent -= 2
-        out.indent -= 1
 
     def emit_block(self, block) -> None:
         out = self.out
@@ -897,10 +912,8 @@ class JitInterpreter:
         staleness guard."""
         if compiled is None:
             self.last_tier = "interpreter"
-            # Conservatively count a fallback run as memory-writing: it
-            # always bumps the NIC's state epoch.
-            return self.fallback.run(program, headers, meta, memory,
-                                     entry), True
+            return self.fallback.execute(program, headers, meta, memory,
+                                         entry)
         self.last_tier = "jit"
         st = Machine(program, headers, meta, memory, self.step_limit)
         compiled.entry(entry or program.entry)(st)

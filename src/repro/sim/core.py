@@ -145,17 +145,23 @@ class Timeout(Event):
     def cancel(self) -> None:
         """Cancel a pending timeout: its callbacks will never run.
 
-        The timeout stays on the calendar until its timestamp is reached,
-        where the scheduler discards it without invoking callbacks or
-        advancing the clock for it. Only the exclusive owner of a timeout
-        may cancel it — anything still waiting on the event (a parked
-        process, a condition) would wait forever.
+        The scheduler discards a cancelled timeout without invoking
+        callbacks or advancing the clock for it: at its timestamp, or
+        earlier, when cancelled entries come to outnumber the live ones
+        and the calendar is rebuilt without them
+        (:meth:`Environment._drop_cancelled`). Only the exclusive owner
+        of a timeout may cancel it — anything still waiting on the event
+        (a parked process, a condition) would wait forever.
         """
         if self.callbacks is None:
             raise SimulationError("cannot cancel a processed timeout")
         if not self._cancelled:
             self._cancelled = True
-            self.env._n_cancelled += 1
+            env = self.env
+            env._n_cancelled += 1
+            if 2 * env._n_cancelled > (len(env._queue) + len(env._now_normal)
+                                       + len(env._now_urgent)):
+                env._drop_cancelled()
 
     @property
     def cancelled(self) -> bool:
@@ -369,6 +375,30 @@ class Environment:
         if self._now_urgent or self._now_normal:
             return self._now
         return queue[0][0] if queue else float("inf")
+
+    def _drop_cancelled(self) -> None:
+        """Rebuild the calendar without its cancelled timeouts.
+
+        :meth:`Timeout.cancel` calls this once cancelled entries are more
+        than half of the calendar, so a rebuild (O(entries)) follows at
+        least as many cancellations as it keeps live entries: O(1) per
+        cancel, amortised. Processing order cannot change: the deques
+        keep their order, and every heap key (time, priority, eid) is
+        unique, so the heap pops the same sequence whatever its shape.
+        The lists and deques are filtered in place, so a caller holding
+        them (:meth:`step` mid-callback) sees the rebuilt calendar.
+        """
+        dropped = 0
+        for entries in (self._queue, self._now_urgent, self._now_normal):
+            # The event is the last field of heap and deque entries alike.
+            kept = [entry for entry in entries
+                    if entry[-1].__class__ is not Timeout
+                    or not entry[-1]._cancelled]
+            dropped += len(entries) - len(kept)
+            entries.clear()
+            entries.extend(kept)
+        heapq.heapify(self._queue)
+        self._n_cancelled -= dropped
 
     def step(self) -> None:
         """Process the next event on the calendar."""

@@ -82,48 +82,48 @@ def digest(text):
 #: unit -> (final instruction count, firmware digest, JIT source digest).
 FIRMWARE_PINS = {
     "fig9": (1320, "99ace919fdfab580",
-        "db036e9a5ff057b2"),
+        "5f716c254abe7e73"),
     "image_transformer": (288, "b5eb60b0f85a03ec",
-        "8c1c7093b6179f64"),
+        "57233bb338f5eb3e"),
     "image_transformer+kv_client": (574, "857077299c7a0052",
-        "3cf5f803a766c7bb"),
+        "a77d91f18c324d55"),
     "image_transformer+kv_client+web_server": (1039, "d7dbb87ce6db586e",
-        "18cf0380378ebfa2"),
+        "a48dfac872191cfd"),
     "image_transformer+web_server": (753, "4fd377ee2b147af5",
-        "079d3649820ee0c3"),
+        "a8ae668d1f977d23"),
     "image_transformer+web_server+kv_client": (1039, "b8d8a2d1b2fef6fc",
-        "c339f0e4c5f1a0f7"),
+        "1606e565262a4507"),
     "kv_client": (341, "32a29193d1c23427",
-        "cb413d9fff3ecd16"),
+        "16b4776e666a2a0c"),
     "kv_client+image_transformer": (574, "de74cb47a1971cd5",
-        "1ce6b6a8c722f842"),
+        "5771563540e0a058"),
     "kv_client+image_transformer+web_server": (1039, "c3d122885e98ec98",
-        "8a7167a20d2c3819"),
+        "bfa3806da02bd728"),
     "kv_client+web_server": (810, "0650ae7d3313d4a4",
-        "c4b485e86392a10b"),
+        "71969a111be0340b"),
     "kv_client+web_server+image_transformer": (1039, "b0f7b353ff628ca3",
-        "c964a7423a4bebbf"),
+        "f4077a46b8d16943"),
     "web_server": (524, "7e486d04fba24e66",
-        "37f16737eef5cf47"),
+        "e8035fef0f8727ca"),
     "web_server+image_transformer": (753, "d19a34bca85ed03d",
-        "2d9753180d342926"),
+        "e63b1c6c02069bcc"),
     "web_server+image_transformer+kv_client": (1039, "744a8b443e9eb6b4",
-        "822a202df6c5cfd6"),
+        "6acb094e0bcd85cc"),
     "web_server+kv_client": (810, "27dbbf12f0fc3632",
-        "b8355a4e88c29c62"),
+        "2c8f2e61fd4cf0b9"),
     "web_server+kv_client+image_transformer": (1039, "744761d8dc77eab2",
-        "301a2f54f84373d1"),
+        "5e70f0423c2c21f9"),
 }
 
 #: workload program -> JIT source digest, standalone (not composed).
 PROGRAM_JIT_PINS = {
-    "fig9:image_transformer": "7e12f056d1f29919",
-    "fig9:kv_client_get": "73f2371c57052ce5",
-    "fig9:kv_client_set": "e620b33f4bdb5e1d",
-    "fig9:web_server": "42b0cf5fc0abeefb",
-    "std:image_transformer": "7e12f056d1f29919",
-    "std:kv_client": "977350de4f125f1e",
-    "std:web_server": "42b0cf5fc0abeefb",
+    "fig9:image_transformer": "616ac569dab2a684",
+    "fig9:kv_client_get": "63b86b44ff0d3577",
+    "fig9:kv_client_set": "0325b31f9f4cf1f2",
+    "fig9:web_server": "46ee2c941c23ea58",
+    "std:image_transformer": "616ac569dab2a684",
+    "std:kv_client": "0b69c3dd874f0f83",
+    "std:web_server": "46ee2c941c23ea58",
 }
 
 

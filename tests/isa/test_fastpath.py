@@ -6,9 +6,9 @@ structure changes. That path must be *indistinguishable* from running
 the reference interpreter directly: same verdicts, return values, cycle
 counts, instruction counts, region-access profiles, emitted packets,
 header/meta mutations, response payloads, persistent-memory effects —
-and the same errors with the same messages. The one documented
-difference is the write flag, which is always ``True`` on a fallback
-run so it always bumps the NIC's state epoch.
+and the same errors with the same messages — and the same write flag,
+so a fallback run bumps the NIC's state epoch exactly when it wrote
+persistent memory.
 
 Every test here forces lowering to fail and counts the attempts, so the
 cached failure (one lowering attempt per program signature) is checked
@@ -215,14 +215,14 @@ def test_error_parity_unknown_intrinsic():
 
 
 def test_wrote_memory_flag():
-    """A fallback run always counts as memory-writing, pure or not."""
+    """A fallback run reports persistent-memory writes exactly."""
     pure = build(lambda f: f.load("r1", "buf", 0).mstore("v", "r1").forward(),
                  objects=[("buf", 64)])
     impure = build(lambda f: f.mov("r1", 7).store("buf", 0, "r1").forward(),
                    objects=[("buf", 64)])
     engine = JitInterpreter()
     _, wrote = engine.execute(pure, headers={}, meta={})
-    assert wrote is True
+    assert wrote is False
     _, wrote = engine.execute(impure, headers={}, meta={})
     assert wrote is True
     assert_fell_back(engine, lowerings=2)

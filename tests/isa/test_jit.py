@@ -399,9 +399,9 @@ def test_fallback_to_interpreter(monkeypatch):
     jit = JitInterpreter()
     result, wrote = jit.execute(program, headers={}, meta={})
     assert result == Interpreter().run(program, headers={}, meta={})
-    # A fallback run always counts as memory-writing, so it bumps the
-    # NIC's state epoch.
-    assert wrote is True
+    # The fallback reports writes exactly: a pure run wrote nothing, so
+    # it leaves the NIC's state epoch alone.
+    assert wrote is False
     assert jit.last_tier == "interpreter"
     assert jit.stats.fallbacks == 1
     assert jit.dump_source(program) is None
@@ -409,6 +409,13 @@ def test_fallback_to_interpreter(monkeypatch):
     jit.execute(program, headers={}, meta={})
     assert jit.stats.fallbacks == 1
     assert jit.stats.hits >= 1
+    # A fallback run that stores to persistent memory reports the write.
+    writer = build(lambda f: f.mov("r1", 7).store("buf", 0, "r1").ret("r1"),
+                   objects=[("buf", 64)])
+    _, wrote = jit.execute(writer, headers={}, meta={})
+    assert wrote is True
+    assert jit.last_tier == "interpreter"
+    assert jit.stats.fallbacks == 2
 
 
 def test_alternate_entry_point_parity():

@@ -9,7 +9,9 @@ second group checks that epoch at the NIC level: JIT-executed writes
 bump it, while pure executions leave it. A third sweeps the step limit
 across random
 straight-line programs, so every limit trips mid-segment on the JIT's
-per-instruction slow path.
+per-instruction slow path. A fourth runs random control-flow graphs
+(forward branches, nested bounded loops, self-loops, back-edges to
+block 0) at random step limits, comparing the write flag exactly.
 """
 
 import copy
@@ -17,6 +19,7 @@ import random
 from dataclasses import asdict
 from unittest import mock
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,16 +63,11 @@ packet_meta = st.fixed_dictionaries({
 
 
 def outcome(engine, program, headers, meta, memory):
-    """(result-or-error, wrote_memory) for one engine run."""
+    """(result-or-error, wrote_memory) for one run on either tier."""
     try:
-        if isinstance(engine, Interpreter):
-            result = engine.run(program, headers=copy.deepcopy(headers),
-                                meta=dict(meta), memory=memory)
-            wrote = None
-        else:
-            result, wrote = engine.execute(
-                program, headers=copy.deepcopy(headers), meta=dict(meta),
-                memory=memory)
+        result, wrote = engine.execute(
+            program, headers=copy.deepcopy(headers), meta=dict(meta),
+            memory=memory)
         return ("ok", asdict(result)), wrote
     except Exception as error:
         return ("err", type(error).__name__, str(error)), None
@@ -227,6 +225,144 @@ def test_step_trip_matches_reference_at_every_limit(program, memory_seed):
                            JitInterpreter(step_limit=limit))
         ]
         assert states[0] == states[1], f"step limit {limit}"
+
+
+# -- random control flow ------------------------------------------------------
+#
+# Random structured CFGs: straight-line code, forward branches that skip
+# code, if/else diamonds, early exits, bounded loops nested up to three
+# deep (each resets its own counter on entry), self-loops, a loop whose
+# back-edge targets block 0, and endings that fall off the end of the
+# body, right after a back-edge among others. Every loop counts a counter
+# register up to a small bound, so every program terminates.
+
+#: Loop counters; block 0's loop uses the last, which nothing resets.
+_COUNTERS = ("r6", "r7", "r8", "r9", "r10", "r11", "r12")
+_BRANCHES = (Op.BEQ, Op.BNE, Op.BLT, Op.BGE)
+
+
+def _bounded_instruction(instruction):
+    """No register-by-register multiply: squaring inside a loop grows
+    integers without bound."""
+    if instruction[0] is Op.MUL and isinstance(instruction[3], str):
+        return instruction[:3] + (3,)
+    return instruction
+
+
+@st.composite
+def _cfg_region(draw, fn, depth, counters):
+    kinds = ["code", "skip", "diamond", "exit", "loop", "self_loop"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(kinds if depth < 3 else ["code"]))
+        if kind in ("loop", "self_loop") and not counters:
+            kind = "code"
+        if kind == "code":
+            for op, *args in draw(st.lists(
+                    straightline_instruction().map(_bounded_instruction),
+                    min_size=1, max_size=3)):
+                fn.emit(op, *args)
+            continue
+        if kind == "loop" or kind == "self_loop":
+            counter = counters.pop()
+            top = fn.fresh_label("top")
+            fn.mov(counter, 0)
+            fn.label(top)
+            if kind == "loop":
+                draw(_cfg_region(fn, depth + 1, counters))
+            fn.add(counter, counter, 1)
+            fn.blt(counter, draw(st.integers(1, 3)), top)
+            continue
+        # A forward branch over the next part: an exit, a region, or a
+        # diamond's then-arm.
+        skip = fn.fresh_label("skip")
+        fn.emit(draw(st.sampled_from(_BRANCHES)), draw(st.sampled_from(_REGS)),
+                draw(st.integers(0, 24)), skip)
+        if kind != "exit":
+            draw(_cfg_region(fn, depth + 1, counters))
+        elif draw(st.booleans()):
+            fn.forward()
+        else:
+            fn.ret("r1")
+        if kind == "diamond":
+            join = fn.fresh_label("join")
+            fn.jmp(join)
+            fn.label(skip)
+            draw(_cfg_region(fn, depth + 1, counters))
+            fn.label(join)
+        else:
+            fn.label(skip)
+
+
+@st.composite
+def random_cfg_program(draw):
+    builder = ProgramBuilder("cfg")
+    for name, size, _ in _OBJECTS:
+        builder.object(name, size)
+    fn = builder.function("cfg")
+    counters = list(_COUNTERS[:-1])
+    to_block_zero = draw(st.booleans())
+    if to_block_zero:
+        fn.label("entry")
+    for reg in _REGS:
+        fn.mov(reg, draw(st.integers(0, 24)))
+    draw(_cfg_region(fn, 0, counters))
+    if to_block_zero:
+        fn.add(_COUNTERS[-1], _COUNTERS[-1], 1)
+        fn.blt(_COUNTERS[-1], draw(st.integers(1, 3)), "entry")
+    ending = draw(st.sampled_from(["fall", "label", "forward", "ret"]))
+    if ending == "label":
+        fn.label("end")
+    elif ending == "forward":
+        fn.forward()
+    elif ending == "ret":
+        fn.ret("r2")
+    builder.close(fn)
+    program = builder.build()
+    for name, _, region in _OBJECTS:
+        program.objects[name].region = region
+    return program
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=random_cfg_program(), memory_seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_random_cfg_matches_reference_at_random_step_limits(
+        program, memory_seed, data):
+    """Random control flow runs identically on the JIT and the
+    reference interpreter: results, errors, write flag and memory, with
+    no step limit in reach and with a step limit drawn from the run's
+    own length, so trips land inside loops and at back-edges."""
+    from repro.workloads.intrinsics import install_intrinsics
+
+    install_intrinsics()
+    rng = random.Random(memory_seed)
+    memory = {obj.name: bytearray(rng.randrange(256)
+                                  for _ in range(obj.size_bytes))
+              for obj in program.objects.values()}
+    headers = {"LambdaHeader": {"wid": 1, "request_id": rng.randrange(64),
+                                "seq": 0}}
+    meta = {"ingress_port": rng.randrange(4)}
+    first, _ = outcome(Interpreter(), program, headers, meta,
+                       {k: bytearray(v) for k, v in memory.items()})
+    # A limit inside the run's own length trips inside its loops; a run
+    # that raises draws from the program's length instead.
+    length = first[1]["instructions_executed"] if first[0] == "ok" \
+        else program.instruction_count
+    limit = data.draw(st.integers(0, length), label="step limit")
+    for kwargs in ({}, {"step_limit": limit}):
+        runs = []
+        for engine in (Interpreter(**kwargs), JitInterpreter(**kwargs)):
+            copied = {k: bytearray(v) for k, v in memory.items()}
+            runs.append((outcome(engine, program, headers, meta, copied),
+                         copied))
+        assert runs[0] == runs[1], f"step limit {kwargs}"
+    assert JitInterpreter().compiled_for(program) is not None
+    blocks = program.functions["cfg"].decoded.cfg.blocks
+    for feature, present in (
+            ("self-loop", any(b.bid in b.succs for b in blocks)),
+            ("back-edge to block 0", any(0 in b.succs for b in blocks)),
+            ("step limit tripped", "step limit" in str(runs[0][0]))):
+        hypothesis.event(feature if present else f"no {feature}")
 
 
 def _jit_nic(builder_fn, name):

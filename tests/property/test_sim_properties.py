@@ -3,7 +3,8 @@
 import heapq
 import itertools
 
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import NORMAL, URGENT, Environment
@@ -134,6 +135,12 @@ def test_resource_work_conserving(n_users, capacity):
 # ``cancel_now`` cancels a timeout as soon as it is made; when the node
 # fires, ``cancel_pick`` (if set) cancels one still-pending timeout and
 # ``children`` are scheduled from inside the callback.
+#
+# The reference also applies the kernel's rebuild rule: once a
+# cancellation leaves more than half of the pending entries cancelled,
+# the cancelled ones are dropped. Both sides count their rebuilds, so
+# the oracle checks when the kernel rebuilds as well as that order
+# survives it.
 
 _ORACLE_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 
@@ -168,6 +175,14 @@ def _run_kernel(schedule):
     log = []
     labels = itertools.count()
     timeouts = {}
+    rebuilds = []
+    drop_cancelled = env._drop_cancelled
+
+    def counted_drop():
+        rebuilds.append(env.now)
+        drop_cancelled()
+
+    env._drop_cancelled = counted_drop
 
     def fire(event, node):
         log.append((env.now, event.value))
@@ -198,7 +213,7 @@ def _run_kernel(schedule):
     for node in schedule:
         launch(node)
     env.run()
-    return log, env.now
+    return log, env.now, rebuilds
 
 
 def _run_reference(schedule):
@@ -208,7 +223,15 @@ def _run_reference(schedule):
     labels = itertools.count()
     insertion = itertools.count()
     timeouts = {}
+    rebuilds = []
     now = 0.0
+
+    def cancel(entry):
+        entry[5] = True
+        if 2 * sum(other[5] for other in heap) > len(heap):
+            heap[:] = [other for other in heap if not other[5]]
+            heapq.heapify(heap)
+            rebuilds.append(now)
 
     def launch(node):
         kind, priority, delay, cancel_now = node[:4]
@@ -218,7 +241,8 @@ def _run_reference(schedule):
         heapq.heappush(heap, entry)
         if kind == "timeout":
             timeouts[label] = entry
-            entry[5] = cancel_now
+            if cancel_now:
+                cancel(entry)
 
     for node in schedule:
         launch(node)
@@ -234,16 +258,48 @@ def _run_reference(schedule):
             pending = [label for label, other in sorted(timeouts.items())
                        if not other[6] and not other[5]]
             if pending:
-                timeouts[_pick(pending, pick)][5] = True
+                cancel(timeouts[_pick(pending, pick)])
         for child in children:
             launch(child)
-    return log, now
+    return log, now, rebuilds
+
+
+def _timeout(delay, cancel_now=False, pick=None, children=()):
+    return ("timeout", NORMAL, delay, cancel_now, pick, tuple(children))
+
+
+#: Many cancellations: most timeouts are cancelled as they are made, at
+#: the current instant and in the future, and firing timeouts cancel
+#: pending ones and make short-lived children, so the calendar is
+#: rebuilt several times, some of them from inside a callback.
+_MANY_CANCELLATIONS = (
+    [_timeout(2.0, cancel_now=True) for _ in range(12)]
+    + [_timeout(0.0, cancel_now=True) for _ in range(4)]
+    + [_timeout(0.5, pick=index,
+                children=[_timeout(0.0, cancel_now=True),
+                          _timeout(1.0, pick=1),
+                          ("event", URGENT, 0.0, False, 0, ())])
+       for index in range(6)]
+    + [_timeout(1.0), _timeout(2.0), ("event", NORMAL, 1.0, False, 2, ())]
+)
 
 
 @given(schedule=_ORACLE_SCHEDULES)
+@example(schedule=_MANY_CANCELLATIONS)
 @settings(max_examples=300, deadline=None)
 def test_kernel_order_matches_single_heap_reference(schedule):
     """Heap plus immediate deques process events in the same
     (time, priority, insertion) order as one reference heap, including
-    events scheduled from callbacks and cancelled timeouts."""
-    assert _run_kernel(schedule) == _run_reference(schedule)
+    events scheduled from callbacks and cancelled timeouts, and rebuild
+    the calendar without its cancelled timeouts at the same moments."""
+    kernel = _run_kernel(schedule)
+    assert kernel == _run_reference(schedule)
+    hypothesis.event("calendar rebuilt" if kernel[2] else "no rebuild")
+
+
+def test_many_cancellations_example_rebuilds_the_calendar():
+    """The oracle's explicit example reaches the rebuild, at the start
+    and from inside callbacks."""
+    _, _, rebuilds = _run_kernel(_MANY_CANCELLATIONS)
+    assert len(rebuilds) >= 3
+    assert rebuilds[0] == 0.0 and max(rebuilds) > 0.0

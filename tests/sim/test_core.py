@@ -212,6 +212,34 @@ def test_peek_skips_cancelled_timeouts():
     assert env._n_cancelled == 0
 
 
+def test_cancelled_timeouts_leave_the_calendar_and_survivors_keep_order():
+    """Cancelling 10k timeouts shrinks the calendar to its live entries
+    (plus at most as many cancelled ones), and the survivors, future and
+    same-instant alike, fire in (time, insertion) order."""
+    env = Environment()
+    fired = []
+    timeouts = []
+    for index in range(10_000):
+        # Every fifth is zero-delay and sits in the same-instant deque.
+        delay = 0.0 if index % 5 == 0 else float(index % 97)
+        timeout = env.timeout(delay, value=index)
+        timeout.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
+        timeouts.append(timeout)
+    survivors = timeouts[::7]
+    doomed = [t for i, t in enumerate(timeouts) if i % 7]
+    # Cancel in an order unrelated to the schedule's.
+    for timeout in doomed[1::2] + doomed[::2]:
+        timeout.cancel()
+    calendar = len(env._queue) + len(env._now_normal) + len(env._now_urgent)
+    assert calendar <= 2 * len(survivors)
+    assert 2 * env._n_cancelled <= calendar
+    env.run()
+    expected = sorted((t._delay, t.value) for t in survivors)
+    assert fired == expected
+    assert env._n_cancelled == 0
+    assert not any(t.processed for t in doomed)
+
+
 def test_all_of_waits_for_all():
     env = Environment()
     times = []
