@@ -160,7 +160,10 @@ def memory_stratification(
 def _fold_direct_accesses(
     body: List[Instruction], direct_objects: set
 ) -> List[Instruction]:
-    """Peephole: resolve+load -> loadd, resolve+store -> stored."""
+    """Peephole: resolve+load -> loadd, resolve+store -> stored.
+
+    Returns ``body`` itself when nothing folds.
+    """
     folded: List[Instruction] = []
     index = 0
     while index < len(body):
@@ -183,7 +186,7 @@ def _fold_direct_accesses(
                 continue
         folded.append(instruction)
         index += 1
-    return folded
+    return folded if len(folded) < len(body) else body
 
 
 def dead_store_elimination(unit: CompilationUnit) -> CompilationUnit:

@@ -88,6 +88,12 @@ class CompilationUnit:
     #: it; ``compile_unit`` takes it instead of building again.
     built: Optional[Tuple[LambdaProgram, Any]] = field(
         default=None, repr=False, compare=False)
+    #: (lambda, function) -> (body, function map, object map, the
+    #: namespaced Function): a body no pass replaced since the last
+    #: build is not rewritten again. Not copied: each compile starts
+    #: from a copy, so rewrites are shared only within one compile.
+    _rewritten: Dict[Tuple[str, str], tuple] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def add_lambda(
         self,
@@ -182,14 +188,21 @@ class CompilationUnit:
                 inner: qualify(lambda_name, inner) for inner in program.objects
             }
             for inner_name, function in program.functions.items():
-                public = (
-                    lambda_name
-                    if inner_name == program.entry
-                    else function_map[inner_name]
-                )
-                firmware.add_function(
-                    rewrite_function(function, public, function_map, object_map)
-                )
+                key = (lambda_name, inner_name)
+                cached = self._rewritten.get(key)
+                if cached is None or cached[0] is not function.body \
+                        or cached[1] != function_map \
+                        or cached[2] != object_map:
+                    public = (
+                        lambda_name
+                        if inner_name == program.entry
+                        else function_map[inner_name]
+                    )
+                    cached = self._rewritten[key] = (
+                        function.body, function_map, object_map,
+                        rewrite_function(function, public, function_map,
+                                         object_map))
+                firmware.add_function(cached[3])
             for obj in program.objects.values():
                 namespaced = obj.__class__(
                     qualify(lambda_name, obj.name),

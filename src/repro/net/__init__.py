@@ -15,6 +15,7 @@ from .headers import (
     header_class,
 )
 from .link import Link, LinkStats, Train
+from .message import Message, Segment, Segments
 from .network import Network, Node, TEN_GBPS
 from .packet import DEADLINE_META, Packet, reset_packet_ids
 from .switch import Switch
@@ -29,6 +30,7 @@ __all__ = [
     "LambdaHeader",
     "Link",
     "LinkStats",
+    "Message",
     "Network",
     "Node",
     "Packet",
@@ -36,6 +38,8 @@ __all__ = [
     "RdmaHeader",
     "RpcHeader",
     "STANDARD_HEADERS",
+    "Segment",
+    "Segments",
     "ServerHdr",
     "Switch",
     "TCPHeader",

@@ -32,12 +32,26 @@ def reset_packet_ids() -> None:
     _packet_ids = itertools.count(1)
 
 
+def reserve_packet_ids(count: int) -> int:
+    """Take ``count`` consecutive packet ids; returns the first.
+
+    An RDMA message reserves one id per segment when it is built, so a
+    segment made into a :class:`Packet` later gets the id it would have
+    had as a packet built at send time.
+    """
+    global _packet_ids
+    first = next(_packet_ids)
+    _packet_ids = itertools.count(first + count)
+    return first
+
+
 class Packet:
     """A simulated network packet.
 
     ``payload`` is an arbitrary Python object (bytes for realism, or a
     structured value); ``payload_bytes`` is its on-wire size and is what
-    serialization delay is computed from.
+    serialization delay is computed from. ``packet_id`` is drawn from
+    the network's counter unless given (a reserved id).
     """
 
     __slots__ = (
@@ -58,10 +72,12 @@ class Packet:
         payload: Any = None,
         payload_bytes: int = 0,
         meta: Optional[Dict[str, Any]] = None,
+        packet_id: Optional[int] = None,
     ) -> None:
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-        self.packet_id = next(_packet_ids)
+        self.packet_id = next(_packet_ids) if packet_id is None \
+            else packet_id
         self.src = src
         self.dst = dst
         self.headers = headers if headers is not None else HeaderStack()

@@ -24,6 +24,13 @@ part of that work, each at the instant it happens:
 - a partition is set or healed: packets whose switching ends after
   that instant are routed again under the new partition, so the
   partition check still happens at each packet's end of switching.
+
+A batch of an RDMA message's segments holds the message's view (see
+:mod:`repro.net.message`). Its segments share a route, so an untraced
+batch is routed with one verdict and handed on as one view. A split
+makes the segments it takes back into packets and merges them with
+the other train; a lone packet that has arrived is never held, since
+nothing can split or rewind it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Deque, Dict, Iterable, List, Optional
 from ..obs import Tracer
 from ..sim import Environment
 from .link import Link, Train, _Direction
+from .message import Segments
 from .packet import Packet
 
 #: A packet's routing verdict when it is not forwarded.
@@ -152,7 +160,10 @@ class Switch:
             self._accept(*_merge(old_packets, old_arrivals,
                                  train.packets, train.times))
         else:
-            self._accept(train.packets[:], train.times[:])
+            # A lone packet arrives now, behind everything accepted:
+            # nothing can split or rewind it, so it is not held.
+            self._accept(train.packets[:], train.times[:],
+                         len(train.packets) > 1)
 
     def _retract(self, train: Train, removed: List[Packet]) -> None:
         """An upstream link took back ``removed``, which has not
@@ -165,9 +176,11 @@ class Switch:
             self._accept([packets[index] for index in kept],
                          [arrivals[index] for index in kept])
 
-    def _accept(self, packets: List[Packet], arrivals: List[float]) -> None:
+    def _accept(self, packets: List[Packet], arrivals: List[float],
+                held: bool = True) -> None:
         """Switch ``packets``, which arrive at ``arrivals``, as a batch
-        after every packet accepted so far."""
+        after every packet accepted so far. A batch not ``held`` stays
+        out of ``_batches``: it can never be undone."""
         free = free_before = self._free_at
         latency = self.switching_latency
         outs = []
@@ -179,7 +192,8 @@ class Switch:
         batch = _Batch(packets, arrivals, outs, free_before)
         timeout = self.env.timeout_at(outs[0], batch, self._switched)
         batch.timeout = timeout
-        self._batches.append(batch)
+        if held:
+            self._batches.append(batch)
 
     def _free_after(self, batch: _Batch, count: int) -> float:
         """The pipeline's ``free_at`` after the first ``count`` packets
@@ -304,6 +318,24 @@ class Switch:
         table = self._table
         routes = batch.routes
         packets, outs = batch.packets, batch.outs
+        if packets.__class__ is Segments and self.env.tracer is None:
+            # A message's segments share their route: one verdict.
+            message = packets.message
+            count = len(packets) - first
+            peer = table.get(message.dst)
+            if peer is None:
+                stats.packets_dropped_unknown += count
+                routes.extend([_UNKNOWN] * count)
+            elif self._partition is not None \
+                    and self._crosses_partition(message.src, peer):
+                stats.packets_dropped_partition += count
+                routes.extend([_PARTITION] * count)
+            else:
+                stats.packets_forwarded += count
+                direction = self._egress[peer]
+                routes.extend([direction] * count)
+                direction.send(packets[first:], outs[first:])
+            return
         trains: Dict[_Direction, tuple] = {}
         for index in range(first, len(packets)):
             packet = packets[index]
@@ -379,7 +411,11 @@ class Switch:
 
 
 def _merge(first_packets, first_arrivals, second_packets, second_arrivals):
-    """Merge two trains by arrival; ties keep ``first``'s packet first."""
+    """Merge two trains by arrival; ties keep ``first``'s packet first.
+
+    The result is a list of packets: a message's segments are made into
+    packets here.
+    """
     packets: List[Packet] = []
     arrivals: List[float] = []
     i = j = 0
@@ -392,6 +428,7 @@ def _merge(first_packets, first_arrivals, second_packets, second_arrivals):
             packets.append(first_packets[i])
             arrivals.append(first_arrivals[i])
             i += 1
-    packets += first_packets[i:] + second_packets[j:]
+    packets.extend(first_packets[i:])
+    packets.extend(second_packets[j:])
     arrivals += first_arrivals[i:] + second_arrivals[j:]
     return packets, arrivals

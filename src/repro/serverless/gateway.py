@@ -22,8 +22,8 @@ from ..net import (
     HeaderStack,
     IPv4Header,
     LambdaHeader,
+    Message,
     Packet,
-    RdmaHeader,
     UDPHeader,
 )
 from ..net.network import Node
@@ -839,45 +839,23 @@ class Gateway:
     def _send_rdma(self, route: Route, target: str, request_id: int,
                    payload: Any, size: int, span=None,
                    deadline: Optional[float] = None) -> None:
-        """Segment a large payload into RDMA writes (paper D3)."""
-        segment = self.rdma_segment_bytes
-        total = max(1, (size + segment - 1) // segment)
-        blob = payload if isinstance(payload, (bytes, bytearray)) else None
-        # Computed once per message. The outer headers are shared by
-        # every segment (nothing edits a header in flight: a response
-        # edits a copy); each packet has its own stack, lambda and RDMA
-        # headers, and meta.
-        stamp = None if deadline is None else self._attempt_deadline(deadline)
-        src, wid, qp = self.name, route.wid, route.rdma_qp
-        ethernet = EthernetHeader()
-        ip = IPv4Header(src_ip=src, dst_ip=target)
-        udp = UDPHeader()
-        packets = []
-        for seq in range(total):
-            chunk_size = min(segment, size - seq * segment)
-            chunk = (bytes(blob[seq * segment: seq * segment + chunk_size])
-                     if blob is not None else None)
-            packet = Packet(
-                src=src,
-                dst=target,
-                headers=HeaderStack([
-                    ethernet,
-                    ip,
-                    udp,
-                    LambdaHeader(wid=wid, request_id=request_id,
-                                 seq=seq, total_segments=total),
-                    RdmaHeader(opcode="WRITE", qp=qp,
-                               remote_address=seq * segment,
-                               length=chunk_size),
-                ]),
-                payload=chunk,
-                payload_bytes=chunk_size,
-            )
-            if stamp is not None:
-                packet.meta[DEADLINE_META] = stamp
-            if span is not None:
-                Tracer.stamp_packet(packet, span)
-            packets.append(packet)
-        # One train: each link, the switch and the NIC take the whole
-        # message in one event.
-        self.node.send_train(packets)
+        """Segment a large payload into RDMA writes (paper D3): one
+        message, sent as one train."""
+        meta: Dict[str, Any] = {}
+        if deadline is not None:
+            meta[DEADLINE_META] = self._attempt_deadline(deadline)
+        message = Message(
+            self.name, target,
+            (EthernetHeader(), IPv4Header(src_ip=self.name, dst_ip=target),
+             UDPHeader()),
+            route.wid, request_id, route.rdma_qp, size,
+            self.rdma_segment_bytes,
+            payload=(payload if isinstance(payload, (bytes, bytearray))
+                     else None),
+            meta=meta,
+        )
+        if span is not None:
+            Tracer.stamp_packet(message, span)
+        # Each link, the switch and the NIC take the whole message in
+        # one event.
+        self.node.send_train(message.segments())

@@ -5,16 +5,19 @@ messages; the paper measured 120 instructions to reorder four 100 B
 packets (~1.3 % of a benchmark lambda). :class:`ReorderBuffer` provides
 the mechanism plus that cost model.
 
-Segments arrive one at a time (:meth:`ReorderBuffer.add`) or as a train
-of one message's segments in arrival order
-(:meth:`ReorderBuffer.add_train`), which leaves the buffer exactly as
-adding them one by one would.
+Segments arrive one at a time (:meth:`ReorderBuffer.add`), as a train
+of one message's consecutive segments in arrival order
+(:meth:`ReorderBuffer.add_train`), or as a *run*: consecutive segments
+that stay one entry (:meth:`ReorderBuffer.add_run`), such as an RDMA
+message's view. Each leaves the buffer and its counters exactly as
+adding the segments one by one would. A whole message that arrives as
+one run into an empty slot completes in one step, with nothing stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Instructions per segment, from the paper's measurement (120 / 4).
 REORDER_INSTRUCTIONS_PER_SEGMENT = 30
@@ -24,12 +27,45 @@ class ReorderError(ValueError):
     """Raised on inconsistent segment metadata."""
 
 
-@dataclass
 class _Message:
-    total: int
-    segments: Dict[int, Any] = field(default_factory=dict)
-    out_of_order: int = 0
-    highest_seen: int = -1
+    """The segments of one message received so far."""
+
+    __slots__ = ("total", "segments", "runs", "received", "out_of_order",
+                 "highest_seen")
+
+    def __init__(self, total: int) -> None:
+        self.total = total
+        #: seq -> item, for segments added one at a time.
+        self.segments: Dict[int, Any] = {}
+        #: (first seq, run) for runs kept whole.
+        self.runs: List[Tuple[int, Sequence]] = []
+        self.received = 0
+        self.out_of_order = 0
+        self.highest_seen = -1
+
+    def holds(self, seq: int) -> bool:
+        if seq in self.segments:
+            return True
+        for first, run in self.runs:
+            if first <= seq < first + len(run):
+                return True
+        return False
+
+    def overlaps(self, first: int, end: int) -> bool:
+        """Whether any of seqs ``first..end - 1`` is held."""
+        for seq in self.segments:
+            if first <= seq < end:
+                return True
+        for start, run in self.runs:
+            if start < end and first < start + len(run):
+                return True
+        return False
+
+    def ordered(self) -> List[Any]:
+        """The items and runs in seq order."""
+        entries = list(self.segments.items()) + self.runs
+        entries.sort(key=itemgetter(0))
+        return [entry for _, entry in entries]
 
 
 class ReorderBuffer:
@@ -48,59 +84,49 @@ class ReorderBuffer:
 
     def add(self, message_id: Any, seq: int, total: int,
             item: Any) -> Optional[List[Any]]:
+        completed = self.add_train(message_id, total, seq, (item,))
+        return completed[0][1] if completed else None
+
+    def _open(self, message_id: Any, total: int, first_seq: int,
+              count: int) -> Optional[_Message]:
+        """Check a train's seqs and total; the message so far, if any."""
         if total <= 0:
             raise ReorderError("total must be positive")
-        if not 0 <= seq < total:
-            raise ReorderError(f"seq {seq} outside [0, {total})")
+        if first_seq < 0 or first_seq + count > total:
+            raise ReorderError(
+                f"seqs {first_seq}..{first_seq + count - 1} outside "
+                f"[0, {total})")
         message = self._messages.get(message_id)
-        if message is None:
-            message = _Message(total=total)
-            self._messages[message_id] = message
-        elif message.total != total:
+        if message is not None and message.total != total:
             raise ReorderError(
                 f"message {message_id!r}: total changed "
                 f"{message.total} -> {total}"
             )
-        if seq in message.segments:
-            self.duplicate_segments += 1
-            return None
-        self.total_segments += 1
-        if seq < message.highest_seen:
-            message.out_of_order += 1
-        message.highest_seen = max(message.highest_seen, seq)
-        message.segments[seq] = item
-        if len(message.segments) < total:
-            return None
+        return message
+
+    def _complete(self, message_id: Any, message: _Message) -> List[Any]:
         del self._messages[message_id]
         self.completed_messages += 1
-        return [message.segments[index] for index in range(total)]
+        return message.ordered()
 
-    def add_train(self, message_id: Any, total: int, seqs: List[int],
-                  items: List[Any]) -> List[Tuple[int, List[Any]]]:
-        """Add one message's segments in arrival order, in one call.
+    def add_train(self, message_id: Any, total: int, first_seq: int,
+                  items: Sequence[Any]) -> List[Tuple[int, List[Any]]]:
+        """Add one message's segments ``first_seq..`` in arrival order,
+        one item each, in one call.
 
         Equivalent to ``add`` per segment. Returns ``(index, ordered)``
         for each completion, ``index`` being the completing segment's
         position in the train (a segment after a completion starts the
         message again, as ``add`` would).
         """
-        if total <= 0:
-            raise ReorderError("total must be positive")
+        message = self._open(message_id, total, first_seq, len(items))
         completed: List[Tuple[int, List[Any]]] = []
         messages = self._messages
-        message = messages.get(message_id)
-        if message is not None and message.total != total:
-            raise ReorderError(
-                f"message {message_id!r}: total changed "
-                f"{message.total} -> {total}"
-            )
-        for index, seq in enumerate(seqs):
-            if not 0 <= seq < total:
-                raise ReorderError(f"seq {seq} outside [0, {total})")
+        for index, item in enumerate(items):
+            seq = first_seq + index
             if message is None:
-                message = messages[message_id] = _Message(total=total)
-            segments = message.segments
-            if seq in segments:
+                message = messages[message_id] = _Message(total)
+            if message.holds(seq):
                 self.duplicate_segments += 1
                 continue
             self.total_segments += 1
@@ -108,14 +134,47 @@ class ReorderBuffer:
                 message.out_of_order += 1
             if seq > message.highest_seen:
                 message.highest_seen = seq
-            segments[seq] = items[index]
-            if len(segments) == total:
-                del messages[message_id]
-                self.completed_messages += 1
-                completed.append(
-                    (index, [segments[seq] for seq in range(total)]))
+            message.segments[seq] = item
+            message.received += 1
+            if message.received == total:
+                completed.append((index, self._complete(message_id,
+                                                        message)))
                 message = None
         return completed
+
+    def add_run(self, message_id: Any, total: int, first_seq: int,
+                run: Sequence[Any]) -> List[Tuple[int, List[Any]]]:
+        """Add ``run``, standing for segments ``first_seq..first_seq +
+        len(run) - 1`` in arrival order, as one entry of the ordered
+        result.
+
+        Buffer and counters end as with :meth:`add_train`. A run that
+        overlaps segments already held is added item by item
+        (``run[k]``), as :meth:`add_train` would.
+        """
+        count = len(run)
+        message = self._open(message_id, total, first_seq, count)
+        end = first_seq + count
+        if message is not None and message.overlaps(first_seq, end):
+            return self.add_train(message_id, total, first_seq, run)
+        self.total_segments += count
+        if message is None:
+            if count == total:
+                self.completed_messages += 1
+                return [(count - 1, [run])]
+            message = self._messages[message_id] = _Message(total)
+        else:
+            # No seq is held twice, so the seqs below the highest seen
+            # are the ones that arrive out of order.
+            message.out_of_order += max(
+                0, min(count, message.highest_seen - first_seq))
+        message.runs.append((first_seq, run))
+        message.received += count
+        if end - 1 > message.highest_seen:
+            message.highest_seen = end - 1
+        if message.received == total:
+            return [(count - 1, self._complete(message_id, message))]
+        return []
 
     def highest_seq(self, message_id: Any) -> int:
         """The highest segment seq buffered for a message, or -1."""
@@ -127,7 +186,7 @@ class ReorderBuffer:
         message = self._messages.get(message_id)
         if message is None:
             return 0
-        return message.total - len(message.segments)
+        return message.total - message.received
 
     @property
     def in_flight(self) -> int:
@@ -140,4 +199,4 @@ class ReorderBuffer:
     def evict(self, message_id: Any) -> int:
         """Drop an in-flight message (sender gave up); returns segments lost."""
         message = self._messages.pop(message_id, None)
-        return len(message.segments) if message else 0
+        return message.received if message else 0

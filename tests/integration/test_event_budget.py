@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from bench.workloads import WORKLOADS
+from repro.net import Packet
 from repro.net import switch as switch_module
 from repro.net.link import _Direction
 from repro.net.switch import Switch
@@ -153,6 +154,34 @@ def test_image_rdma_full_window_is_at_most_60_events_per_request():
     assert per_request <= 60
     assert net["splits"] > 0
     assert by_layer(events)["net"] == net_events(net)
+
+
+def test_image_rdma_full_window_builds_a_few_packets_per_request():
+    """An RDMA message is one object on the wire. Its segments become
+    packets only where a packet identity is needed: the completing
+    segment, which the lambda is served from, and, at a split, the
+    segments the switch takes back. With the NIC's response that is a
+    few packets per request, where one per segment made 257."""
+    workload = WORKLOADS["image_rdma"]
+    tb = workload.setup(42)
+    workload.warm_up(tb)
+    window = workload.start(tb)
+    built = Counter()
+    init = Packet.__init__
+
+    def counted(packet, *args, **kwargs):
+        built[type(packet).__name__] += 1
+        init(packet, *args, **kwargs)
+
+    Packet.__init__ = counted
+    try:
+        window()
+    finally:
+        Packet.__init__ = init
+    per_request = sum(built.values()) / workload.size()
+    print(f"\nimage_rdma: {per_request:.2f} packets built per request; "
+          f"{dict(built)}")
+    assert per_request <= 8
 
 
 @pytest.mark.parametrize("name, limit", [("web_nic", 14), ("web_host", 22)])

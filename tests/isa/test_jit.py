@@ -13,9 +13,13 @@ fallback).
 """
 
 import copy
+import os
 import random
+import subprocess
+import sys
 import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,9 @@ from repro.isa import (
     program_signature,
     register_intrinsic,
 )
+import repro
 import repro.isa.jit as jit_module
+from repro.isa import jit_cli
 from repro.workloads.registry import fig9_workloads, standard_workloads
 
 
@@ -468,10 +474,23 @@ def test_dump_source_is_real_python():
 
 
 def test_cli_dump_source(capsys):
-    assert jit_module._main(["--workload", "web_server"]) == 0
+    assert jit_cli.main(["--workload", "web_server"]) == 0
     out = capsys.readouterr().out
     assert "JIT-generated code" in out
     compile(out, "<cli>", "exec")
+
+
+def test_cli_runs_without_importing_its_module_twice():
+    """``python -m`` on a module that ``repro.isa`` already imported
+    makes runpy warn; the CLI module is not imported by the package."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.isa.jit_cli", "--workload", "web_server"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    assert "JIT-generated code" in completed.stdout
 
 
 # -- interval-driven memcpy lowering ----------------------------------------

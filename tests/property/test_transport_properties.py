@@ -82,3 +82,35 @@ def test_reorder_buffer_interleaved_messages_all_complete(
     for message, items in completed.items():
         assert items == [(message, seq) for seq in range(n_segments)]
     assert buffer.in_flight == 0
+
+
+@given(data=st.data(), total=st.integers(min_value=1, max_value=12))
+@settings(max_examples=300)
+def test_runs_leave_the_buffer_as_their_segments_one_by_one(data, total):
+    """``add_run`` keeps a run whole where it can and goes seq by seq
+    where it overlaps what is held: either way the counters, the
+    completions and what stays buffered are those of ``add_train``."""
+    runs = data.draw(st.lists(
+        st.integers(min_value=0, max_value=total - 1).flatmap(
+            lambda first: st.tuples(st.just(first), st.integers(
+                min_value=1, max_value=total - first))),
+        max_size=8))
+    by_run, by_seq = ReorderBuffer(), ReorderBuffer()
+
+    def flat(ordered):
+        return [item for entry in ordered for item in
+                (entry if isinstance(entry, list) else [entry])]
+
+    for first, count in runs:
+        items = [("m", seq) for seq in range(first, first + count)]
+        completed = by_run.add_run("m", total, first, items)
+        assert [(index, flat(ordered)) for index, ordered in completed] \
+            == by_seq.add_train("m", total, first, items)
+        for name in ("completed_messages", "total_segments",
+                     "duplicate_segments", "in_flight"):
+            assert getattr(by_run, name) == getattr(by_seq, name), name
+        assert by_run.highest_seq("m") == by_seq.highest_seq("m")
+        assert by_run.pending("m") == by_seq.pending("m")
+        if by_seq.in_flight:
+            assert by_run._messages["m"].out_of_order == \
+                by_seq._messages["m"].out_of_order

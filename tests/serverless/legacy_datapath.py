@@ -25,7 +25,7 @@ from repro.host.params import HostParams
 from repro.host.server import RequestContext
 from repro.hw import NPUCore, SmartNIC
 from repro.hw.nic import PIPELINE_OVERHEAD_CYCLES, VERDICT_DROP, \
-    VERDICT_FORWARD, VERDICT_TO_HOST, _zero_fill
+    VERDICT_FORWARD, VERDICT_TO_HOST, _dma
 from repro.net import (
     EthernetHeader,
     HeaderStack,
@@ -646,32 +646,8 @@ class LegacySmartNIC(SmartNIC):
                 self.host_handler(last_packet)
             return
         lambda_name, object_name = binding
-        target = self._lambda_memory[object_name]
-        # The DMA below writes persistent memory behind the engine's
-        # back; cached results may depend on the old contents.
         self._state_written()
-        # A segment without bytes carries zeros: each run of them is
-        # one write, clipped to the object like the bytes.
-        limit = len(target)
-        offset = 0
-        zeros = 0
-        total_len = 0
-        for segment in ordered:
-            total_len += segment.payload_bytes
-            data = segment.payload
-            if not isinstance(data, (bytes, bytearray)):
-                zeros = min(zeros + segment.payload_bytes, limit - offset)
-                continue
-            if zeros:
-                _zero_fill(target, offset, zeros)
-                offset += zeros
-                zeros = 0
-            n = min(len(data) or segment.payload_bytes, limit - offset)
-            if len(data) >= n:
-                target[offset:offset + n] = data[:n]
-            offset += n
-        if zeros:
-            _zero_fill(target, offset, zeros)
+        total_len = _dma(self._lambda_memory[object_name], ordered)
         # Trigger the lambda with an event RPC (paper D3): the request
         # header dispatches as usual but the data is already in memory.
         yield self.env.process(
