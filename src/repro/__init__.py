@@ -5,7 +5,7 @@ Serverless Compute on Programmable SmartNICs" (ICDCS 2020). Subpackages:
 
 - :mod:`repro.sim` — discrete-event simulation kernel
 - :mod:`repro.net` — packets, links, switch, topology
-- :mod:`repro.transport` — weakly-consistent RPC, segmentation, reordering
+- :mod:`repro.transport` — message segmentation and NIC-side reordering
 - :mod:`repro.isa` — the lambda IR and its interpreter/cost model
 - :mod:`repro.microc` — the Micro-C source language front-end
 - :mod:`repro.p4` — parsers, match-action tables, control blocks
@@ -15,7 +15,7 @@ Serverless Compute on Programmable SmartNICs" (ICDCS 2020). Subpackages:
 - :mod:`repro.raft` — Raft consensus + etcd-like store
 - :mod:`repro.kvcache` — memcached-like cache
 - :mod:`repro.workloads` — the paper's three benchmark lambdas
-- :mod:`repro.core` — λ-NIC framework core (Match+Lambda, fleet runtime, DRF)
+- :mod:`repro.core` — λ-NIC framework core (Match+Lambda, fleet runtime)
 - :mod:`repro.serverless` — the OpenFaaS-like framework and testbed
 - :mod:`repro.faults` — deterministic fault injection (chaos plans)
 - :mod:`repro.experiments` — one driver per paper table/figure

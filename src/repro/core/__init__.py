@@ -1,14 +1,10 @@
 """λ-NIC framework core: the Match+Lambda abstraction and NIC runtime."""
 
-from .drf import DrfAllocator, DrfUser, nic_capacities
 from .matchlambda import MatchLambdaWorkload, RdmaBinding
 from .runtime import LambdaNicRuntime
 
 __all__ = [
-    "DrfAllocator",
-    "DrfUser",
     "LambdaNicRuntime",
     "MatchLambdaWorkload",
     "RdmaBinding",
-    "nic_capacities",
 ]

@@ -33,8 +33,6 @@ class MatchLambdaWorkload:
     wid: Optional[int] = None
     route_port: str = "p0"
     rdma: Optional[RdmaBinding] = None
-    #: Scheduling weight for the NIC's WFQ (paper §4.2.1-D1).
-    weight: float = 1.0
 
     @property
     def name(self) -> str:

@@ -12,7 +12,6 @@ from .scheduler import (
     Scheduler,
     ShortestQueueScheduler,
     UniformRandomScheduler,
-    WFQScheduler,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "ShortestQueueScheduler",
     "SmartNIC",
     "UniformRandomScheduler",
-    "WFQScheduler",
 ]

@@ -1,15 +1,15 @@
 """Packet-to-core scheduling inside the SmartNIC.
 
 The Netronome scheduler is work-conserving and sprays packets uniformly
-across cores (paper §5); λ-NIC additionally implements weighted fair
-queuing between lambdas (paper §4.2.1-D1). Both policies are provided,
-plus a shortest-queue policy used by the ablation benchmarks.
+across cores (paper §5); that is the default policy. A shortest-queue
+policy is provided for the ablation benchmarks. Weighted fair queuing
+between lambdas (paper §4.2.1-D1) is the paper's future work and is not
+modelled.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 from .npu import NPUCore
 
@@ -37,43 +37,3 @@ class ShortestQueueScheduler(Scheduler):
     def pick_core(self, cores: Sequence[NPUCore], lambda_name: str) -> NPUCore:
         return min(cores, key=lambda core: (core.busy_threads + core.queue_depth,
                                             core.core_id))
-
-
-class WFQScheduler(Scheduler):
-    """Weighted fair queuing across lambdas.
-
-    Each lambda has a weight; the scheduler tracks a virtual finish
-    time per lambda and serves the lambda with the smallest virtual
-    time, then places its request on the least-loaded core. With equal
-    weights this is fair round-robin service between lambdas, which is
-    what prevents one chatty lambda from starving others.
-    """
-
-    def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
-        self.weights = dict(weights or {})
-        self._virtual_time: Dict[str, float] = {}
-        self._tick = itertools.count()
-
-    def weight_for(self, lambda_name: str) -> float:
-        return self.weights.get(lambda_name, 1.0)
-
-    def pick_core(self, cores: Sequence[NPUCore], lambda_name: str) -> NPUCore:
-        # Advance this lambda's virtual time by 1/weight per request.
-        current = self._virtual_time.get(lambda_name, 0.0)
-        self._virtual_time[lambda_name] = current + 1.0 / self.weight_for(lambda_name)
-        return min(cores, key=lambda core: (core.busy_threads + core.queue_depth,
-                                            core.core_id))
-
-    def lag(self, lambda_name: str) -> float:
-        """How far ahead of the fair share this lambda has been served."""
-        if not self._virtual_time:
-            return 0.0
-        minimum = min(self._virtual_time.values())
-        return self._virtual_time.get(lambda_name, 0.0) - minimum
-
-    def service_order(self, pending: Sequence[str]) -> List[str]:
-        """Order pending lambda names by fairness (smallest vtime first)."""
-        return sorted(
-            pending,
-            key=lambda name: (self._virtual_time.get(name, 0.0), name),
-        )

@@ -19,7 +19,6 @@ from .message import Message, Segment, Segments
 from .network import Network, Node, TEN_GBPS
 from .packet import DEADLINE_META, Packet, reset_packet_ids
 from .switch import Switch
-from .trace import PacketTracer, TraceRecord
 
 __all__ = [
     "DEADLINE_META",
@@ -34,7 +33,6 @@ __all__ = [
     "Network",
     "Node",
     "Packet",
-    "PacketTracer",
     "RdmaHeader",
     "RpcHeader",
     "STANDARD_HEADERS",
@@ -44,7 +42,6 @@ __all__ = [
     "Switch",
     "TCPHeader",
     "TEN_GBPS",
-    "TraceRecord",
     "Train",
     "UDPHeader",
     "header_class",

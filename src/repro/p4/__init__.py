@@ -24,7 +24,6 @@ from .pipeline import (
     merge_route_tables,
 )
 from .tables import Action, KeyField, P4Error, Table, TableEntry
-from .textparser import P4TextParser, parse_control
 
 __all__ = [
     "Action",
@@ -43,7 +42,6 @@ __all__ = [
     "KeyField",
     "P4Error",
     "P4Pipeline",
-    "P4TextParser",
     "ParserSpec",
     "ParserState",
     "SendToHost",
@@ -57,5 +55,4 @@ __all__ = [
     "lower_table_naive",
     "make_route_table",
     "merge_route_tables",
-    "parse_control",
 ]

@@ -9,8 +9,10 @@ This is the small AST behind Listing 3 in the paper::
         } else { apply(send_pkt_to_host); }
     }
 
-The AST can be executed directly (used by the gateway and in tests) or
-lowered to NPU instructions (see :mod:`repro.p4.lowering`).
+The compiler lowers the AST to NPU instructions (see
+:mod:`repro.p4.lowering`); that code is what the NIC runs.
+:meth:`ControlBlock.execute` interprets the AST directly: it is the
+reference the lowering tests compare the NPU code against.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ watch service on the master node. Here:
   interval, keeps bounded time series, and answers rate/percentile
   queries over recent windows.
 * :class:`WatchService` watches per-workload health (gateway failures
-  vs successes) and raises/clears alerts — the signal an operator (or
-  the autoscaler) would act on.
+  vs successes) and raises/clears alerts — the signal an operator
+  would act on.
 * :class:`HealthMonitor` is the failover driver: a probe loop that
   compares each route against the substrate's live targets, shrinks or
   expands routes, degrades workloads to a fallback backend when their

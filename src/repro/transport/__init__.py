@@ -1,11 +1,14 @@
-"""Transport: weakly-consistent RPC, segmentation, NIC-side reordering."""
+"""Transport: message segmentation and NIC-side reordering (paper D3).
+
+The weakly-consistent RPC half of D3, per-attempt timeouts and retries,
+lives in the gateway (:mod:`repro.serverless.gateway`).
+"""
 
 from .reorder import (
     REORDER_INSTRUCTIONS_PER_SEGMENT,
     ReorderBuffer,
     ReorderError,
 )
-from .rpc import RpcEndpoint, RpcTimeout
 from .segmentation import (
     DEFAULT_SEGMENT_BYTES,
     Segment,
@@ -18,8 +21,6 @@ __all__ = [
     "REORDER_INSTRUCTIONS_PER_SEGMENT",
     "ReorderBuffer",
     "ReorderError",
-    "RpcEndpoint",
-    "RpcTimeout",
     "Segment",
     "reassemble",
     "segment_message",

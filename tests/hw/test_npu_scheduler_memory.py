@@ -8,7 +8,6 @@ from repro.hw import (
     NicMemoryError,
     ShortestQueueScheduler,
     UniformRandomScheduler,
-    WFQScheduler,
 )
 from repro.isa import Region
 from repro.sim import Environment, RngRegistry
@@ -67,25 +66,37 @@ def test_shortest_queue_prefers_idle_core():
 
 
 def test_wfq_orders_by_virtual_time():
-    scheduler = WFQScheduler(weights={"heavy": 1.0, "light": 1.0})
+    """JSQ ranks cores by running plus queued work; ties go to the
+    lowest core id."""
     env = Environment()
-    cores = make_cores(env, n=2)
-    for _ in range(10):
-        scheduler.pick_core(cores, "heavy")
-    scheduler.pick_core(cores, "light")
-    assert scheduler.lag("heavy") > scheduler.lag("light")
-    assert scheduler.service_order(["heavy", "light"]) == ["light", "heavy"]
+    cores = make_cores(env, n=3)
+    for _ in range(3):
+        cores[0].execute(10_000, lambda _elapsed: None)
+    cores[1].execute(10_000, lambda _elapsed: None)
+    for _ in range(2):
+        cores[2].execute(10_000, lambda _elapsed: None)
+    env.run(until=1e-9)
+    assert [(c.busy_threads, c.queue_depth) for c in cores] == \
+        [(1, 2), (1, 0), (1, 1)]
+    scheduler = ShortestQueueScheduler()
+    assert scheduler.pick_core(cores, "web").core_id == 1
+    cores[1].execute(10_000, lambda _elapsed: None)
+    # Cores 1 and 2 now both hold two requests; core 0 holds three.
+    assert scheduler.pick_core(cores, "web").core_id == 1
 
 
 def test_wfq_weights_scale_service():
-    scheduler = WFQScheduler(weights={"big": 4.0, "small": 1.0})
+    """JSQ has no per-lambda weights: a burst spreads round-robin over
+    equal cores whatever lambda each request belongs to."""
+    scheduler = ShortestQueueScheduler()
     env = Environment()
-    cores = make_cores(env, n=1)
-    for _ in range(4):
-        scheduler.pick_core(cores, "big")
-    scheduler.pick_core(cores, "small")
-    # big has weight 4, so 4 requests move its vtime as much as 1 of small.
-    assert scheduler.lag("big") == pytest.approx(scheduler.lag("small"))
+    cores = make_cores(env, n=4)
+    picks = []
+    for index in range(8):
+        core = scheduler.pick_core(cores, "big" if index % 3 else "small")
+        core.execute(10_000, lambda _elapsed: None)
+        picks.append(core.core_id)
+    assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_nic_memory_allocation_and_overflow():

@@ -1,59 +1,12 @@
-"""Fault-tolerance integration: RPC over a lossy fabric, Raft failover."""
+"""Fault-tolerance integration: Raft failover.
 
-from repro.net import (
-    HeaderStack,
-    LambdaHeader,
-    Network,
-    Packet,
-    RpcHeader,
-    UDPHeader,
-)
+Gateway retries over a lossy fabric are covered in
+``tests/integration/test_failures.py``.
+"""
+
+from repro.net import Network
 from repro.raft import EtcdClient, EtcdCluster
 from repro.sim import Environment, RngRegistry
-from repro.transport import RpcEndpoint
-
-
-def echo_responder(env, node, packet):
-    lam = packet.headers.require("LambdaHeader")
-    node.send(Packet(
-        node.name, packet.src,
-        headers=HeaderStack([
-            UDPHeader(),
-            LambdaHeader(request_id=lam.request_id, is_response=True),
-            RpcHeader(method="RESP", status=0),
-        ]),
-        payload_bytes=32,
-    ))
-
-
-def test_rpc_retransmits_through_lossy_fabric():
-    """20% loss on every link: the weakly-consistent sender's timeouts
-    and retransmissions still complete every call."""
-    env = Environment()
-    rng = RngRegistry(seed=17)
-    network = Network(env, drop_probability=0.2, rng=rng.stream("loss"))
-    caller_node = network.add_node("caller")
-    server_node = network.add_node("server")
-    endpoint = RpcEndpoint(env, caller_node, timeout=0.01, retries=10)
-    caller_node.attach(endpoint.on_packet)
-    server_node.attach(lambda p: echo_responder(env, server_node, p))
-    completed = []
-
-    def scenario():
-        for index in range(40):
-            response = yield endpoint.call("server", method="GET",
-                                           key=f"k{index}")
-            assert response.headers.require("RpcHeader").status == 0
-            completed.append(index)
-
-    process = env.process(scenario())
-    env.run(until=process)
-    assert len(completed) == 40
-    assert endpoint.outstanding == 0
-    # With 20% loss per link (~36% per round trip) retransmissions are
-    # statistically certain across 40 calls.
-    assert endpoint.retransmissions > 0
-    assert endpoint.timeouts > 0
 
 
 def test_raft_leader_crash_reelection_and_convergence():

@@ -1,10 +1,8 @@
-"""Integration: WFQ scheduling on the NIC driven by DRF weights."""
-
-import pytest
+"""Integration: the join-shortest-queue scheduler on a SmartNIC serving
+several lambdas, within the NIC's thread bound and around failed cores."""
 
 from repro.compiler import CompilationUnit, compile_unit
-from repro.core import DrfAllocator, nic_capacities
-from repro.hw import SmartNIC, WFQScheduler
+from repro.hw import ShortestQueueScheduler, SmartNIC
 from repro.net import (
     EthernetHeader,
     HeaderStack,
@@ -14,7 +12,7 @@ from repro.net import (
     Packet,
     UDPHeader,
 )
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment
 from repro.workloads import web_server_nic
 
 
@@ -29,56 +27,64 @@ def lambda_packet(wid, request_id):
     )
 
 
-def test_wfq_scheduler_on_smartnic_serves_all():
+def make_nic(n_cores, threads_per_core, cores_per_island=8):
     env = Environment()
     network = Network(env)
     client = network.add_node("client")
-    nic_node = network.add_node("nic")
-    scheduler = WFQScheduler(weights={"a": 2.0, "b": 1.0})
-    nic = SmartNIC(env, nic_node, n_cores=2, threads_per_core=2,
-                   scheduler=scheduler, rng=RngRegistry(seed=1).stream("n"))
+    nic = SmartNIC(env, network.add_node("nic"), n_cores=n_cores,
+                   threads_per_core=threads_per_core,
+                   cores_per_island=cores_per_island,
+                   scheduler=ShortestQueueScheduler())
     unit = CompilationUnit()
-    unit.add_lambda(web_server_nic("a", pages=8, page_bytes=64), wid=1)
-    unit.add_lambda(web_server_nic("b", pages=8, page_bytes=64), wid=2)
+    # 4 KiB pages: each request outlasts the gap between arrivals.
+    unit.add_lambda(web_server_nic("a", pages=8, page_bytes=4096), wid=1)
+    unit.add_lambda(web_server_nic("b", pages=8, page_bytes=4096), wid=2)
     nic.install_firmware(compile_unit(unit))
-
     responses = []
-    client.attach(lambda p: responses.append(p))
-    for index in range(30):
+    client.attach(responses.append)
+    return env, nic, client, responses
+
+
+def test_wfq_scheduler_on_smartnic_serves_all():
+    """JSQ never picks a core of a failed island, and uses it again once
+    the island is restored."""
+    env, nic, client, responses = make_nic(n_cores=4, threads_per_core=2,
+                                           cores_per_island=2)
+    nic.fail_island(0)
+    for index in range(12):
         client.send(lambda_packet(wid=1 + index % 2, request_id=index))
     env.run()
-    assert len(responses) == 30
-    # WFQ tracked per-lambda virtual time; lambda "a" (weight 2) has
-    # less lag per request than "b".
-    assert scheduler.lag("b") >= scheduler.lag("a")
+    assert len(responses) == 12
+    assert [core.stats.requests for core in nic.cores] == [0, 0, 6, 6]
+
+    nic.restore_island(0)
+    for index in range(12, 24):
+        client.send(lambda_packet(wid=1 + index % 2, request_id=index))
+    env.run()
+    assert len(responses) == 24
+    assert all(core.stats.requests > 0 for core in nic.cores[:2])
+    assert nic.stats.per_lambda_requests == {"a": 12, "b": 12}
 
 
 def test_drf_weights_feed_wfq():
-    """End-to-end of the D1 future-work pipeline: demands -> DRF ->
-    WFQ weights -> NIC scheduler."""
-    allocator = DrfAllocator(nic_capacities(n_cores=4, threads_per_core=2))
-    allocator.add_user("web", {"threads": 1, "instruction_store": 40})
-    allocator.add_user("image", {"threads": 2, "instruction_store": 80,
-                                 "memory_bandwidth_gbps": 2.0})
-    allocator.allocate()
-    weights = allocator.wfq_weights()
-    assert set(weights) == {"web", "image"}
-    assert weights["web"] > weights["image"]
+    """A burst past the NIC's thread count: busy threads never exceed it,
+    the rest queue (and the queue-delay estimate says so), and every
+    request is answered once the queues drain."""
+    env, nic, client, responses = make_nic(n_cores=4, threads_per_core=2)
+    peaks = {"busy": 0, "delay": 0.0}
 
-    scheduler = WFQScheduler(weights=weights)
-    env = Environment()
-    network = Network(env)
-    nic_node = network.add_node("nic")
-    nic = SmartNIC(env, nic_node, n_cores=4, threads_per_core=2,
-                   scheduler=scheduler,
-                   rng=RngRegistry(seed=2).stream("nic"))
-    unit = CompilationUnit()
-    unit.add_lambda(web_server_nic("web", pages=8, page_bytes=64), wid=1)
-    nic.install_firmware(compile_unit(unit))
-    client = network.add_node("client")
-    done = []
-    client.attach(lambda p: done.append(p))
-    for index in range(10):
-        client.send(lambda_packet(wid=1, request_id=index))
+    def sample(event):
+        peaks["busy"] = max(peaks["busy"], nic.busy_threads)
+        peaks["delay"] = max(peaks["delay"], nic.queue_delay_estimate())
+        if len(responses) < 20:
+            env.timeout_at(env.now + 1e-7, None, sample)
+
+    env.timeout_at(1e-7, None, sample)
+    for index in range(20):
+        client.send(lambda_packet(wid=1 + index % 2, request_id=index))
     env.run()
-    assert len(done) == 10
+    assert len(responses) == 20
+    assert peaks["busy"] == nic.total_threads == 8
+    assert peaks["delay"] > 0.0
+    assert nic.busy_threads == 0
+    assert nic.queue_delay_estimate() == 0.0

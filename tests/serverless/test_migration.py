@@ -12,7 +12,6 @@ from repro.serverless import (
     PREPARED,
     PlacementScorer,
     STATE_HANDOFF,
-    AutoScaler,
     Testbed,
     closed_loop,
     open_loop,
@@ -458,24 +457,6 @@ def test_scorer_without_monitoring_scores_live_load_only():
     # Ties break by name so rankings are deterministic.
     assert scorer.rank("w", "lambda-nic", ["m3-nic", "m2-nic"]) == \
         ["m2-nic", "m3-nic"]
-
-
-def test_autoscaler_places_replicas_by_headroom():
-    tb = make_testbed()
-    tb.add_lambda_nic_backend()
-    spec = web_server_spec()
-    tb.run(until=tb.manager.deploy(spec, "lambda-nic"))
-    # Pool order deliberately lists m3 first: without a scorer the
-    # autoscaler would pick ["m3-nic"]; with one, the deterministic
-    # headroom ranking (tie -> name order) picks ["m2-nic"].
-    pool = ["m3-nic", "m2-nic"]
-    unscored = AutoScaler(tb.env, tb.gateway, pool)
-    scored = AutoScaler(tb.env, tb.gateway, pool, scorer=tb.scorer)
-    assert unscored._pick_workers(spec.name, 1) == ["m3-nic"]
-    assert scored._pick_workers(spec.name, 1) == ["m2-nic"]
-    assert scored._pick_workers(spec.name, 2) == ["m2-nic", "m3-nic"]
-    # Unknown workloads fall back to pool order rather than raising.
-    assert scored._pick_workers("nope", 1) == ["m3-nic"]
 
 
 # -- the migration policy ---------------------------------------------------

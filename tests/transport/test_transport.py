@@ -1,4 +1,5 @@
-"""Tests for segmentation, reordering, and the RPC endpoint."""
+"""Tests for segmentation, reordering, and the gateway's weakly-consistent
+RPC: per-attempt timeouts, retries and late-response accounting (D3)."""
 
 import pytest
 
@@ -10,13 +11,12 @@ from repro.net import (
     RpcHeader,
     UDPHeader,
 )
-from repro.sim import Environment
+from repro.serverless import Gateway, GatewayTimeout, MetricsRegistry
+from repro.sim import Environment, RngRegistry
 from repro.transport import (
     REORDER_INSTRUCTIONS_PER_SEGMENT,
     ReorderBuffer,
     ReorderError,
-    RpcEndpoint,
-    RpcTimeout,
     reassemble,
     segment_message,
 )
@@ -126,15 +126,21 @@ def test_reorder_cost_matches_paper_footnote():
     assert REORDER_INSTRUCTIONS_PER_SEGMENT == 30
 
 
-def make_endpoint_pair(responder):
-    env = Environment()
-    network = Network(env)
-    caller_node = network.add_node("caller")
+def make_gateway_pair(responder, network=None, **gateway_kwargs):
+    """A gateway routing workload "echo" to a bare node "server" whose
+    handler is ``responder(env, server_node, packet)``."""
+    if network is None:
+        network = Network(Environment())
+    env = network.env
+    gateway_kwargs.setdefault("request_timeout", 0.01)
+    gateway_kwargs.setdefault("max_retries", 2)
+    gateway_kwargs.setdefault("backoff_base", 0.001)
+    gateway = Gateway(env, network.add_node("gw"), metrics=MetricsRegistry(),
+                      **gateway_kwargs)
     server_node = network.add_node("server")
-    endpoint = RpcEndpoint(env, caller_node, timeout=0.01, retries=2)
-    caller_node.attach(lambda p: endpoint.on_packet(p))
     server_node.attach(lambda p: responder(env, server_node, p))
-    return env, endpoint, server_node
+    gateway.set_route("echo", wid=1, targets=["server"])
+    return env, gateway, server_node
 
 
 def echo_responder(env, node, packet):
@@ -150,55 +156,95 @@ def echo_responder(env, node, packet):
     ))
 
 
+def request_id_of(packet):
+    return packet.headers.require("LambdaHeader").request_id
+
+
 def test_rpc_endpoint_roundtrip():
-    env, endpoint, server = make_endpoint_pair(echo_responder)
-
-    def scenario():
-        response = yield endpoint.call("server", method="GET", key="k")
-        assert response.headers.require("RpcHeader").status == 0
-        assert endpoint.outstanding == 0
-
-    process = env.process(scenario())
-    env.run(until=process)
+    env, gateway, server = make_gateway_pair(echo_responder)
+    outcome = env.run(until=gateway.request("echo"))
+    assert outcome.ok and outcome.retries == 0
+    assert outcome.response.headers.require("RpcHeader").status == 0
+    assert outcome.latency > 0
+    assert gateway.inflight("echo") == 0
+    assert gateway.requests_total.value(labels={"workload": "echo"}) == 1
+    assert gateway.retries_total.total == 0
 
 
 def test_rpc_endpoint_retransmits_on_loss():
-    calls = []
-
-    def flaky(env, node, packet):
-        calls.append(packet)
-        if len(calls) >= 2:
-            echo_responder(env, node, packet)
-
-    env, endpoint, server = make_endpoint_pair(flaky)
+    """20% loss on every link (~36% per round trip): attempts time out
+    and are retried, and every request still completes."""
+    network = Network(Environment(), drop_probability=0.2,
+                      rng=RngRegistry(seed=17).stream("loss"))
+    env, gateway, server = make_gateway_pair(echo_responder, network,
+                                             max_retries=10)
+    outcomes = []
 
     def scenario():
-        yield endpoint.call("server")
-        assert endpoint.retransmissions == 1
+        for _ in range(40):
+            outcomes.append((yield gateway.request("echo")))
 
-    process = env.process(scenario())
-    env.run(until=process)
-    assert len(calls) == 2
+    env.run(until=env.process(scenario()))
+    assert len(outcomes) == 40 and all(o.ok for o in outcomes)
+    retried = sum(o.retries for o in outcomes)
+    assert retried > 0
+    assert gateway.retries_total.total == retried
+    assert gateway.failures_total.total == 0
+    assert gateway.inflight("echo") == 0
 
 
 def test_rpc_endpoint_timeout():
-    env, endpoint, server = make_endpoint_pair(lambda env, node, p: None)
-
-    def scenario():
-        with pytest.raises(RpcTimeout):
-            yield endpoint.call("server")
-        assert endpoint.timeouts == 3  # initial + 2 retries
-
-    process = env.process(scenario())
-    env.run(until=process)
+    received = []
+    env, gateway, server = make_gateway_pair(
+        lambda env, node, packet: received.append(packet))
+    done = gateway.request("echo")
+    with pytest.raises(GatewayTimeout) as caught:
+        env.run(until=done)
+    # The plain timeout, not one of its shed/expired/budget subclasses.
+    assert type(caught.value) is GatewayTimeout
+    assert caught.value.reason == "timeout"
+    # The initial attempt plus max_retries=2 retries, each a fresh id.
+    assert len({request_id_of(p) for p in received}) == 3
+    assert gateway.retries_total.total == 3
+    assert gateway.failures_total.value(
+        labels={"workload": "echo", "reason": "timeout"}) == 1
+    assert gateway.requests_total.total == 0
+    assert gateway.inflight("echo") == 0
 
 
 def test_rpc_endpoint_ignores_unknown_responses():
-    env, endpoint, server = make_endpoint_pair(echo_responder)
-    stray = Packet(
-        "server", "caller",
+    """A response that comes after its attempt timed out, and one for an
+    id the gateway never sent, are counted and never delivered."""
+    seen = []
+
+    def slow_first(env, node, packet):
+        seen.append(packet)
+        if len(seen) == 1:
+            # Answer the first attempt after its 10 ms timeout.
+            env.timeout_at(env.now + 0.015, packet,
+                           lambda event: echo_responder(env, node,
+                                                        event._value))
+        else:
+            echo_responder(env, node, packet)
+
+    env, gateway, server = make_gateway_pair(slow_first)
+    outcomes = []
+    gateway.request("echo").callbacks.append(
+        lambda event: outcomes.append(event.value))
+    env.run(until=0.05)
+    assert len(seen) == 2
+    [outcome] = outcomes
+    assert outcome.ok and outcome.retries == 1
+    assert request_id_of(outcome.response) == request_id_of(seen[1])
+    assert gateway.late_responses_total.value() == 1
+
+    server.send(Packet(
+        "server", "gw",
         headers=HeaderStack([
             UDPHeader(), LambdaHeader(request_id=999, is_response=True),
         ]),
-    )
-    assert endpoint.on_packet(stray) is False
+    ))
+    env.run(until=0.1)
+    assert gateway.late_responses_total.value() == 2
+    assert len(outcomes) == 1
+    assert gateway.requests_total.total == 1
