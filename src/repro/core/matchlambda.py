@@ -9,8 +9,8 @@ write packet-processing logic (paper contributions #1 and #3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..isa import LambdaProgram
 from ..isa.analysis import headers_used

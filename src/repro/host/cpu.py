@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from ..obs import CounterAttribute, MetricsRegistry, NodeStats
+from ..obs import MetricsRegistry, NodeStats
 from ..sim import Environment, Event
 from .params import CpuParams
 
@@ -20,18 +20,20 @@ from .params import CpuParams
 class CpuStats(NodeStats):
     """CPU accounting, backed by a typed metrics registry.
 
-    Attribute-compatible with the dataclass it replaces — see
+    Counters are plain numbers the registry reads when scraped — see
     :class:`repro.hw.nic.NicStats` for the pattern. ``per_task_busy``
     is a dict view over a labelled counter; writers use
     :meth:`add_task_busy`.
     """
 
-    context_switches = CounterAttribute(
-        "cpu_context_switches_total", "task switches on hardware threads")
-    busy_seconds = CounterAttribute(
-        "cpu_busy_seconds_total", "CPU time charged", cast=float)
-    requests = CounterAttribute(
-        "cpu_requests_total", "execute() grants")
+    COUNTERS = (
+        ("context_switches", "cpu_context_switches_total",
+         "task switches on hardware threads", 0),
+        ("busy_seconds", "cpu_busy_seconds_total",
+         "CPU time charged", 0.0),
+        ("requests", "cpu_requests_total",
+         "execute() grants", 0),
+    )
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  node: str = "") -> None:

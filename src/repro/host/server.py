@@ -24,15 +24,28 @@ from ..net import (
 )
 from ..net.network import Node
 from ..net.packet import DEADLINE_META
-from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
-from ..sim import Environment, Event, Server
+from ..obs import LambdaStats, MetricsRegistry, Tracer
+from ..sim import Environment, Event, Server, SimulationError
 from .cpu import HostCPU
 from .params import HostParams
 from .runtime import HostMemory, Runtime
 
-#: Handler protocol: a generator function taking a RequestContext and
-#: yielding simulation events (typically via ctx.compute / ctx.call).
+#: Handler protocol: a generator function taking a RequestContext. It
+#: yields ``ctx.compute(...)`` requests, which the server runs on a CPU
+#: thread, or simulation events (``ctx.call``'s process), which it
+#: awaits. Each ``yield`` evaluates to the CPU time charged or to the
+#: event's value; a failed event's exception is raised at the ``yield``.
 Handler = Callable[["RequestContext"], Generator]
+
+
+class Compute:
+    """A handler's request for CPU time (:meth:`RequestContext.compute`)."""
+
+    __slots__ = ("seconds", "gil")
+
+    def __init__(self, seconds: float, gil: bool) -> None:
+        self.seconds = seconds
+        self.gil = gil
 
 
 @dataclass
@@ -58,32 +71,32 @@ class Deployment:
 class ServerStats(LambdaStats):
     """Per-server accounting, backed by a typed metrics registry.
 
-    Attribute-compatible with the dataclass it replaces — see
+    Counters are plain numbers the registry reads when scraped — see
     :class:`repro.hw.nic.NicStats` for the pattern.
     """
 
-    requests_served = CounterAttribute(
-        "host_requests_served_total", "requests completed by handlers")
-    responses_sent = CounterAttribute(
-        "host_responses_sent_total", "response packets emitted")
-    dropped_unknown = CounterAttribute(
-        "host_dropped_unknown_total", "packets for unknown workloads")
-    dropped_cold = CounterAttribute(
-        "host_dropped_cold_total", "packets hitting cold deployments")
-    dropped_down = CounterAttribute(
-        "host_dropped_down_total", "packets dropped while crashed")
-    handler_errors = CounterAttribute(
-        "host_handler_errors_total", "handlers that raised")
-    crashes = CounterAttribute(
-        "host_crashes_total", "machine crashes")
-    expired = CounterAttribute(
-        "host_expired_total",
-        "requests dropped: deadline passed before the handler ran")
-    expired_completions = CounterAttribute(
-        "host_expired_completions_total",
-        "handlers that finished past their deadline (in-flight race)")
-    shed = CounterAttribute(
-        "host_shed_total", "requests rejected by the host load shedder")
+    COUNTERS = (
+        ("requests_served", "host_requests_served_total",
+         "requests completed by handlers", 0),
+        ("responses_sent", "host_responses_sent_total",
+         "response packets emitted", 0),
+        ("dropped_unknown", "host_dropped_unknown_total",
+         "packets for unknown workloads", 0),
+        ("dropped_cold", "host_dropped_cold_total",
+         "packets hitting cold deployments", 0),
+        ("dropped_down", "host_dropped_down_total",
+         "packets dropped while crashed", 0),
+        ("handler_errors", "host_handler_errors_total",
+         "handlers that raised", 0),
+        ("crashes", "host_crashes_total",
+         "machine crashes", 0),
+        ("expired", "host_expired_total",
+         "requests dropped: deadline passed before the handler ran", 0),
+        ("expired_completions", "host_expired_completions_total",
+         "handlers that finished past their deadline (in-flight race)", 0),
+        ("shed", "host_shed_total",
+         "requests rejected by the host load shedder", 0),
+    )
 
     LATENCY_METRIC = ("host_latency_seconds", "arrival-to-response latency")
     PER_LAMBDA_METRIC = ("host_lambda_requests_total",
@@ -110,7 +123,7 @@ class RequestContext:
         header = self.request.headers.get("LambdaHeader")
         return header.request_id if header else 0
 
-    def compute(self, cpu_seconds: float, gil: bool = True) -> Event:
+    def compute(self, cpu_seconds: float, gil: bool = True) -> Compute:
         """Occupy a CPU hardware thread for ``cpu_seconds`` of work.
 
         The runtime's compute multiplier is applied, and if the runtime
@@ -118,16 +131,15 @@ class RequestContext:
         lock is held for the duration. Pass ``gil=False`` for work done
         inside vectorised libraries that release the GIL (e.g. numpy
         pixel kernels) — such work runs in parallel across threads.
-        The returned event fires with the CPU time charged.
+        The handler yields the returned request; the server runs it with
+        :meth:`run`, and the ``yield`` evaluates to the CPU time charged.
         """
-        done = self.env.event()
-        self.run(cpu_seconds, done.succeed, gil)
-        return done
+        return Compute(cpu_seconds, gil)
 
     def run(self, cpu_seconds: float, then: Callable[[float], None],
             gil: bool = True) -> None:
-        """:meth:`compute` with a callback: the interpreter lock (if
-        any), then a CPU thread, then ``then(cost)`` once both are
+        """Run :meth:`compute`'s work: the interpreter lock (if any),
+        then a CPU thread, then ``then(cost)`` once both are
         released."""
         scaled = cpu_seconds * self.deployment.runtime.compute_multiplier
         lock = self.deployment.compute_lock
@@ -162,7 +174,7 @@ class _Handling:
     """One request's state between the host stack's stages."""
 
     __slots__ = ("packet", "arrival", "epoch", "span", "deadline", "ctx",
-                 "dispatch_start", "handler_span", "tx_start")
+                 "dispatch_start", "handler_span", "handler", "tx_start")
 
     def __init__(self, packet: Packet, arrival: float, epoch: int) -> None:
         self.packet = packet
@@ -173,6 +185,8 @@ class _Handling:
         self.ctx: Optional[RequestContext] = None
         self.dispatch_start = arrival
         self.handler_span = None
+        #: The workload's handler generator, once it runs.
+        self.handler: Optional[Generator] = None
         self.tx_start = arrival
 
 
@@ -433,21 +447,50 @@ class HostServer:
             self._run_handler(h)
 
     def _run_handler(self, h: "_Handling") -> None:
-        """Drive the workload's handler generator with one process."""
-        process = self.env.process(h.ctx.deployment.handler(h.ctx))
-        process.callbacks.append(
-            lambda done: self._handled(h, done))
+        """Start the workload's handler generator; :meth:`_drive` runs
+        it with no process of its own."""
+        h.handler = h.ctx.deployment.handler(h.ctx)
+        self._drive(h, True, None)
 
-    def _handled(self, h: "_Handling", done) -> None:
+    def _drive(self, h: "_Handling", ok: bool, value: Any) -> None:
+        """Resume ``h``'s handler with ``value`` (or, if not ``ok``,
+        raise ``value`` at its ``yield``) and start what it yields
+        next: a compute request on the CPU, or a wait on an event's
+        callbacks."""
+        try:
+            step = h.handler.send(value) if ok else h.handler.throw(value)
+        except StopIteration:
+            self._handled(h, None)
+            return
+        except BaseException as error:
+            self._handled(h, error)
+            return
+        if step.__class__ is Compute:
+            h.ctx.run(step.seconds, lambda cost: self._drive(h, True, cost),
+                      step.gil)
+        elif not isinstance(step, Event):
+            self._handled(h, SimulationError(
+                f"handler yielded an invalid target {step!r}"))
+        elif step.callbacks is None:
+            # Already processed: resume at once with its outcome.
+            self._woken(h, step)
+        else:
+            step.callbacks.append(lambda event: self._woken(h, event))
+
+    def _woken(self, h: "_Handling", event: Event) -> None:
+        if not event._ok:
+            event.defused = True
+        self._drive(h, event._ok, event._value)
+
+    def _handled(self, h: "_Handling",
+                 error: Optional[BaseException]) -> None:
         span, deployment = h.span, h.ctx.deployment
         tracer = self.env.tracer
         if deployment.semaphore is not None:
             deployment.semaphore.release()
-        if not done._ok:
-            error = done._value
+        if error is not None:
             if not isinstance(error, Exception):
-                return  # Not defused: the kernel re-raises it.
-            done.defused = True
+                raise error  # Not the handler's to contain.
             # A crashing lambda must not take the worker down: the
             # request is dropped (the client's retry/timeout handles
             # it) and the failure is counted. Exceptions provoked by a

@@ -48,7 +48,7 @@ from ..net import (
 )
 from ..net.network import Node
 from ..net.packet import DEADLINE_META
-from ..obs import CounterAttribute, LambdaStats, MetricsRegistry, Tracer
+from ..obs import LambdaStats, MetricsRegistry, Tracer
 from ..sim import Environment
 from ..transport import ReorderBuffer
 from .memory import NicMemory
@@ -78,51 +78,48 @@ _VERDICT_TAGS = {VERDICT_FORWARD: "forward", VERDICT_TO_HOST: "to_host",
 class NicStats(LambdaStats):
     """Per-NIC accounting, backed by a typed metrics registry.
 
-    Attribute-compatible with the dataclass it replaces: counters read
-    and ``+=`` like plain ints/floats (:class:`CounterAttribute`);
-    ``latencies``, ``count_lambda`` and ``per_lambda_requests`` come
-    from :class:`~repro.obs.LambdaStats`.
+    Counters are plain ints/floats that the datapath ``+=``s; the
+    registry reads them when it is read or scraped (``COUNTERS``, see
+    :class:`~repro.obs.NodeStats`). ``latencies``, ``count_lambda`` and
+    ``per_lambda_requests`` come from :class:`~repro.obs.LambdaStats`.
     """
 
-    requests_served = CounterAttribute(
-        "nic_requests_served_total", "requests answered on-NIC")
-    responses_sent = CounterAttribute(
-        "nic_responses_sent_total", "response packets emitted")
-    sent_to_host = CounterAttribute(
-        "nic_sent_to_host_total", "requests punted to the host CPU")
-    dropped_no_firmware = CounterAttribute(
-        "nic_dropped_no_firmware_total", "packets dropped: no firmware")
-    dropped_during_swap = CounterAttribute(
-        "nic_dropped_during_swap_total", "packets dropped mid-swap")
-    dropped_nic_down = CounterAttribute(
-        "nic_dropped_down_total", "packets dropped: NIC dark or coreless")
-    rdma_segments = CounterAttribute(
-        "nic_rdma_segments_total", "RDMA segments received")
-    rdma_messages = CounterAttribute(
-        "nic_rdma_messages_total", "RDMA messages reassembled")
-    rdma_evicted = CounterAttribute(
-        "nic_rdma_evicted_total",
-        "partial RDMA messages evicted: their source moved on")
-    total_cycles = CounterAttribute(
-        "nic_cycles_total", "NPU cycles charged")
-    busy_seconds = CounterAttribute(
-        "nic_busy_seconds_total", "NPU busy time", cast=float)
-    firmware_swaps = CounterAttribute(
-        "nic_firmware_swaps_total", "firmware installs")
-    swap_downtime_seconds = CounterAttribute(
-        "nic_swap_downtime_seconds_total", "time spent dark in swaps",
-        cast=float)
-    expired_on_arrival = CounterAttribute(
-        "nic_expired_arrivals_total",
-        "requests dropped on arrival: deadline unreachable (WCET-aware)")
-    expired_on_dequeue = CounterAttribute(
-        "nic_expired_dequeued_total",
-        "requests dropped at the NPU thread grant: deadline passed")
-    expired_completions = CounterAttribute(
-        "nic_expired_completions_total",
-        "executions that finished past their deadline (in-flight race)")
-    shed = CounterAttribute(
-        "nic_shed_total", "requests rejected by the NIC load shedder")
+    COUNTERS = (
+        ("requests_served", "nic_requests_served_total",
+         "requests answered on-NIC", 0),
+        ("responses_sent", "nic_responses_sent_total",
+         "response packets emitted", 0),
+        ("sent_to_host", "nic_sent_to_host_total",
+         "requests punted to the host CPU", 0),
+        ("dropped_no_firmware", "nic_dropped_no_firmware_total",
+         "packets dropped: no firmware", 0),
+        ("dropped_during_swap", "nic_dropped_during_swap_total",
+         "packets dropped mid-swap", 0),
+        ("dropped_nic_down", "nic_dropped_down_total",
+         "packets dropped: NIC dark or coreless", 0),
+        ("rdma_segments", "nic_rdma_segments_total",
+         "RDMA segments received", 0),
+        ("rdma_messages", "nic_rdma_messages_total",
+         "RDMA messages reassembled", 0),
+        ("rdma_evicted", "nic_rdma_evicted_total",
+         "partial RDMA messages evicted: their source moved on", 0),
+        ("total_cycles", "nic_cycles_total",
+         "NPU cycles charged", 0),
+        ("busy_seconds", "nic_busy_seconds_total",
+         "NPU busy time", 0.0),
+        ("firmware_swaps", "nic_firmware_swaps_total",
+         "firmware installs", 0),
+        ("swap_downtime_seconds", "nic_swap_downtime_seconds_total",
+         "time spent dark in swaps", 0.0),
+        ("expired_on_arrival", "nic_expired_arrivals_total",
+         "requests dropped on arrival: deadline unreachable (WCET-aware)", 0),
+        ("expired_on_dequeue", "nic_expired_dequeued_total",
+         "requests dropped at the NPU thread grant: deadline passed", 0),
+        ("expired_completions", "nic_expired_completions_total",
+         "executions that finished past their deadline (in-flight race)", 0),
+        ("shed", "nic_shed_total",
+         "requests rejected by the NIC load shedder", 0),
+    )
 
     LATENCY_METRIC = ("nic_latency_seconds", "on-NIC serve latency")
     PER_LAMBDA_METRIC = ("nic_lambda_requests_total",

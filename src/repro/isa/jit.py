@@ -793,7 +793,7 @@ class JitProgram:
                  " locals; cycle costs")
         out.emit("# and step checks are folded per straight-line segment."
                  " Regenerate with:")
-        out.emit(f"#   python -m repro.isa.jit --dump-source ...")
+        out.emit("#   python -m repro.isa.jit_cli --dump-source ...")
         for name, function in self.program.functions.items():
             _FunctionLowering(self, out, name, function).emit(
                 self.symbols[name])

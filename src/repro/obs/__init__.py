@@ -17,7 +17,6 @@ from .export import (
 )
 from .metrics import (
     Counter,
-    CounterAttribute,
     Gauge,
     Histogram,
     LabelSet,
@@ -42,7 +41,6 @@ from .tracer import (
 __all__ = [
     "META_KEY",
     "Counter",
-    "CounterAttribute",
     "Gauge",
     "Histogram",
     "LabelSet",

@@ -14,9 +14,12 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
+
+#: ``(attribute, metric name, help, zero)`` per tracked counter.
+CounterTable = Tuple[Tuple[str, str, str, float], ...]
 
 
 def _labelset(labels: Optional[Dict[str, str]]) -> LabelSet:
@@ -43,12 +46,19 @@ def percentile_of(sorted_data: List[float], q: float) -> float:
 
 
 class Counter:
-    """Monotonically increasing count, optionally labelled."""
+    """Monotonically increasing count, optionally labelled.
+
+    A labelset can instead be *tracked* (:meth:`track`): its value is a
+    plain number on some object that the owner counts with ``+=``, and
+    the counter reads it whenever the counter is read.
+    """
 
     def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
         self._values: Dict[LabelSet, float] = {}
+        #: Labelsets whose value is ``getattr(obj, attr)`` at read time.
+        self._tracked: Dict[LabelSet, Tuple[object, str]] = {}
 
     def inc(self, amount: float = 1.0,
             labels: Optional[Dict[str, str]] = None) -> None:
@@ -58,10 +68,38 @@ class Counter:
         """:meth:`inc` with a prebuilt label key (hot callers cache it)."""
         if amount < 0:
             raise ValueError("counters only go up")
+        if key in self._tracked:
+            obj, attr = self._tracked[key]
+            setattr(obj, attr, getattr(obj, attr) + amount)
+            return
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def track(self, obj: object, attr: str,
+              labels: Optional[Dict[str, str]] = None) -> None:
+        """Read this labelset's value from ``obj.attr`` whenever the
+        counter is read, so the owner counts with a plain ``+=``.
+
+        The labelset appears once the attribute is nonzero. A read
+        that finds the attribute below its last read value raises
+        :class:`ValueError`: counters are monotone.
+        """
+        self._tracked[_labelset(labels)] = (obj, attr)
+
+    def _sync(self) -> Dict[LabelSet, float]:
+        values = self._values
+        for key, (obj, attr) in self._tracked.items():
+            value = getattr(obj, attr)
+            current = values.get(key, 0.0)
+            if value != current:
+                if value < current:
+                    raise ValueError(
+                        f"{attr} is a counter and can only increase: "
+                        f"read {value} after {current}")
+                values[key] = float(value)
+        return values
+
     def value(self, labels: Optional[Dict[str, str]] = None) -> float:
-        return self._values.get(_labelset(labels), 0.0)
+        return self._sync().get(_labelset(labels), 0.0)
 
     def sum_matching(self, labels: Optional[Dict[str, str]] = None) -> float:
         """Sum over every labelset containing all the given pairs.
@@ -73,30 +111,39 @@ class Counter:
         want = _labelset(labels)
         if not want:
             return self.total
-        return sum(value for key, value in self._values.items()
+        return sum(value for key, value in self._sync().items()
                    if all(pair in key for pair in want))
 
     def items(self) -> List[Tuple[Dict[str, str], float]]:
         """(labels dict, value) pairs for every labelset seen."""
-        return [(dict(key), value) for key, value in self._values.items()]
+        return [(dict(key), value) for key, value in self._sync().items()]
 
     @property
     def total(self) -> float:
-        return sum(self._values.values())
+        return sum(self._sync().values())
 
     def copy(self) -> "Counter":
-        """An independent counter with the same counts."""
+        """An independent counter with the same counts, tracked ones
+        read now."""
         copied = Counter(self.name, self.help_text)
-        copied._values = dict(self._values)
+        copied._values = dict(self._sync())
         return copied
 
     def merge(self, other: "Counter") -> "Counter":
         """A new counter with both operands' counts (commutative)."""
         merged = Counter(self.name, self.help_text or other.help_text)
         for source in (self, other):
-            for key, value in source._values.items():
+            for key, value in source._sync().items():
                 merged._values[key] = merged._values.get(key, 0.0) + value
         return merged
+
+    def __getstate__(self):
+        # Tracked sources are live simulation objects: a counter that
+        # crosses a process boundary carries their values as read now.
+        state = dict(self.__dict__)
+        state["_values"] = dict(self._sync())
+        state["_tracked"] = {}
+        return state
 
 
 class Gauge:
@@ -150,69 +197,34 @@ class Gauge:
         return merged
 
 
-class CounterAttribute:
-    """Descriptor: a registry Counter exposed as a plain numeric attribute.
-
-    Lets legacy ``stats.requests_served += 1`` call sites stay intact
-    while the value lives in a shared :class:`MetricsRegistry`. The
-    owner instance must provide ``registry`` (a MetricsRegistry) and
-    ``labels`` (a label dict or None), neither of which may change once
-    the attribute is used: the first access binds the registry's
-    Counter and the label key into the instance. Reads and writes then
-    go straight to that live Counter's value. Assignment below the
-    current value is rejected — counters are monotone.
-    """
-
-    def __init__(self, metric_name: str, help_text: str = "",
-                 cast=int) -> None:
-        self.metric_name = metric_name
-        self.help_text = help_text
-        self.cast = cast
-        self.__set_name__(None, metric_name)
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.attr = name
-        self.slot = "_counter_" + name
-
-    def _bind(self, obj) -> Tuple[Counter, LabelSet]:
-        bound = (obj.registry.counter(self.metric_name, self.help_text),
-                 _labelset(obj.labels))
-        obj.__dict__[self.slot] = bound
-        return bound
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        counter, key = obj.__dict__.get(self.slot) or self._bind(obj)
-        return self.cast(counter._values.get(key, 0.0))
-
-    def __set__(self, obj, value) -> None:
-        counter, key = obj.__dict__.get(self.slot) or self._bind(obj)
-        values = counter._values
-        current = values.get(key, 0.0)
-        delta = value - current
-        if delta < 0:
-            raise ValueError(
-                f"{self.attr} is counter-backed and can only increase"
-            )
-        if delta:
-            # current + delta, not value: the sum Counter.inc would store.
-            values[key] = current + delta
-
-
 class NodeStats:
     """Base of the per-node stats objects (NIC, host server, CPU).
 
-    ``registry`` and the ``{"node": node}`` labels are fixed here, as
-    the :class:`CounterAttribute` handles and cached label keys need; a
-    shared registry folds many nodes into one scrape surface.
+    Each ``COUNTERS`` entry ``(attribute, metric, help, zero)`` is a
+    plain number, starting at ``zero``, that the owner counts with
+    ``+=``. The registry's counter ``metric`` tracks it under this
+    node's labels and reads it whenever it is read or scraped
+    (:meth:`MetricsRegistry.track_counters`). ``registry`` and the
+    ``{"node": node}`` labels are fixed here, as the tracked counters
+    and cached label keys need; a shared registry folds many nodes into
+    one scrape surface.
     """
+
+    COUNTERS: CounterTable = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Class-level zeros: an instance's first ``+=`` shadows them.
+        for attr, _, _, zero in cls.__dict__.get("COUNTERS", ()):
+            setattr(cls, attr, zero)
 
     def __init__(self, registry: Optional["MetricsRegistry"] = None,
                  node: str = "") -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.labels = {"node": node} if node else None
         self._keys: Dict[Tuple[str, str], LabelSet] = {}
+        if self.COUNTERS:
+            self.registry.track_counters(self, self.COUNTERS, self.labels)
 
     def _count(self, counter: Counter, label: str, name: str,
                amount: float = 1.0) -> None:
@@ -460,42 +472,98 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._metrics: Dict[str, object] = {}
         self._clock = clock
+        #: ``(obj, counters, labels)`` registered by :meth:`track_counters`
+        #: whose counters nobody has asked for yet, and those counters'
+        #: names.
+        self._pending: List[Tuple[object, CounterTable,
+                                  Optional[Dict[str, str]]]] = []
+        self._pending_names: Set[str] = set()
+        #: Tracked counters whose values have all read zero so far.
+        self._unlisted: Set[str] = set()
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach a sim-time clock (affects histograms created after)."""
         self._clock = clock
 
     def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help_text)
+        counter = self._get_or_create(name, Counter, help_text)
+        self._unlisted.discard(name)
+        return counter
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help_text)
 
     def histogram(self, name: str, help_text: str = "") -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        metric = Histogram(name, help_text, clock=self._clock)
-        self._metrics[name] = metric
+        metric = self._existing(name, Histogram)
+        if metric is None:
+            metric = Histogram(name, help_text, clock=self._clock)
+            self._metrics[name] = metric
         return metric
 
     def _get_or_create(self, name: str, cls, help_text: str):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        metric = cls(name, help_text)
-        self._metrics[name] = metric
+        metric = self._existing(name, cls)
+        if metric is None:
+            metric = cls(name, help_text)
+            self._metrics[name] = metric
         return metric
+
+    def _existing(self, name: str, cls):
+        if name in self._pending_names:
+            self._track_pending()
+        existing = self._metrics.get(name)
+        if existing is not None and not isinstance(existing, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(existing).__name__}"
+            )
+        return existing
+
+    def track_counters(self, obj: object, counters: CounterTable,
+                       labels: Optional[Dict[str, str]] = None) -> None:
+        """Track ``obj``'s counter attributes: for each ``(attr, name,
+        help, zero)`` of ``counters``, counter ``name`` reads
+        ``obj.attr`` under ``labels`` (:meth:`Counter.track`).
+
+        Until one of a table's counters is asked for by name or the
+        registry is listed, registering an object is one append, so
+        building a node costs no registry work. A counter that only
+        tracks attributes is listed (by :meth:`names`, :meth:`scrape`,
+        :meth:`copy` and :meth:`merge`) from the first listing that
+        reads one of its values nonzero, as a counter created at its
+        first increment would be.
+        """
+        if counters[0][1] in self._metrics:
+            self._track(obj, counters, labels)
+            return
+        if counters[0][1] not in self._pending_names:
+            self._pending_names.update([entry[1] for entry in counters])
+        self._pending.append((obj, counters, labels))
+
+    def _track_pending(self) -> None:
+        pending, self._pending = self._pending, []
+        self._pending_names = set()
+        for obj, counters, labels in pending:
+            self._track(obj, counters, labels)
+
+    def _track(self, obj: object, counters: CounterTable,
+               labels: Optional[Dict[str, str]]) -> None:
+        for attr, name, help_text, _ in counters:
+            if name not in self._metrics:
+                self._unlisted.add(name)
+            self._get_or_create(name, Counter, help_text).track(
+                obj, attr, labels)
+
+    def _listed(self) -> Dict[str, object]:
+        if self._pending:
+            self._track_pending()
+        if self._unlisted:
+            metrics = self._metrics
+            self._unlisted = {name for name in self._unlisted
+                              if not metrics[name]._sync()}
+            if self._unlisted:
+                return {name: metric for name, metric in metrics.items()
+                        if name not in self._unlisted}
+        return self._metrics
 
     def register(self, metric) -> None:
         """Adopt an existing metric object (shard-report assembly).
@@ -505,22 +573,30 @@ class MetricsRegistry:
         e.g. stripping bulky histograms before shipping a shard's
         counters across a process boundary.
         """
-        existing = self._metrics.get(metric.name)
+        existing = self._listed().get(metric.name)
         if existing is not None and existing is not metric:
             raise ValueError(f"metric {metric.name!r} already registered")
         self._metrics[metric.name] = metric
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted(self._listed())
 
     def scrape(self) -> Dict[str, object]:
-        """A snapshot view used by the monitoring engine / tests."""
-        return dict(self._metrics)
+        """A snapshot view used by the monitoring engine / tests.
+
+        Every counter reads its tracked values first, so a reader of
+        the counters' labelled values sees them current.
+        """
+        listed = dict(self._listed())
+        for metric in listed.values():
+            if isinstance(metric, Counter):
+                metric._sync()
+        return listed
 
     def copy(self) -> "MetricsRegistry":
         """An independent registry with copies of every metric."""
         copied = MetricsRegistry(clock=self._clock)
-        for name, metric in self._metrics.items():
+        for name, metric in self._listed().items():
             copied._metrics[name] = metric.copy()
         return copied
 
@@ -535,9 +611,10 @@ class MetricsRegistry:
         of insertion order on either side.
         """
         merged = MetricsRegistry(clock=self._clock or other._clock)
-        for name in sorted(set(self._metrics) | set(other._metrics)):
-            mine = self._metrics.get(name)
-            theirs = other._metrics.get(name)
+        ours, others = self._listed(), other._listed()
+        for name in sorted(set(ours) | set(others)):
+            mine = ours.get(name)
+            theirs = others.get(name)
             if mine is not None and theirs is not None:
                 if type(mine) is not type(theirs):
                     raise TypeError(
@@ -564,7 +641,9 @@ class MetricsRegistry:
 
     def __getstate__(self):
         # The registry-level clock is a live-sim closure too (see
-        # Histogram.__getstate__); metrics pickle themselves.
+        # Histogram.__getstate__); metrics pickle themselves, tracked
+        # counters as their values.
+        self._listed()
         state = dict(self.__dict__)
         state["_clock"] = None
         return state

@@ -84,7 +84,8 @@ class MonitoringEngine:
         def loop():
             while self._running:
                 yield self.env.timeout(self.scrape_interval)
-                self.scrape()
+                if self._running:  # Not stopped while it slept.
+                    self.scrape()
 
         return self.env.process(loop())
 
@@ -153,7 +154,8 @@ class WatchService:
         def loop():
             while self._running:
                 yield self.env.timeout(self.check_interval)
-                self.check()
+                if self._running:  # Not stopped while it slept.
+                    self.check()
 
         return self.env.process(loop())
 
@@ -255,7 +257,8 @@ class HealthMonitor:
         def loop():
             while self._running:
                 yield self.env.timeout(self.check_interval)
-                self.check()
+                if self._running:  # Not stopped while it slept.
+                    self.check()
 
         return self.env.process(loop())
 

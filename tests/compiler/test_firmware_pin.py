@@ -82,48 +82,48 @@ def digest(text):
 #: unit -> (final instruction count, firmware digest, JIT source digest).
 FIRMWARE_PINS = {
     "fig9": (1320, "99ace919fdfab580",
-        "5f716c254abe7e73"),
+        "903b9d0874220530"),
     "image_transformer": (288, "b5eb60b0f85a03ec",
-        "57233bb338f5eb3e"),
+        "24acc8e50b522766"),
     "image_transformer+kv_client": (574, "857077299c7a0052",
-        "a77d91f18c324d55"),
+        "dac9d37257c69c6e"),
     "image_transformer+kv_client+web_server": (1039, "d7dbb87ce6db586e",
-        "a48dfac872191cfd"),
+        "6a86dab12a1e1664"),
     "image_transformer+web_server": (753, "4fd377ee2b147af5",
-        "a8ae668d1f977d23"),
+        "1b4b67baa77453f8"),
     "image_transformer+web_server+kv_client": (1039, "b8d8a2d1b2fef6fc",
-        "1606e565262a4507"),
+        "2ba9333b57f2a472"),
     "kv_client": (341, "32a29193d1c23427",
-        "16b4776e666a2a0c"),
+        "b657c6e17e354113"),
     "kv_client+image_transformer": (574, "de74cb47a1971cd5",
-        "5771563540e0a058"),
+        "cc5369e8cc5e4dd4"),
     "kv_client+image_transformer+web_server": (1039, "c3d122885e98ec98",
-        "bfa3806da02bd728"),
+        "0c3a6a7ce89ec8b5"),
     "kv_client+web_server": (810, "0650ae7d3313d4a4",
-        "71969a111be0340b"),
+        "0714e6362de4617b"),
     "kv_client+web_server+image_transformer": (1039, "b0f7b353ff628ca3",
-        "f4077a46b8d16943"),
+        "a458e76111d40588"),
     "web_server": (524, "7e486d04fba24e66",
-        "e8035fef0f8727ca"),
+        "80f7ac4130b5986a"),
     "web_server+image_transformer": (753, "d19a34bca85ed03d",
-        "e63b1c6c02069bcc"),
+        "44c87e85640c8e4b"),
     "web_server+image_transformer+kv_client": (1039, "744a8b443e9eb6b4",
-        "6acb094e0bcd85cc"),
+        "82603c45d285468b"),
     "web_server+kv_client": (810, "27dbbf12f0fc3632",
-        "2c8f2e61fd4cf0b9"),
+        "5d244dfe57d7fee8"),
     "web_server+kv_client+image_transformer": (1039, "744761d8dc77eab2",
-        "5e70f0423c2c21f9"),
+        "6a4dd2377d50bc11"),
 }
 
 #: workload program -> JIT source digest, standalone (not composed).
 PROGRAM_JIT_PINS = {
-    "fig9:image_transformer": "616ac569dab2a684",
-    "fig9:kv_client_get": "63b86b44ff0d3577",
-    "fig9:kv_client_set": "0325b31f9f4cf1f2",
-    "fig9:web_server": "46ee2c941c23ea58",
-    "std:image_transformer": "616ac569dab2a684",
-    "std:kv_client": "0b69c3dd874f0f83",
-    "std:web_server": "46ee2c941c23ea58",
+    "fig9:image_transformer": "fa16173ba7570023",
+    "fig9:kv_client_get": "bdde2f005b1eac7b",
+    "fig9:kv_client_set": "6dc254e75bac7459",
+    "fig9:web_server": "7be83821ad8092b0",
+    "std:image_transformer": "fa16173ba7570023",
+    "std:kv_client": "e750f2457bd2c6e9",
+    "std:web_server": "7be83821ad8092b0",
 }
 
 

@@ -18,7 +18,8 @@ from repro.net import (
     RpcHeader,
     UDPHeader,
 )
-from repro.sim import Environment
+from repro.obs import Tracer
+from repro.sim import Environment, SimulationError
 
 
 def lambda_packet(wid, request_id=1, src="client", dst="worker"):
@@ -211,11 +212,15 @@ def test_call_service_times_out_and_raises():
         yield ctx.compute(10e-6)
 
     server.deploy("kv", wid=2, handler=kv_handler, runtime=BareMetalRuntime())
-    client.attach(lambda p: None)
+    responses = []
+    client.attach(responses.append)
     client.send(lambda_packet(wid=2))
-    env.run()
+    env.run()  # The failed call was defused: the kernel raises nothing.
     assert outcomes == ["timeout"]
     assert dead_node.rx_packets == 3  # initial + 2 retries
+    # The handler caught the error, went on and answered.
+    assert len(responses) == 1
+    assert server.stats.handler_errors == 0
 
 
 def test_call_service_retries_on_loss_then_succeeds():
@@ -257,3 +262,146 @@ def test_call_service_retries_on_loss_then_succeeds():
     env.run()
     assert responses[0].meta["lambda_meta"]["done"] == 1
     assert len(seen) == 2
+
+
+# -- the handler driver: generators run with no process of their own ------
+
+
+def traced_setup(handler, **deploy_kwargs):
+    """A traced server running ``handler``; returns (env, server,
+    client, responses)."""
+    env = Environment()
+    env.tracer = Tracer(env)
+    network = Network(env)
+    client = network.add_node("client")
+    server = HostServer(env, network.add_node("worker"))
+    server.deploy("fn", wid=1, handler=handler, runtime=BareMetalRuntime(),
+                  **deploy_kwargs)
+    responses = []
+    client.attach(responses.append)
+    return env, server, client, responses
+
+
+def send_traced(env, client, request_id=1):
+    packet = lambda_packet(wid=1, request_id=request_id)
+    root = env.tracer.begin("client", trace_id=env.tracer.new_trace())
+    Tracer.stamp_packet(packet, root)
+    client.send(packet)
+
+
+def handle_verdicts(env):
+    return [(span.tags.get("verdict"), span.end is not None)
+            for span in env.tracer.spans if span.name == "host.handle"]
+
+
+def test_failed_event_is_raised_at_the_yield_and_defused():
+    seen = []
+
+    def handler(ctx):
+        failed = ctx.env.event()
+        failed.fail(KeyError("gone"))
+        try:
+            yield failed
+        except KeyError as error:
+            seen.append((ctx.env.now, error.args))
+        yield ctx.compute(10e-6)
+
+    env, server, client, responses = traced_setup(handler)
+    send_traced(env, client)
+    env.run()
+    assert len(seen) == 1 and seen[0][1] == ("gone",)
+    assert len(responses) == 1
+    assert server.stats.handler_errors == 0
+    assert handle_verdicts(env) == [("ok", True)]
+
+
+def test_raising_handler_counts_an_error_and_answers_nothing():
+    def handler(ctx):
+        yield ctx.compute(10e-6)
+        raise RuntimeError("lambda bug")
+
+    env, server, client, responses = traced_setup(handler, max_workers=1)
+    send_traced(env, client, request_id=1)
+    send_traced(env, client, request_id=2)
+    env.run()
+    assert responses == []
+    assert server.stats.handler_errors == 2
+    assert server.stats.requests_served == 0
+    # Each failure released the worker slot: the second request ran.
+    assert handle_verdicts(env) == [("handler_error", True)] * 2
+    handler_spans = [span for span in env.tracer.spans
+                     if span.name == "host.handler"]
+    assert [span.tags.get("error") for span in handler_spans] == [1, 1]
+
+
+def test_handler_error_after_a_crash_is_not_counted():
+    """An exception provoked by a crash mid-request is the machine's
+    fault: it counts only if the epoch has not moved since arrival."""
+    def handler(ctx):
+        yield ctx.compute(1e-3)
+        raise RuntimeError("lost its state")
+
+    env, server, client, responses = traced_setup(handler)
+    send_traced(env, client)
+    env.run(until=500e-6)  # Inside the handler's compute.
+    server.crash()
+    env.run()
+    assert server.stats.handler_errors == 0
+    assert server.stats.crashes == 1
+    assert responses == []
+    assert handle_verdicts(env) == [("handler_error", True)]
+
+
+def test_non_exception_error_propagates_out_of_run():
+    class Halt(BaseException):
+        pass
+
+    def handler(ctx):
+        yield ctx.compute(10e-6)
+        raise Halt()
+
+    env, server, client, responses = traced_setup(handler, max_workers=1)
+    send_traced(env, client)
+    with pytest.raises(Halt):
+        env.run()
+    assert server.stats.handler_errors == 0
+    assert server._by_wid[1].semaphore.busy == 0
+
+
+def test_bad_yield_ends_in_handler_error():
+    def handler(ctx):
+        yield 42
+
+    errors = []
+    env, server, client, responses = traced_setup(handler)
+    handled = server._handled
+    server._handled = lambda h, error: errors.append(error) or \
+        handled(h, error)
+    send_traced(env, client)
+    env.run()
+    assert responses == []
+    assert server.stats.handler_errors == 1
+    assert handle_verdicts(env) == [("handler_error", True)]
+    [error] = errors
+    assert isinstance(error, SimulationError)
+    assert "invalid target 42" in str(error)
+
+
+def test_compute_returns_a_request_not_an_event():
+    """``ctx.compute`` builds no event; the ``yield`` evaluates to the
+    CPU time charged (the dispatch already paid the thread's context
+    switch)."""
+    charged = []
+
+    def handler(ctx):
+        request = ctx.compute(100e-6)
+        assert not hasattr(request, "callbacks")
+        charged.append((yield request))
+        charged.append((yield ctx.compute(50e-6, gil=False)))
+
+    env, server, client, responses = traced_setup(handler)
+    send_traced(env, client)
+    env.run()
+    assert charged == [pytest.approx(100e-6), pytest.approx(50e-6)]
+    assert server.cpu.stats.context_switches == 1
+    assert len(responses) == 1

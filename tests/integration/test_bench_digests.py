@@ -29,7 +29,7 @@ PINNED = {
     "image_rdma":
         "b80a149779d87dc059801a2e35cbd7fa1932539f1df7ae63324964031cbc29a1",
     "web_host":
-        "1fcbbc3c5b482974a087c194445c1fd66f8daad8c209f40d072c78062853e6c6",
+        "d8dcb2dd916d9e6267110730f7b879752c8e46ccf192e6f1f45f9438599ad9fe",
     "storm_mixed":
         "431e0e8020515406ed205082dca15570e9c3498e31a9e2827b91daa976f36985",
 }
@@ -50,7 +50,7 @@ RESULTS = {
 EVENTS = {
     "web_nic": 813,
     "image_rdma": 24,
-    "web_host": 1293,
+    "web_host": 1053,
     "storm_mixed": 1387,
 }
 

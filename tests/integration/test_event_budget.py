@@ -25,6 +25,7 @@ from repro.net import switch as switch_module
 from repro.net.link import _Direction
 from repro.net.switch import Switch
 from repro.sim.core import Timeout
+from repro.sim.process import Process
 
 SIM = os.path.join("repro", "sim", "")
 REPRO = os.path.join("repro", "")
@@ -184,15 +185,46 @@ def test_image_rdma_full_window_builds_a_few_packets_per_request():
     assert per_request <= 8
 
 
-@pytest.mark.parametrize("name, limit", [("web_nic", 14), ("web_host", 22)])
+@pytest.mark.parametrize("name, limit", [("web_nic", 14), ("web_host", 13)])
 def test_single_packet_full_window_event_budget(name, limit):
     """Each request stage is a timeout plus a callback: the gateway's
     proxy delay, its attempt timer and the caller's event, the NPU's
-    busy time or the host's kernel, CPU and handler stages, and the
-    net layer's three events per one-way packet."""
+    busy time or the host's kernel rx, dispatch, CPU and kernel tx
+    stages, and the net layer's three events per one-way packet. The
+    host's handler runs with no process and no event of its own. The
+    count is compared at the 0.1 it prints: the window also holds a
+    few events of the loops' last, unfinished requests."""
     events, net, requests = census(name, smoke=False)
     per_request = sum(events.values()) / requests
     print(f"\n{name}: {per_request:.1f} events per request; "
           f"by layer {dict(by_layer(events))}")
-    assert per_request <= limit
+    assert round(per_request, 1) <= limit
     assert by_layer(events)["net"] == net_events(net)
+
+
+def test_web_host_window_builds_no_process_per_request():
+    """The host runs a request's stages and its handler generator with
+    no process: the window's processes are the load harness's own, as
+    many however many requests it serves, and none is a handler's."""
+    workload = WORKLOADS["web_host"]
+    tb = workload.setup(42)
+    workload.warm_up(tb, smoke=True)
+    window = workload.start(tb, smoke=True)
+    built = []
+    init = Process.__init__
+
+    def counted(process, env, generator):
+        built.append(generator.gi_code.co_filename)
+        init(process, env, generator)
+
+    Process.__init__ = counted
+    try:
+        window()
+    finally:
+        Process.__init__ = init
+    requests = workload.size(smoke=True)
+    print(f"\nweb_host: {len(built)} processes over {requests} requests")
+    assert not [where for where in built
+                if os.path.join("repro", "host", "") in where
+                or os.path.join("repro", "workloads", "") in where]
+    assert len(built) < requests / 10

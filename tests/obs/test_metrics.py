@@ -11,10 +11,10 @@ from repro.host.server import ServerStats
 from repro.hw.nic import NicStats
 from repro.obs import (
     Counter,
-    CounterAttribute,
     Gauge,
     Histogram,
     MetricsRegistry,
+    NodeStats,
     percentile_of,
 )
 
@@ -101,16 +101,12 @@ def test_tracked_gauge_reads_its_source_when_read():
     assert gauge.merge(snapshot).value({"tier": "jit"}) == 14.0
 
 
-# -- CounterAttribute descriptor --------------------------------------------
+# -- tracked counters: plain attributes the registry reads ------------------
 
 
-class _Stats:
-    served = CounterAttribute("served_total", "requests served")
-    busy = CounterAttribute("busy_seconds_total", cast=float)
-
-    def __init__(self, registry=None, node=""):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = {"node": node} if node else None
+class _Stats(NodeStats):
+    COUNTERS = (("served", "served_total", "requests served", 0),
+                ("busy", "busy_seconds_total", "", 0.0))
 
 
 def test_counter_attribute_reads_and_increments():
@@ -119,17 +115,23 @@ def test_counter_attribute_reads_and_increments():
     stats.served += 1
     stats.served += 2
     assert stats.served == 3
+    assert stats.registry.counter("served_total").value() == 3
     stats.busy += 0.25
     assert stats.busy == pytest.approx(0.25)
     assert isinstance(stats.busy, float)
+    assert stats.registry.counter("busy_seconds_total").total == 0.25
 
 
 def test_counter_attribute_rejects_decrease():
     stats = _Stats()
+    counter = stats.registry.counter("served_total")
     stats.served = 5
-    with pytest.raises(ValueError):
-        stats.served = 4
-    assert stats.served == 5
+    assert counter.value() == 5
+    stats.served = 4
+    with pytest.raises(ValueError, match="served"):
+        counter.value()
+    stats.served = 5
+    assert counter.value() == 5
 
 
 def test_counter_attribute_shares_registry_with_labels():
@@ -140,10 +142,56 @@ def test_counter_attribute_shares_registry_with_labels():
     b.served += 3
     assert a.served == 2 and b.served == 3
     assert registry.counter("served_total").total == 5
+    assert registry.counter("served_total").items() == [
+        ({"node": "m2"}, 2.0), ({"node": "m3"}, 3.0)]
 
 
-def test_counter_attribute_class_access_returns_descriptor():
-    assert isinstance(_Stats.served, CounterAttribute)
+def test_tracked_counter_lists_once_nonzero():
+    """A labelset, and a counter that only tracks attributes, appear
+    once a value is nonzero, as when the counter was first incremented."""
+    registry = MetricsRegistry()
+    stats = _Stats(registry, node="m2")
+    registry.gauge("depth")
+    assert registry.names() == ["depth"]
+    assert registry.copy().names() == ["depth"]
+    stats.served += 1
+    assert registry.names() == ["depth", "served_total"]
+    assert set(registry.scrape()) == {"depth", "served_total"}
+    assert registry.merge(MetricsRegistry()).names() == \
+        ["depth", "served_total"]
+    assert registry.scrape()["served_total"]._values == {
+        (("node", "m2"),): 1.0}
+    # Asking for a counter by name lists it, nonzero or not.
+    assert registry.counter("busy_seconds_total").items() == []
+    assert "busy_seconds_total" in registry.names()
+
+
+def test_tracked_counters_bind_when_first_asked_for():
+    """Building stats objects does no registry work; a counter asked for
+    by name tracks every object built before and after."""
+    registry = MetricsRegistry()
+    a = _Stats(registry, node="m2")
+    a.served += 1
+    registry.histogram("latency")
+    assert "served_total" not in registry._metrics
+    counter = registry.counter("served_total")
+    b = _Stats(registry, node="m3")
+    b.served += 2
+    assert counter.items() == [({"node": "m2"}, 1.0), ({"node": "m3"}, 2.0)]
+    with pytest.raises(TypeError):
+        registry.gauge("busy_seconds_total")
+
+
+def test_tracked_counter_pickles_its_values_not_its_source():
+    import pickle
+
+    stats = _Stats(node="m2")
+    stats.served += 4
+    shipped = pickle.loads(pickle.dumps(stats.registry))
+    stats.served += 1
+    assert shipped.names() == ["served_total"]
+    assert shipped.counter("served_total").value({"node": "m2"}) == 4
+    assert stats.registry.counter("served_total").value({"node": "m2"}) == 5
 
 
 # -- bound counters on the stats classes ------------------------------------
@@ -187,12 +235,14 @@ def test_bound_float_counter_is_bit_identical_to_counter_inc(amounts):
 
 def test_bound_counter_decrease_raises_and_keeps_value():
     stats = ServerStats(node="m2-bm")
+    counter = stats.registry.counter("host_requests_served_total")
     stats.requests_served += 7
-    with pytest.raises(ValueError):
-        stats.requests_served = 6
-    assert stats.requests_served == 7
-    assert stats.registry.counter("host_requests_served_total").value(
-        {"node": "m2-bm"}) == 7
+    assert counter.value({"node": "m2-bm"}) == 7
+    stats.requests_served = 6
+    with pytest.raises(ValueError, match="requests_served"):
+        counter.value({"node": "m2-bm"})
+    # The registry keeps the last value it read.
+    assert counter._values == {(("node", "m2-bm"),): 7.0}
 
 
 def test_registry_copy_and_merge_see_bound_writes():

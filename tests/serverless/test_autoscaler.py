@@ -130,6 +130,26 @@ def test_control_loop_runs_periodically():
     assert set(tb.gateway.route_for(name).targets) == {"m2-nic", "m3-nic"}
 
 
+def test_stopped_control_loop_does_not_act_at_its_pending_tick():
+    """Stopped mid-interval, the probe loop ends at its next tick
+    without a last check: a NIC restored meanwhile stays out of the
+    route."""
+    tb, name = deployed_testbed()
+    monitor = HealthMonitor(tb.env, tb.gateway, tb.manager,
+                            check_interval=0.1)
+    start = tb.env.now
+    loop = monitor.start()
+    tb.nic("m2-nic").fail()
+    tb.run(until=start + 0.15)
+    assert [event.kind for event in monitor.events] == ["shrink"]
+    monitor.stop()
+    tb.nic("m2-nic").restore()
+    tb.run(until=start + 0.5)
+    assert [event.kind for event in monitor.events] == ["shrink"]
+    assert tb.gateway.route_for(name).targets == ["m3-nic"]
+    assert not loop.is_alive
+
+
 def test_validation():
     tb, name = scored_testbed()
     with pytest.raises(ValueError, match="check interval"):

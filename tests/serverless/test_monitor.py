@@ -130,3 +130,25 @@ def test_watch_service_loop_runs():
     env.process(fail_then_stop(env))
     env.run(until=3.0)
     assert watch.alerts
+
+
+def test_stopped_loops_do_not_act_at_their_pending_tick():
+    """A loop stopped mid-interval ends at its next tick without a last
+    scrape or check."""
+    env = Environment()
+    registry = MetricsRegistry()
+    registry.counter("requests").inc(1)
+    engine = MonitoringEngine(env, registry, scrape_interval=1.0)
+    watch = WatchService(env, make_gateway(env), check_interval=1.0)
+    checks = []
+    check = watch.check
+    watch.check = lambda: checks.append(env.now) or check()
+    engine_loop, watch_loop = engine.start(), watch.start()
+    env.run(until=1.5)
+    assert engine.scrapes == 1 and checks == [1.0]
+    engine.stop()
+    watch.stop()
+    env.run(until=3.0)
+    assert engine.scrapes == 1 and checks == [1.0]
+    assert not engine_loop.is_alive and not watch_loop.is_alive
+    assert len(engine.counter_series("requests").samples) == 1
