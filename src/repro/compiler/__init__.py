@@ -1,9 +1,9 @@
 """The Match+Lambda compiler: composition, optimisation passes, codegen."""
 
+from ..isa.verify.verifier import MAX_INSTRUCTIONS_PER_CORE
 from .codegen import (
     FIRMWARE_BASE_BYTES,
     Firmware,
-    MAX_INSTRUCTIONS_PER_CORE,
     NIC_MEMORY_BYTES,
     OptimizationReport,
     StageCount,

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa import INSTRUCTION_BYTES, LambdaProgram, Region
 from ..isa.verify import (
-    MAX_INSTRUCTIONS_PER_CORE,
     InterproceduralLiveness,
     VerifierReport,
     VerifyOptions,

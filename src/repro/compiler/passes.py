@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
-from ..isa import Function, LambdaProgram, Op, Region
+from ..isa import Function, Op, Region
 from ..isa.analysis import (
     duplicate_functions,
     memory_access_profile,

@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..isa import Function, Instruction, LambdaProgram, Op, ins
 from ..isa.analysis import headers_used as analyse_headers
 from ..p4 import build_dispatch_pipeline, lower_control
-from ..p4.parser import generate_parser
 
 #: Name of the composed firmware entry point.
 FIRMWARE_ENTRY = "main"

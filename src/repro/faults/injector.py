@@ -10,7 +10,7 @@ which is what the reproducibility check compares across same-seed runs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim import Environment
 from .plan import FaultEvent, FaultPlan
@@ -35,16 +35,6 @@ class FaultInjector:
                 "faults_injected_total", "fault events fired, by action",
             )
         self._started = False
-        self._listeners: List[Callable[[float, str, str], None]] = []
-
-    def subscribe(self, listener: Callable[[float, str, str], None]) -> None:
-        """Call ``listener(at, action, target)`` for every fired event.
-
-        This is how runtime policies (e.g. the migration policy) see
-        faults as they land, instead of polling the trace. Listeners
-        must not schedule simulation events.
-        """
-        self._listeners.append(listener)
 
     def start(self):
         """Process: fire every plan event at its scheduled time."""
@@ -73,8 +63,6 @@ class FaultInjector:
             self.skipped.append((self.env.now, event.action, event.target))
             return
         self.trace.append((self.env.now, event.action, target))
-        for listener in self._listeners:
-            listener(self.env.now, event.action, target)
         if self.env.tracer is not None:
             self.env.tracer.instant(
                 "fault.injected", "fault", node=target,

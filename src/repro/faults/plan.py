@@ -11,7 +11,7 @@ of the same plan on the same seed produce identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 #: Every action a plan may contain, and what ``target`` means for it.

@@ -82,14 +82,6 @@ class _LifoThreadPool:
         else:
             self._free.append(thread_id)
 
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiting)
-
 
 class HostCPU:
     """A multi-threaded server CPU."""
@@ -106,14 +98,6 @@ class HostCPU:
         self._pool = _LifoThreadPool(self.n_threads)
         self._last_task: List[Optional[str]] = [None] * self.n_threads
         self.stats = CpuStats(registry=metrics, node=node)
-
-    @property
-    def busy_threads(self) -> int:
-        return self.n_threads - self._pool.free_count
-
-    @property
-    def run_queue_length(self) -> int:
-        return self._pool.waiting
 
     def execute(self, task_id: str, cpu_seconds: float, trace=None) -> Event:
         """Occupy one hardware thread for ``cpu_seconds``.

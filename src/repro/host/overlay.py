@@ -11,7 +11,7 @@ remove them (e.g. host networking mode) and so the single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 

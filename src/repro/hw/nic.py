@@ -39,7 +39,6 @@ from ..net import (
     IPv4Header,
     LambdaHeader,
     Packet,
-    RdmaHeader,
     RpcHeader,
     Segment,
     Segments,

@@ -8,7 +8,7 @@ whose holders charge simulated time equal to ``cycles / clock_hz``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..sim import Environment, Server

@@ -10,7 +10,7 @@ These feed the workload manager's optimisations (paper §5.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .instructions import WORD_ACCESS, Instruction, Op

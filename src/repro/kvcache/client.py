@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..net import (
     EthernetHeader,

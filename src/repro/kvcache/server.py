@@ -8,8 +8,8 @@ host backends and λ-NIC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from ..net import (
     DEADLINE_META,

@@ -34,7 +34,6 @@ from .ast import (
     BinOp,
     Call,
     ExprStatement,
-    FuncDef,
     GlobalArray,
     HeaderField,
     If,

@@ -9,7 +9,7 @@ carry placement hints to the compiler (paper D2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List
 
 from .errors import LexError
 

@@ -8,7 +8,7 @@ ID that the NIC's match stage dispatches on (paper §4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Dict, Optional, Tuple
 
 

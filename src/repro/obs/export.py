@@ -13,7 +13,7 @@ scaled by 1e6.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .tracer import Span, Tracer
 

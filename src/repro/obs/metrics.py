@@ -1,9 +1,9 @@
 """The typed metrics registry (single canonical implementation).
 
 Counters, gauges, and histograms with label support, percentile and
-ECDF queries, sim-time observation windows, and commutative merging.
-``repro.serverless.metrics`` re-exports these types, so every consumer
-(gateway, monitoring engine, NIC/host stats) shares one implementation
+ECDF queries, and commutative merging. ``repro.serverless.metrics``
+re-exports these types, so every consumer (gateway, manager, migration
+controller, NIC/host stats) shares one implementation
 — the percentile logic that used to be duplicated (and re-sorted the
 raw observation list on every call) now lives in :func:`percentile_of`
 over a histogram-maintained sorted cache.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -280,11 +280,10 @@ class _Series:
     latency lists are such views).
     """
 
-    __slots__ = ("values", "times", "_sorted", "_sorted_len")
+    __slots__ = ("values", "_sorted", "_sorted_len")
 
-    def __init__(self, timed: bool) -> None:
+    def __init__(self) -> None:
         self.values: List[float] = []
-        self.times: Optional[List[float]] = [] if timed else None
         self._sorted: List[float] = []
         self._sorted_len = 0
 
@@ -296,25 +295,17 @@ class _Series:
 
 
 class Histogram:
-    """Raw-observation histogram: percentiles, ECDF, windows, merge.
+    """Raw-observation histogram: percentiles, ECDF, merge.
 
-    With a ``clock`` (a zero-argument callable returning sim time, as
-    wired by the registry) every observation is timestamped and
-    percentile/count queries accept ``since``/``until`` sim-time
-    windows — how the experiment drivers separate "during the fault
-    storm" from "after".
+    Each labelset keeps its observations as one list of values; every
+    query covers all of them. Drivers that need a phase of a run on its
+    own (e.g. during a fault storm and after it) measure each phase
+    separately.
     """
 
-    def __init__(self, name: str, help_text: str = "",
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
-        self.clock = clock
-        # Whether observations carry timestamps. Tracked separately from
-        # the clock so a histogram that crossed a process boundary (clock
-        # callables close over live Environments and are dropped by
-        # __getstate__) still *merges* as a timed histogram.
-        self._timed = clock is not None
         self._series: Dict[LabelSet, _Series] = {}
 
     def _get(self, labels: Optional[Dict[str, str]]) -> Optional[_Series]:
@@ -324,24 +315,20 @@ class Histogram:
         key = _labelset(labels)
         series = self._series.get(key)
         if series is None:
-            series = _Series(timed=self._timed)
+            series = _Series()
             self._series[key] = series
         return series
 
     def observe(self, value: float,
                 labels: Optional[Dict[str, str]] = None) -> None:
-        series = self._get_or_create(labels)
-        series.values.append(value)
-        if series.times is not None and self.clock is not None:
-            series.times.append(self.clock())
+        self._get_or_create(labels).values.append(value)
 
     def raw(self, labels: Optional[Dict[str, str]] = None) -> List[float]:
         """The live observation list (a view, not a copy).
 
         Exists so legacy ``stats.latencies.append(...)`` call sites can
-        be backed by the registry; appending through it bypasses the
-        timestamp column, which windowed queries tolerate (untimed
-        observations fall outside every window).
+        be backed by the registry; an append through it is an
+        observation like any other.
         """
         return self._get_or_create(labels).values
 
@@ -349,48 +336,24 @@ class Histogram:
         series = self._get(labels)
         return list(series.values) if series else []
 
-    def _windowed(self, series: _Series, since: Optional[float],
-                  until: Optional[float]) -> List[float]:
-        if since is None and until is None:
-            return series.values
-        if series.times is None:
-            return []
-        lo = -math.inf if since is None else since
-        hi = math.inf if until is None else until
-        times = series.times
-        return [value for index, value in enumerate(series.values)
-                if index < len(times) and lo <= times[index] <= hi]
-
-    def count(self, labels: Optional[Dict[str, str]] = None,
-              since: Optional[float] = None,
-              until: Optional[float] = None) -> int:
+    def count(self, labels: Optional[Dict[str, str]] = None) -> int:
         series = self._get(labels)
-        if series is None:
-            return 0
-        return len(self._windowed(series, since, until))
+        return len(series.values) if series else 0
 
-    def mean(self, labels: Optional[Dict[str, str]] = None,
-             since: Optional[float] = None,
-             until: Optional[float] = None) -> float:
+    def mean(self, labels: Optional[Dict[str, str]] = None) -> float:
         series = self._get(labels)
-        if series is None:
-            return math.nan
-        data = self._windowed(series, since, until)
+        data = series.values if series else []
         return sum(data) / len(data) if data else math.nan
 
     def percentile(self, q: float,
-                   labels: Optional[Dict[str, str]] = None,
-                   since: Optional[float] = None,
-                   until: Optional[float] = None) -> float:
+                   labels: Optional[Dict[str, str]] = None) -> float:
         """Nearest-rank percentile; q in [0, 100]."""
         if not 0 <= q <= 100:
             raise ValueError("percentile must be within [0, 100]")
         series = self._get(labels)
         if series is None:
             return math.nan
-        if since is None and until is None:
-            return percentile_of(series.sorted_values(), q)
-        return percentile_of(sorted(self._windowed(series, since, until)), q)
+        return percentile_of(series.sorted_values(), q)
 
     def ecdf(self, labels: Optional[Dict[str, str]] = None
              ) -> List[Tuple[float, float]]:
@@ -410,14 +373,10 @@ class Histogram:
 
     def copy(self) -> "Histogram":
         """An independent histogram with the same observations."""
-        copied = Histogram(self.name, self.help_text, clock=self.clock)
-        copied._timed = self._timed
+        copied = Histogram(self.name, self.help_text)
         for key, series in self._series.items():
-            target = _Series(timed=series.times is not None)
+            target = copied._series[key] = _Series()
             target.values = list(series.values)
-            if series.times is not None:
-                target.times = list(series.times)
-            copied._series[key] = target
         return copied
 
     def merge(self, other: "Histogram") -> "Histogram":
@@ -425,53 +384,22 @@ class Histogram:
 
         Commutative up to observation order: counts, percentiles, and
         ECDFs of ``a.merge(b)`` and ``b.merge(a)`` are identical.
-        Timestamps are preserved only when both operands carry them
-        (``_timed`` — which survives pickling even though the clock
-        callable itself does not).
         """
-        timed = self._timed and other._timed
-        merged = Histogram(self.name, self.help_text or other.help_text,
-                           clock=self.clock if timed else None)
-        merged._timed = timed
+        merged = Histogram(self.name, self.help_text or other.help_text)
         for source in (self, other):
             for key, series in source._series.items():
                 target = merged._series.get(key)
                 if target is None:
-                    target = _Series(timed=timed)
-                    merged._series[key] = target
+                    target = merged._series[key] = _Series()
                 target.values.extend(series.values)
-                if target.times is not None:
-                    if series.times is not None and \
-                            len(series.times) == len(series.values):
-                        target.times.extend(series.times)
-                    else:
-                        target.times = None
         return merged
-
-    def __getstate__(self):
-        # Clock callables close over live simulation state (typically
-        # ``lambda: env.now``) and cannot cross a process boundary; the
-        # observations and the ``_timed`` flag are what shard workers
-        # need to ship home.
-        state = dict(self.__dict__)
-        state["clock"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
 
 class MetricsRegistry:
-    """Named registry of metrics, as scraped by the monitoring engine.
+    """Named registry of metrics: one scrape surface for a testbed."""
 
-    ``clock`` (optional) timestamps histogram observations with
-    simulated time, enabling windowed queries; pass ``lambda: env.now``
-    or use :meth:`bind_clock` once an environment exists.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
-        self._clock = clock
         #: ``(obj, counters, labels)`` registered by :meth:`track_counters`
         #: whose counters nobody has asked for yet, and those counters'
         #: names.
@@ -480,10 +408,6 @@ class MetricsRegistry:
         self._pending_names: Set[str] = set()
         #: Tracked counters whose values have all read zero so far.
         self._unlisted: Set[str] = set()
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach a sim-time clock (affects histograms created after)."""
-        self._clock = clock
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         counter = self._get_or_create(name, Counter, help_text)
@@ -496,7 +420,7 @@ class MetricsRegistry:
     def histogram(self, name: str, help_text: str = "") -> Histogram:
         metric = self._existing(name, Histogram)
         if metric is None:
-            metric = Histogram(name, help_text, clock=self._clock)
+            metric = Histogram(name, help_text)
             self._metrics[name] = metric
         return metric
 
@@ -582,7 +506,7 @@ class MetricsRegistry:
         return sorted(self._listed())
 
     def scrape(self) -> Dict[str, object]:
-        """A snapshot view used by the monitoring engine / tests.
+        """A snapshot of every listed metric, by name.
 
         Every counter reads its tracked values first, so a reader of
         the counters' labelled values sees them current.
@@ -595,7 +519,7 @@ class MetricsRegistry:
 
     def copy(self) -> "MetricsRegistry":
         """An independent registry with copies of every metric."""
-        copied = MetricsRegistry(clock=self._clock)
+        copied = MetricsRegistry()
         for name, metric in self._listed().items():
             copied._metrics[name] = metric.copy()
         return copied
@@ -610,7 +534,7 @@ class MetricsRegistry:
         therefore any serialized report built from it — is independent
         of insertion order on either side.
         """
-        merged = MetricsRegistry(clock=self._clock or other._clock)
+        merged = MetricsRegistry()
         ours, others = self._listed(), other._listed()
         for name in sorted(set(ours) | set(others)):
             mine = ours.get(name)
@@ -640,13 +564,7 @@ class MetricsRegistry:
         return merged
 
     def __getstate__(self):
-        # The registry-level clock is a live-sim closure too (see
-        # Histogram.__getstate__); metrics pickle themselves, tracked
-        # counters as their values.
+        # Track pending stats objects first: metrics pickle themselves,
+        # tracked counters as their values, never as live sources.
         self._listed()
-        state = dict(self.__dict__)
-        state["_clock"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        return self.__dict__

@@ -15,7 +15,7 @@ Parsing has two faces here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..isa import Function, Op, ins

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core import LambdaNicRuntime, MatchLambdaWorkload, RdmaBinding
 from ..host import BareMetalRuntime, ContainerRuntime, HostServer, Runtime
@@ -107,15 +107,6 @@ class Backend:
         """Current state version at the source, for the epoch fence."""
         return None
 
-    def target_load(self, target: str) -> Tuple[int, int]:
-        """(busy execution slots, total slots) at ``target``.
-
-        Placement scoring turns this into headroom; the abstract
-        fallback reports an idle single slot so substrates without a
-        load signal still sort deterministically.
-        """
-        return (0, 1)
-
 
 class HostBackend(Backend):
     """Shared logic for the container and bare-metal backends."""
@@ -137,14 +128,6 @@ class HostBackend(Backend):
 
     def healthy_targets(self) -> List[str]:
         return [server.name for server in self.servers if server.online]
-
-    def target_load(self, target: str) -> Tuple[int, int]:
-        for server in self.servers:
-            if server.name == target:
-                cpu = server.cpu
-                return (cpu.busy_threads + cpu.run_queue_length,
-                        cpu.n_threads)
-        raise KeyError(f"{self.kind} backend has no target {target!r}")
 
     def runtime(self) -> Runtime:
         return self.runtime_factory()
@@ -265,10 +248,6 @@ class LambdaNicBackend(Backend):
             if nic.export_lambda_state(workload) is not None:
                 return nic.state_epoch
         return None
-
-    def target_load(self, target: str) -> Tuple[int, int]:
-        nic = self._nic(target)
-        return (nic.busy_threads, nic.total_threads)
 
     def package_bytes(self, spec: WorkloadSpec) -> int:
         if self.runtime.firmware is not None:

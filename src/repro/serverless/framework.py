@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from ..core import LambdaNicRuntime
 from ..faults import FaultInjector, FaultPlan
 from ..host import HostServer
-from ..hw import SmartNIC, UniformRandomScheduler
+from ..hw import SmartNIC
 from ..kvcache import MemcachedServer
 from ..net import Network
 from ..obs import Tracer
@@ -24,8 +24,8 @@ from .backends import BareMetalBackend, ContainerBackend, LambdaNicBackend
 from .gateway import Gateway
 from .manager import WorkloadManager
 from .metrics import MetricsRegistry
-from .migration import MigrationController, MigrationPolicy, PlacementScorer
-from .monitor import HealthMonitor, MonitoringEngine, WatchService
+from .migration import MigrationController
+from .monitor import HealthMonitor
 from .overload import CoDelShedder, OverloadConfig
 from .storage import ObjectStorage
 
@@ -44,7 +44,6 @@ class Testbed:
         seed: int = 0,
         n_workers: int = 4,
         with_etcd: bool = False,
-        with_monitoring: bool = False,
         with_failover: bool = False,
         with_tracing: bool = False,
         with_migration: bool = False,
@@ -60,7 +59,7 @@ class Testbed:
         self.env = Environment()
         self.rng = RngRegistry(seed=seed)
         self.network = Network(self.env)
-        self.metrics = MetricsRegistry(clock=lambda: self.env.now)
+        self.metrics = MetricsRegistry()
         #: Span tracer (None unless ``with_tracing``). Tracing never
         #: schedules events or consumes randomness, so a traced run is
         #: behaviourally identical to an untraced one.
@@ -75,7 +74,7 @@ class Testbed:
         #: request path is byte-identical to an overload-less build.
         self.overload = overload
 
-        # Master node: gateway + storage + memcached (+ etcd, monitoring).
+        # Master node: gateway + storage + memcached (+ etcd).
         gw_kwargs = dict(gateway_kwargs or {})
         gw_kwargs.setdefault("rng", self.rng.stream("gateway"))
         if overload is not None:
@@ -107,32 +106,15 @@ class Testbed:
             self.env, self.gateway, self.storage, etcd=etcd_client,
             metrics=self.metrics, **(manager_kwargs or {}),
         )
-        # Figure 5's monitoring engine and watch service (optional).
-        self.monitoring: Optional[MonitoringEngine] = None
-        self.watch: Optional[WatchService] = None
-        if with_monitoring:
-            self.monitoring = MonitoringEngine(self.env, self.metrics)
-            self.watch = WatchService(self.env, self.gateway)
-            self.monitoring.start()
-            self.watch.start()
-        # Live migration control plane (Issue 6): the scorer ranks
-        # targets by WCET headroom; the controller runs the PLANNED →
-        # ... → CUTOVER state machine; the policy (optional, needs
-        # monitoring) drives it from runtime signals.
-        self.scorer: Optional[PlacementScorer] = None
+        # Live migration: the controller runs the PLANNED → ... →
+        # CUTOVER state machine for callers that name a target, and for
+        # the failover driver's forced migrations.
         self.migrator: Optional[MigrationController] = None
-        self.migration_policy: Optional[MigrationPolicy] = None
         if with_migration:
-            self.scorer = PlacementScorer(self.manager,
-                                          monitoring=self.monitoring)
             self.migrator = MigrationController(
-                self.env, self.manager, self.gateway, scorer=self.scorer,
+                self.env, self.manager, self.gateway,
                 etcd=etcd_client, metrics=self.metrics,
                 **(migration_kwargs or {}),
-            )
-            self.migration_policy = MigrationPolicy(
-                self.env, self.manager, self.gateway,
-                monitoring=self.monitoring, scorer=self.scorer,
             )
         # Failover driver (health-checked routes + degradation). With
         # migration enabled, degrade/restore run as forced migrations.
@@ -226,8 +208,6 @@ class Testbed:
         """Attach (and by default start) a fault injector for ``plan``."""
         self.injector = FaultInjector(self.env, self, plan,
                                       metrics=self.metrics)
-        if self.migration_policy is not None:
-            self.migration_policy.attach(self.injector)
         if start:
             self.injector.start()
         return self.injector

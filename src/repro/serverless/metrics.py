@@ -1,13 +1,12 @@
-"""A Prometheus-style metrics registry (the paper's monitoring engine).
+"""A Prometheus-style metrics registry.
 
 The canonical implementation lives in :mod:`repro.obs.metrics`; this
 module re-exports it so serverless-layer consumers (gateway, manager,
-monitoring engine) keep their import surface. Compared to the old
+migration controller) keep their import surface. Compared to the old
 in-module copy, histograms maintain a sorted cache instead of
-re-sorting the raw observation list on every percentile call, support
-sim-time-windowed queries, and merge commutatively — and the
-nearest-rank percentile logic exists exactly once
-(:func:`repro.obs.metrics.percentile_of`).
+re-sorting the raw observation list on every percentile call and merge
+commutatively — and the nearest-rank percentile logic exists exactly
+once (:func:`repro.obs.metrics.percentile_of`).
 """
 
 from __future__ import annotations

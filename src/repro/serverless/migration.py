@@ -43,8 +43,10 @@ PR 1's health-monitor failover is re-expressed as *forced* migrations
 skipped when the source is already dead and the legacy failover
 metrics (``manager_failovers_total``, ``manager_failover_seconds``,
 ``manager_degraded_workloads``) are emitted exactly as the manager's
-degrade/restore paths did, so the one control plane serves both load
-management and fault recovery.
+degrade/restore paths did, so the one control plane serves both
+caller-driven migrations and fault recovery. A caller names the target
+kind; a forced migration without one goes to the manager's fallback
+backend.
 """
 
 from __future__ import annotations
@@ -111,199 +113,6 @@ class Migration:
         return max(0.0, self.completed_at - self.started_at)
 
 
-class PlacementScorer:
-    """Ranks candidate targets by WCET-predicted headroom.
-
-    Headroom at a target is ``free slots − expected occupancy``, where
-    expected occupancy is Little's law applied to the verifier's WCET:
-    arrival rate × worst-case service time. A workload with a proven
-    1 µs WCET barely dents a NIC's 448 threads; an unbounded one
-    scores every target by live load alone. Ties break by name so
-    rankings are deterministic.
-    """
-
-    def __init__(self, manager: WorkloadManager,
-                 monitoring=None, window_seconds: float = 10.0) -> None:
-        self.manager = manager
-        self.monitoring = monitoring
-        self.window_seconds = window_seconds
-
-    def _request_rate(self, workload: str) -> float:
-        if self.monitoring is None:
-            return 0.0
-        return self.monitoring.rate(
-            "gateway_requests_total", labels={"workload": workload},
-            window_seconds=self.window_seconds,
-        )
-
-    def _wcet_seconds(self, record: DeploymentRecord) -> float:
-        if record.admission is None:
-            return 0.0
-        return record.admission.wcet_seconds or 0.0
-
-    def headroom(self, workload: str, kind: str, target: str) -> float:
-        """Predicted free capacity (in execution slots) at ``target``."""
-        record = self.manager.record(workload)
-        busy, total = self.manager.backend(kind).target_load(target)
-        predicted = self._request_rate(workload) * self._wcet_seconds(record)
-        return (total - busy) - predicted
-
-    def rank(self, workload: str, kind: str,
-             candidates: List[str]) -> List[str]:
-        """Candidates sorted most-headroom-first (deterministic)."""
-        return sorted(
-            candidates,
-            key=lambda t: (-self.headroom(workload, kind, t), t),
-        )
-
-    def best_kind(self, workload: str,
-                  exclude: Optional[str] = None) -> Optional[str]:
-        """The backend kind with the most total headroom, or None."""
-        best = None
-        best_score = None
-        for kind in sorted(self.manager.backends):
-            if kind == exclude:
-                continue
-            targets = self.manager.backend(kind).healthy_targets()
-            if not targets:
-                continue
-            score = max(
-                self.headroom(workload, kind, target) for target in targets
-            )
-            if best_score is None or score > best_score:
-                best, best_score = kind, score
-        return best
-
-
-@dataclass
-class MigrationDecision:
-    """Why the policy wants a workload moved."""
-
-    at: float
-    workload: str
-    reason: str            # "slo" | "queue" | "fault"
-    target_kind: Optional[str]
-    detail: str = ""
-
-
-class MigrationPolicy:
-    """Runtime-signal driver: decides *when* to migrate.
-
-    Consumes the monitoring engine's rates, the gateway's windowed
-    latency histogram (p99 vs the workload's SLO), live queue depth,
-    and fault-injector events — replacing the admission-time-only
-    placement the paper describes with a control loop.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        manager: WorkloadManager,
-        gateway: Gateway,
-        monitoring=None,
-        slo_seconds: Optional[Dict[str, float]] = None,
-        default_slo_seconds: Optional[float] = None,
-        p99_window_seconds: float = 5.0,
-        queue_depth_threshold: int = 64,
-        min_window_requests: int = 20,
-        cooldown_seconds: float = 5.0,
-        scorer: Optional[PlacementScorer] = None,
-    ) -> None:
-        self.env = env
-        self.manager = manager
-        self.gateway = gateway
-        self.monitoring = monitoring
-        self.slo_seconds = dict(slo_seconds or {})
-        self.default_slo_seconds = default_slo_seconds
-        self.p99_window_seconds = p99_window_seconds
-        self.queue_depth_threshold = queue_depth_threshold
-        self.min_window_requests = min_window_requests
-        self.cooldown_seconds = cooldown_seconds
-        self.scorer = scorer or PlacementScorer(manager, monitoring)
-        self.decisions: List[MigrationDecision] = []
-        #: (sim time, action, target) fault events seen via subscribe().
-        self.faults_seen: List[Tuple[float, str, str]] = []
-        self._last_decision_at: Dict[str, float] = {}
-
-    # -- signal intake ------------------------------------------------------
-
-    def attach(self, injector) -> None:
-        """Subscribe to a fault injector's fired events."""
-        injector.subscribe(self.on_fault)
-
-    def on_fault(self, at: float, action: str, target: str) -> None:
-        self.faults_seen.append((at, action, target))
-
-    def slo_for(self, workload: str) -> Optional[float]:
-        return self.slo_seconds.get(workload, self.default_slo_seconds)
-
-    # -- one evaluation round ----------------------------------------------
-
-    def evaluate(self) -> List[MigrationDecision]:
-        """Inspect every deployment; returns the decisions made."""
-        made: List[MigrationDecision] = []
-        now = self.env.now
-        for workload in sorted(self.manager.deployments):
-            last = self._last_decision_at.get(workload)
-            if last is not None and now - last < self.cooldown_seconds:
-                continue
-            decision = self._evaluate_workload(workload, now)
-            if decision is not None:
-                self._last_decision_at[workload] = now
-                self.decisions.append(decision)
-                made.append(decision)
-        return made
-
-    def _evaluate_workload(self, workload: str,
-                           now: float) -> Optional[MigrationDecision]:
-        record = self.manager.record(workload)
-        # Queue depth: the gateway is sitting on a backlog for this
-        # workload — the current substrate cannot keep up.
-        depth = self.gateway.inflight(workload)
-        if depth >= self.queue_depth_threshold:
-            target = self.scorer.best_kind(workload,
-                                           exclude=record.backend_kind)
-            if target is not None:
-                return MigrationDecision(
-                    now, workload, "queue", target,
-                    detail=f"inflight={depth}",
-                )
-        # p99 vs SLO over the trailing window.
-        slo = self.slo_for(workload)
-        if slo is not None:
-            labels = {"workload": workload}
-            since = now - self.p99_window_seconds
-            window_count = self.gateway.latency_histogram.count(
-                labels=labels, since=since)
-            if window_count >= self.min_window_requests:
-                p99 = self.gateway.latency_histogram.percentile(
-                    99, labels=labels, since=since)
-                if p99 > slo:
-                    target = self.scorer.best_kind(
-                        workload, exclude=record.backend_kind)
-                    if target is not None:
-                        return MigrationDecision(
-                            now, workload, "slo", target,
-                            detail=f"p99={p99:.6f}>{slo:.6f}",
-                        )
-        return None
-
-    def run(self, migrator: "MigrationController",
-            check_interval: float = 1.0):
-        """Process: evaluate on an interval and act on decisions."""
-        def loop():
-            while True:
-                yield self.env.timeout(check_interval)
-                for decision in self.evaluate():
-                    migrator.migrate(
-                        decision.workload,
-                        target_kind=decision.target_kind,
-                        reason=decision.reason,
-                        fault=decision.detail,
-                    )
-        return self.env.process(loop())
-
-
 class MigrationController:
     """Executes migrations as the crash-safe state machine above."""
 
@@ -312,7 +121,6 @@ class MigrationController:
         env: Environment,
         manager: WorkloadManager,
         gateway: Gateway,
-        scorer: Optional[PlacementScorer] = None,
         etcd=None,
         metrics=None,
         drain_timeout: float = 1.0,
@@ -322,7 +130,6 @@ class MigrationController:
         self.env = env
         self.manager = manager
         self.gateway = gateway
-        self.scorer = scorer or PlacementScorer(manager)
         self.etcd = etcd
         self.metrics = metrics if metrics is not None else manager.metrics
         self.drain_timeout = drain_timeout
@@ -373,7 +180,16 @@ class MigrationController:
                 drain_mode: str = "queue"):
         """Process: migrate ``workload``; returns the Migration on
         success (CUTOVER reached), None when it rolled back or another
-        migration for the workload is already running."""
+        migration for the workload is already running.
+
+        Only a forced migration may leave ``target_kind`` out: it goes
+        to the manager's fallback backend
+        (:meth:`WorkloadManager.pick_fallback`). An unforced one without
+        it raises :class:`ValueError` here, before any process starts.
+        """
+        if target_kind is None and not forced:
+            raise ValueError(
+                f"migrating {workload!r} needs a target_kind unless forced")
         return self.env.process(self._migrate(
             workload, target_kind, target, reason, fault, forced, drain_mode,
         ))
@@ -412,9 +228,7 @@ class MigrationController:
             return None
         source_kind = record.backend_kind
         if target_kind is None:
-            target_kind = (self.manager.pick_fallback(record) if forced
-                           else self.scorer.best_kind(workload,
-                                                      exclude=source_kind))
+            target_kind = self.manager.pick_fallback(record)
         if target_kind is None:
             return None
         same_kind = target_kind == source_kind

@@ -1,190 +1,21 @@
-"""Monitoring engine and watch service (Figure 5's M1 components).
+"""The failover driver: health-checked routes and degradation.
 
-The OpenFaaS baseline runs a Prometheus-based monitoring engine and a
-watch service on the master node. Here:
-
-* :class:`MonitoringEngine` scrapes the metrics registry on an
-  interval, keeps bounded time series, and answers rate/percentile
-  queries over recent windows.
-* :class:`WatchService` watches per-workload health (gateway failures
-  vs successes) and raises/clears alerts — the signal an operator
-  would act on.
-* :class:`HealthMonitor` is the failover driver: a probe loop that
-  compares each route against the substrate's live targets, shrinks or
-  expands routes, degrades workloads to a fallback backend when their
-  home substrate is dead, reverses the degradation on recovery, and
-  probes breaker-ejected targets back into rotation.
+:class:`HealthMonitor` is a probe loop that compares each route against
+the substrate's live targets, shrinks or expands routes, degrades
+workloads to a fallback backend when their home substrate is dead,
+reverses the degradation on recovery, and probes breaker-ejected
+targets back into rotation. Each action it takes is recorded as a
+:class:`FailoverEvent`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from ..sim import Environment
 from .gateway import Gateway
 from .manager import WorkloadManager
-from .metrics import Counter, MetricsRegistry
-
-
-@dataclass
-class Sample:
-    at: float
-    value: float
-
-
-class TimeSeries:
-    """A bounded series of (time, value) samples."""
-
-    def __init__(self, max_samples: int = 1024) -> None:
-        self.samples: Deque[Sample] = deque(maxlen=max_samples)
-
-    def append(self, at: float, value: float) -> None:
-        self.samples.append(Sample(at, value))
-
-    def latest(self) -> Optional[Sample]:
-        return self.samples[-1] if self.samples else None
-
-    def window(self, since: float) -> List[Sample]:
-        return [sample for sample in self.samples if sample.at >= since]
-
-    def rate(self, window_seconds: float, now: float) -> float:
-        """Per-second increase of a counter over the trailing window."""
-        window = self.window(now - window_seconds)
-        if len(window) < 2:
-            return 0.0
-        first, last = window[0], window[-1]
-        elapsed = last.at - first.at
-        if elapsed <= 0:
-            return 0.0
-        return max(0.0, (last.value - first.value) / elapsed)
-
-
-class MonitoringEngine:
-    """Periodically scrapes counters into time series."""
-
-    def __init__(self, env: Environment, registry: MetricsRegistry,
-                 scrape_interval: float = 1.0,
-                 max_samples: int = 1024) -> None:
-        if scrape_interval <= 0:
-            raise ValueError("scrape interval must be positive")
-        self.env = env
-        self.registry = registry
-        self.scrape_interval = scrape_interval
-        self.max_samples = max_samples
-        self.series: Dict[Tuple[str, Tuple], TimeSeries] = {}
-        self.scrapes = 0
-        self._running = False
-
-    def start(self):
-        """Process: scrape until stopped."""
-        self._running = True
-
-        def loop():
-            while self._running:
-                yield self.env.timeout(self.scrape_interval)
-                if self._running:  # Not stopped while it slept.
-                    self.scrape()
-
-        return self.env.process(loop())
-
-    def stop(self) -> None:
-        self._running = False
-
-    def scrape(self) -> None:
-        """Snapshot every counter in the registry right now."""
-        self.scrapes += 1
-        now = self.env.now
-        for name, metric in self.registry.scrape().items():
-            if not isinstance(metric, Counter):
-                continue
-            for labelset, value in metric._values.items():
-                key = (name, labelset)
-                series = self.series.get(key)
-                if series is None:
-                    series = TimeSeries(self.max_samples)
-                    self.series[key] = series
-                series.append(now, value)
-
-    def counter_series(self, name: str,
-                       labels: Optional[Dict[str, str]] = None) -> TimeSeries:
-        key = (name, tuple(sorted((labels or {}).items())))
-        return self.series.get(key, TimeSeries(0))
-
-    def rate(self, name: str, labels: Optional[Dict[str, str]] = None,
-             window_seconds: float = 10.0) -> float:
-        return self.counter_series(name, labels).rate(
-            window_seconds, self.env.now
-        )
-
-
-@dataclass
-class Alert:
-    at: float
-    workload: str
-    reason: str
-    cleared_at: Optional[float] = None
-
-    @property
-    def active(self) -> bool:
-        return self.cleared_at is None
-
-
-class WatchService:
-    """Flags workloads whose requests are failing.
-
-    A workload is unhealthy when its failure count grows while its
-    success count does not (over one check interval).
-    """
-
-    def __init__(self, env: Environment, gateway: Gateway,
-                 check_interval: float = 1.0) -> None:
-        self.env = env
-        self.gateway = gateway
-        self.check_interval = check_interval
-        self.alerts: List[Alert] = []
-        self._last: Dict[str, Tuple[float, float]] = {}
-        self._active: Dict[str, Alert] = {}
-        self._running = False
-
-    def start(self):
-        self._running = True
-
-        def loop():
-            while self._running:
-                yield self.env.timeout(self.check_interval)
-                if self._running:  # Not stopped while it slept.
-                    self.check()
-
-        return self.env.process(loop())
-
-    def stop(self) -> None:
-        self._running = False
-
-    def check(self) -> List[Alert]:
-        """One health evaluation; returns alerts raised this round."""
-        raised = []
-        for workload in self.gateway.workloads:
-            labels = {"workload": workload}
-            ok = self.gateway.requests_total.value(labels=labels)
-            # Failures carry a ``reason`` label; aggregate across it.
-            failed = self.gateway.failures_total.sum_matching(labels=labels)
-            last_ok, last_failed = self._last.get(workload, (0.0, 0.0))
-            self._last[workload] = (ok, failed)
-            failing = failed > last_failed and ok == last_ok
-            if failing and workload not in self._active:
-                alert = Alert(self.env.now, workload,
-                              reason="requests failing with no successes")
-                self._active[workload] = alert
-                self.alerts.append(alert)
-                raised.append(alert)
-            elif not failing and workload in self._active and ok > last_ok:
-                self._active.pop(workload).cleared_at = self.env.now
-        return raised
-
-    def unhealthy(self) -> List[str]:
-        return sorted(self._active)
 
 
 @dataclass

@@ -41,7 +41,7 @@ import hashlib
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "ShardSpec",

@@ -8,7 +8,7 @@ is exactly what the paper's lambda-coalescing pass merges (§6.4).
 
 from __future__ import annotations
 
-from ..isa import FunctionBuilder, Op
+from ..isa import FunctionBuilder
 
 #: Instruction counts of the shared helpers (tuned so the composed
 #: firmware's Figure-9 series lands near the paper's 8 902-instruction

@@ -11,8 +11,6 @@ Returns static text/HTML content selected by the request. Two forms:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..isa import AccessMode, LambdaProgram, Op, ProgramBuilder
 from .common import build_reply_helper, emit_pad
 from . import intrinsics  # noqa: F401  (registers intrinsics on import)

@@ -337,26 +337,39 @@ def test_histogram_labelled_series_are_independent():
 
 
 def test_histogram_windowed_queries_use_sim_time():
-    clock = {"now": 0.0}
-    hist = Histogram("h", clock=lambda: clock["now"])
-    for now, value in [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]:
-        clock["now"] = now
+    """Histograms keep no sim-time column: neither a histogram nor a
+    query takes a clock or a window, and every query covers every
+    observation."""
+    with pytest.raises(TypeError):
+        Histogram("h", clock=lambda: 0.0)
+    hist = Histogram("h")
+    for value in (10.0, 20.0, 30.0):
         hist.observe(value)
-    assert hist.count(since=2.0) == 2
-    assert hist.count(until=1.5) == 1
-    assert hist.mean(since=2.0, until=3.0) == pytest.approx(25.0)
-    assert hist.percentile(100, until=2.0) == 20.0
-    # Raw appends carry no timestamp: outside every window, inside none.
-    hist.raw().append(40.0)
-    assert hist.count() == 4
-    assert hist.count(since=0.0) == 3
+    with pytest.raises(TypeError):
+        hist.count(since=2.0)
+    with pytest.raises(TypeError):
+        hist.percentile(50, until=2.0)
+    assert hist.count() == 3
+    assert hist.mean() == pytest.approx(20.0)
+    assert hist.percentile(100) == 30.0
 
 
 def test_histogram_windows_without_clock_are_empty():
+    """Appends through ``raw()`` are observations like ``observe``'s:
+    interleaved, every query counts both, in append order."""
     hist = Histogram("h")
     hist.observe(1.0)
-    assert hist.count(since=0.0) == 0
-    assert math.isnan(hist.percentile(50, since=0.0))
+    hist.raw().append(4.0)
+    hist.observe(2.0)
+    hist.raw().append(3.0)
+    assert hist.observations() == [1.0, 4.0, 2.0, 3.0]
+    assert hist.count() == 4
+    assert hist.mean() == pytest.approx(2.5)
+    assert hist.percentile(50) == 2.0
+    assert hist.fraction_below(2.0) == 0.5
+    empty = Histogram("e")
+    assert empty.count() == 0
+    assert math.isnan(empty.mean()) and math.isnan(empty.percentile(50))
 
 
 def test_histogram_merge_commutative():
@@ -375,19 +388,17 @@ def test_histogram_merge_commutative():
 
 
 def test_histogram_merge_drops_timestamps_unless_both_timed():
-    clock = {"now": 1.0}
-    timed = Histogram("h", clock=lambda: clock["now"])
-    timed.observe(1.0)
-    untimed = Histogram("h")
-    untimed.observe(2.0)
-    merged = timed.merge(untimed)
-    assert merged.count() == 2
-    assert merged.count(since=0.0) == 0  # window support lost
-
-    other = Histogram("h", clock=lambda: clock["now"])
-    other.observe(3.0)
-    both = timed.merge(other)
-    assert both.count(since=0.0) == 2
+    """A merged series is the operands' values, left operand first,
+    raw appends included, and carries no other column."""
+    a, b = Histogram("h"), Histogram("h")
+    a.observe(1.0)
+    a.raw().append(5.0)
+    b.observe(2.0)
+    merged = a.merge(b)
+    assert merged.observations() == [1.0, 5.0, 2.0]
+    assert b.merge(a).observations() == [2.0, 1.0, 5.0]
+    [series] = merged._series.values()
+    assert series.__slots__ == ("values", "_sorted", "_sorted_len")
 
 
 # -- registry ---------------------------------------------------------------
@@ -407,20 +418,20 @@ def test_registry_returns_same_instance_and_checks_types():
 
 
 def test_registry_clock_wires_histograms():
-    clock = {"now": 7.0}
-    registry = MetricsRegistry(clock=lambda: clock["now"])
-    hist = registry.histogram("latency")
+    """A registry takes no clock. The histograms it makes are plain
+    histograms, and its copy holds their observations apart from the
+    original's."""
+    with pytest.raises(TypeError):
+        MetricsRegistry(clock=lambda: 7.0)
+    assert not hasattr(MetricsRegistry(), "bind_clock")
+    registry = MetricsRegistry()
+    hist = registry.histogram("latency", "help")
     hist.observe(1.0)
-    assert hist.count(since=7.0) == 1
-
-    late = MetricsRegistry()
-    before = late.histogram("a")
-    late.bind_clock(lambda: clock["now"])
-    after = late.histogram("b")
-    before.observe(1.0)
-    after.observe(1.0)
-    assert before.count(since=0.0) == 0  # created before the clock
-    assert after.count(since=0.0) == 1
+    assert registry.histogram("latency") is hist
+    copied = registry.copy()
+    hist.observe(2.0)
+    assert copied.histogram("latency").observations() == [1.0]
+    assert copied.histogram("latency").help_text == "help"
 
 
 def test_registry_names_and_scrape():
@@ -437,16 +448,14 @@ def test_registry_names_and_scrape():
 
 
 def _two_registries():
-    clock = {"now": 0.0}
-    a = MetricsRegistry(clock=lambda: clock["now"])
+    a = MetricsRegistry()
     a.counter("requests_total").inc(3, labels={"w": "echo"})
     a.counter("requests_total").inc(2, labels={"w": "kv"})
     a.histogram("latency").observe(1.0)
-    clock["now"] = 5.0
     a.histogram("latency").observe(9.0)
     a.gauge("depth").set(4)
 
-    b = MetricsRegistry(clock=lambda: clock["now"])
+    b = MetricsRegistry()
     b.counter("requests_total").inc(7, labels={"w": "echo"})
     b.histogram("latency").observe(3.0)
     b.counter("only_b_total").inc(11)
@@ -515,19 +524,18 @@ def test_pickle_round_trip_merge_equals_in_process_merge():
 
 
 def test_pickled_histogram_drops_clock_but_keeps_timestamps():
+    """A pickled histogram keeps its observations in order; the thawed
+    copy takes new ones and answers queries like the original."""
     import pickle
 
     a, _ = _two_registries()
     thawed = pickle.loads(pickle.dumps(a))
     hist = thawed.histogram("latency")
-    assert hist.clock is None
-    # Timestamps recorded before pickling still answer window queries.
-    assert hist.count(since=4.0) == 1
-    # And merging two thawed registries preserves timed-ness.
-    b_thawed = pickle.loads(pickle.dumps(_two_registries()[1]))
-    merged = thawed.merge(b_thawed)
-    assert merged.histogram("latency").count(since=4.0) == \
-        a.merge(_two_registries()[1]).histogram("latency").count(since=4.0)
+    assert hist.observations() == [1.0, 9.0]
+    assert hist.percentile(50) == a.histogram("latency").percentile(50)
+    hist.observe(0.5)
+    assert hist.percentile(0) == 0.5  # sort cache follows new data
+    assert a.histogram("latency").count() == 2
 
 
 def test_registry_register_adopts_and_rejects_collisions():

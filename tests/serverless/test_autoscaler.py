@@ -1,11 +1,10 @@
-"""The control loops that act on observed load and health: the
-:class:`HealthMonitor` probe loop and :class:`PlacementScorer`'s
-WCET-predicted headroom, driven by the monitoring engine's rates."""
+"""Load and health as the control loop sees them: NIC thread
+occupancy and gateway in-flight counts under load, and the
+:class:`HealthMonitor` probe loop."""
 
 import pytest
 
 from repro.serverless import (
-    AdmissionPolicy,
     HealthMonitor,
     Testbed,
     open_loop,
@@ -29,55 +28,51 @@ def deployed_testbed(**kwargs):
     return tb, spec.name
 
 
-def scored_testbed():
-    """Monitoring and the scorer on, with admission so that each
-    deployment carries its verifier WCET."""
-    return deployed_testbed(
-        with_monitoring=True, with_migration=True,
-        manager_kwargs={"admission": AdmissionPolicy()})
-
-
 def test_desired_replicas_clamped():
-    """An idle target's headroom is all of its execution slots."""
-    tb, name = scored_testbed()
+    """An idle fleet: every NIC reports all of its execution slots free,
+    and the route spans every live NIC, no more."""
+    tb, name = deployed_testbed()
     for nic in tb.nics:
         assert nic.busy_threads == 0
-        assert tb.scorer.headroom(name, "lambda-nic", nic.name) == \
-            nic.total_threads == 56 * 8
-    # Equal headroom: ranking falls back to name order.
-    assert tb.scorer.rank(name, "lambda-nic", ["m3-nic", "m2-nic"]) == \
-        ["m2-nic", "m3-nic"]
+        assert nic.total_threads == 56 * 8
+    assert tb.gateway.route_for(name).targets == \
+        tb.manager.live_targets(name) == ["m2-nic", "m3-nic"]
 
 
 def test_scale_up_on_load():
-    """Under load the monitored request rate times the verifier's WCET
-    is subtracted from every target's free slots (Little's law)."""
-    tb, name = scored_testbed()
-    wcet = tb.manager.record(name).admission.wcet_seconds
-    assert wcet is not None and wcet > 0
-    tb.run(until=open_loop(tb.env, tb.gateway, name, rate_rps=2000.0,
-                           duration=3.0, rng=tb.rng.stream("load")))
-    rate = tb.monitoring.rate("gateway_requests_total",
-                              labels={"workload": name})
-    assert rate == pytest.approx(2000.0, rel=0.1)
-    for nic in tb.nics:
-        headroom = tb.scorer.headroom(name, "lambda-nic", nic.name)
-        free = nic.total_threads - nic.busy_threads
-        assert headroom == pytest.approx(free - rate * wcet)
-        assert headroom < nic.total_threads
+    """Under open-loop load the NICs' threads and the gateway's
+    in-flight count rise above zero, and both replicas serve."""
+    tb, name = deployed_testbed()
+    peaks = {"busy": 0, "inflight": 0}
+
+    def sample(env):
+        for _ in range(200):
+            yield env.timeout(0.01)
+            peaks["busy"] = max(peaks["busy"],
+                                sum(nic.busy_threads for nic in tb.nics))
+            peaks["inflight"] = max(peaks["inflight"],
+                                    tb.gateway.inflight(name))
+
+    tb.env.process(sample(tb.env))
+    load = open_loop(tb.env, tb.gateway, name, rate_rps=2000.0,
+                     duration=2.0, rng=tb.rng.stream("load"))
+    tb.run(until=load)
+    assert load.value.failures == 0
+    assert peaks["busy"] > 0 and peaks["inflight"] > 0
+    served = [nic.stats.requests_served for nic in tb.nics]
+    assert all(count > 0 for count in served)
+    assert sum(served) == len(load.value.latencies)
 
 
 def test_scale_down_when_idle():
-    """Once the load stops and leaves the rate window, headroom is back
-    to the full slot count."""
-    tb, name = scored_testbed()
+    """Once the load stops and drains, no thread is busy and nothing is
+    in flight."""
+    tb, name = deployed_testbed()
     tb.run(until=open_loop(tb.env, tb.gateway, name, rate_rps=2000.0,
-                           duration=3.0, rng=tb.rng.stream("load")))
-    assert tb.scorer.headroom(name, "lambda-nic", "m2-nic") < 56 * 8
-    tb.run(until=tb.env.now + tb.scorer.window_seconds + 2.0)
-    assert tb.monitoring.rate("gateway_requests_total",
-                              labels={"workload": name}) == 0.0
-    assert tb.scorer.headroom(name, "lambda-nic", "m2-nic") == 56 * 8
+                           duration=1.0, rng=tb.rng.stream("load")))
+    tb.run(until=tb.env.now + 0.5)
+    assert tb.gateway.inflight(name) == 0
+    assert all(nic.busy_threads == 0 for nic in tb.nics)
 
 
 def test_no_decision_when_stable():
@@ -151,10 +146,10 @@ def test_stopped_control_loop_does_not_act_at_its_pending_tick():
 
 
 def test_validation():
-    tb, name = scored_testbed()
+    tb, _ = deployed_testbed()
     with pytest.raises(ValueError, match="check interval"):
         HealthMonitor(tb.env, tb.gateway, tb.manager, check_interval=0)
     with pytest.raises(KeyError, match="not deployed"):
-        tb.scorer.headroom("nope", "lambda-nic", "m2-nic")
+        tb.manager.record("nope")
     with pytest.raises(KeyError):
-        tb.scorer.headroom(name, "lambda-nic", "m9-nic")
+        tb.nic("m9-nic")

@@ -181,8 +181,7 @@ def metrics_of(tb) -> dict:
     out = {}
     for name, metric in tb.metrics.scrape().items():
         if hasattr(metric, "raw"):
-            out[name] = sorted((tuple(sorted(labels)), tuple(series.values),
-                                tuple(series.times or ()))
+            out[name] = sorted((tuple(sorted(labels)), tuple(series.values))
                                for labels, series in metric._series.items())
         else:
             out[name] = sorted((tuple(sorted(labels.items())), value)

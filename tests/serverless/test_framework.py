@@ -294,7 +294,9 @@ def test_undeploy_unknown_workload_raises():
 
 
 def test_monitoring_wired_into_testbed():
-    tb = Testbed(seed=15, n_workers=1, with_monitoring=True)
+    """One registry is the testbed's whole scrape surface: the gateway,
+    the manager and every NIC count into it."""
+    tb = Testbed(seed=15, n_workers=1)
     tb.add_lambda_nic_backend()
 
     def scenario(env):
@@ -305,9 +307,13 @@ def test_monitoring_wired_into_testbed():
 
     process = tb.env.process(scenario(tb.env))
     tb.run(until=process)
-    assert tb.monitoring.scrapes > 3
-    rate = tb.monitoring.rate("gateway_requests_total",
-                              labels={"workload": "web_server"},
-                              window_seconds=30.0)
-    assert rate > 0
-    assert tb.watch.unhealthy() == []
+    assert process.value.failures == 0
+    assert tb.gateway.metrics is tb.manager.metrics is tb.metrics
+    assert tb.nic("m2-nic").stats.registry is tb.metrics
+    scraped = tb.metrics.scrape()
+    assert scraped["gateway_requests_total"].value(
+        {"workload": "web_server"}) == 30
+    assert scraped["nic_requests_served_total"].value(
+        {"node": "m2-nic"}) == 30
+    assert scraped["gateway_request_seconds"].count(
+        {"workload": "web_server"}) == 30

@@ -7,15 +7,18 @@ from repro.serverless import (
     COMPLETED,
     CUTOVER,
     DRAINING,
-    MigrationPolicy,
     PLANNED,
     PREPARED,
-    PlacementScorer,
     STATE_HANDOFF,
     Testbed,
     closed_loop,
     open_loop,
 )
+from repro.serverless.migration import (
+    HANDOFF_BANDWIDTH_BPS,
+    HANDOFF_SEGMENT_SECONDS,
+)
+from repro.transport import segment_message
 from repro.workloads import standard_workloads, web_server_spec
 
 FAST_GATEWAY = {
@@ -391,140 +394,195 @@ def test_forced_migration_replays_legacy_failover_contract():
     assert record.last_targets == ["m2-nic"]  # home again after restore
 
 
-# -- placement scoring ------------------------------------------------------
+# -- choosing a target -------------------------------------------------------
 
 
-class _StubAdmission:
-    wcet_seconds = 2e-6
+def test_unforced_migration_without_target_raises():
+    """Only a forced migration may leave the target out: an unforced one
+    raises at the call and starts nothing."""
+    tb = make_testbed()
+    tb.add_lambda_nic_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+    tb.run(until=tb.manager.deploy(spec, "lambda-nic"))
+    with pytest.raises(ValueError, match="target_kind"):
+        tb.migrator.migrate(spec.name)
+    with pytest.raises(ValueError, match="target_kind"):
+        tb.migrator.migrate(spec.name, target="m3-nic", reason="slo")
+    tb.run(until=tb.env.now + 1.0)
+    assert tb.migrator.migrations == [] and tb.migrator.active == {}
+    assert tb.manager.record(spec.name).backend_kind == "lambda-nic"
 
 
-class _StubRecord:
-    admission = _StubAdmission()
+def test_forced_migration_without_target_goes_to_fallback():
+    """A forced migration with no target goes to the manager's first
+    fallback kind with a live target, or does not start at all."""
+    tb = make_testbed()
+    tb.add_lambda_nic_backend()
+    tb.add_container_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "lambda-nic")
+        for server in tb.host_servers("bare-metal"):
+            server.crash()
+        record = tb.manager.record(spec.name)
+        assert tb.manager.pick_fallback(record) == "container"
+        moved = yield tb.migrator.migrate(spec.name, forced=True,
+                                          reason="fault")
+        for server in tb.host_servers("container"):
+            server.crash()
+        for nic in tb.nics:
+            nic.fail()
+        stuck = yield tb.migrator.migrate(spec.name, forced=True)
+        return moved, stuck
+
+    moved, stuck = run_scenario(tb, scenario)
+    assert moved.target_kind == "container" and moved.outcome == "completed"
+    assert stuck is None
+    assert tb.migrator.migrations == [moved]
+    assert tb.manager.record(spec.name).backend_kind == "container"
 
 
-class _StubBackend:
-    def __init__(self, loads):
-        self.loads = loads
-
-    def target_load(self, target):
-        return self.loads[target]
-
-    def healthy_targets(self):
-        return sorted(self.loads)
-
-
-class _StubManager:
-    def __init__(self, backends):
-        self.backends = backends
-
-    def record(self, workload):
-        return _StubRecord()
-
-    def backend(self, kind):
-        return self.backends[kind]
-
-
-class _StubMonitoring:
-    def __init__(self, rps):
-        self.rps = rps
-
-    def rate(self, name, labels=None, window_seconds=None):
-        return self.rps
+# -- phase timing ------------------------------------------------------------
 
 
 def test_scorer_headroom_is_capacity_minus_wcet_occupancy():
-    manager = _StubManager({
-        "lambda-nic": _StubBackend({"m2-nic": (10, 64), "m3-nic": (2, 64)}),
-        "bare-metal": _StubBackend({"m2-bm": (3, 4)}),
-    })
-    scorer = PlacementScorer(manager, monitoring=_StubMonitoring(1e6))
-    # (64 - 10) - 1e6 * 2e-6 = 52; (64 - 2) - 2 = 60; (4 - 3) - 2 = -1.
-    assert scorer.headroom("w", "lambda-nic", "m2-nic") == pytest.approx(52.0)
-    assert scorer.headroom("w", "lambda-nic", "m3-nic") == pytest.approx(60.0)
-    assert scorer.headroom("w", "bare-metal", "m2-bm") == pytest.approx(-1.0)
-    assert scorer.rank("w", "lambda-nic", ["m2-nic", "m3-nic"]) == \
-        ["m3-nic", "m2-nic"]
-    assert scorer.best_kind("w") == "lambda-nic"
-    assert scorer.best_kind("w", exclude="lambda-nic") == "bare-metal"
-
-
-def test_scorer_without_monitoring_scores_live_load_only():
-    manager = _StubManager({
-        "lambda-nic": _StubBackend({"m2-nic": (0, 64), "m3-nic": (0, 64)}),
-    })
-    scorer = PlacementScorer(manager)
-    assert scorer.headroom("w", "lambda-nic", "m2-nic") == pytest.approx(64.0)
-    # Ties break by name so rankings are deterministic.
-    assert scorer.rank("w", "lambda-nic", ["m3-nic", "m2-nic"]) == \
-        ["m2-nic", "m3-nic"]
-
-
-# -- the migration policy ---------------------------------------------------
-
-
-def test_policy_queue_depth_triggers_migration_decision():
-    tb = make_testbed()
-    tb.add_lambda_nic_backend()
-    tb.add_bare_metal_backend()
-    spec = web_server_spec()
-
-    def scenario(env):
-        yield tb.manager.deploy(spec, "bare-metal")
-        policy = MigrationPolicy(env, tb.manager, tb.gateway,
-                                 queue_depth_threshold=4,
-                                 scorer=tb.scorer)
-        proc = closed_loop(env, tb.gateway, spec.name, n_requests=40,
-                           concurrency=10)
-        yield env.timeout(0.002)  # host latencies are ms: all in flight
-        decisions = policy.evaluate()
-        again = policy.evaluate()  # cooldown: no duplicate decision
-        yield proc
-        return decisions, again
-
-    decisions, again = run_scenario(tb, scenario)
-    assert len(decisions) == 1
-    assert decisions[0].reason == "queue"
-    assert decisions[0].target_kind == "lambda-nic"
-    assert again == []
-
-
-def test_policy_p99_over_slo_triggers_migration_decision():
-    tb = make_testbed()
-    tb.add_lambda_nic_backend()
-    tb.add_bare_metal_backend()
-    spec = web_server_spec()
-
-    def scenario(env):
-        yield tb.manager.deploy(spec, "bare-metal")
-        policy = MigrationPolicy(env, tb.manager, tb.gateway,
-                                 slo_seconds={spec.name: 1e-6},
-                                 min_window_requests=20,
-                                 scorer=tb.scorer)
-        yield closed_loop(env, tb.gateway, spec.name, n_requests=30)
-        return policy.evaluate()
-
-    decisions = run_scenario(tb, scenario)
-    assert len(decisions) == 1
-    assert decisions[0].reason == "slo"
-    assert decisions[0].target_kind == "lambda-nic"
-    assert "p99=" in decisions[0].detail
-
-
-def test_policy_sees_injected_faults():
-    from repro.faults import FaultPlan
-
+    """The state handoff takes the RDMA transfer time of the shipped
+    bytes: wire time at the handoff bandwidth plus a fixed cost per
+    segment."""
     tb = make_testbed()
     tb.add_lambda_nic_backend()
     spec = web_server_spec()
 
     def scenario(env):
         yield tb.manager.deploy(spec, "lambda-nic")
+        yield closed_loop(env, tb.gateway, spec.name, n_requests=3)
+        migration = yield tb.migrator.migrate(
+            spec.name, target_kind="lambda-nic", target="m3-nic")
+        return migration
+
+    migration = run_scenario(tb, scenario)
+    size = migration.state_bytes
+    assert size > 0
+    expected = (size * 8 / HANDOFF_BANDWIDTH_BPS +
+                len(segment_message(size)) * HANDOFF_SEGMENT_SECONDS)
+    times = dict((state, at) for at, state in migration.history)
+    assert times[CUTOVER] - times[STATE_HANDOFF] == pytest.approx(expected)
+
+
+def test_scorer_without_monitoring_scores_live_load_only():
+    """Per-phase timings add up: one ``migration_phase_seconds``
+    observation per phase left, summing to the migration's duration,
+    which ``manager_migration_seconds`` records under its reason."""
+    tb = make_testbed()
+    tb.add_lambda_nic_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "lambda-nic")
+        migration = yield tb.migrator.migrate(
+            spec.name, target_kind="bare-metal", reason="test")
+        return migration
+
+    migration = run_scenario(tb, scenario)
+    phases = tb.migrator.phase_seconds
+    left = FULL_HISTORY[:-1]
+    assert [phases.count(labels={"phase": state}) for state in left] == \
+        [1] * len(left)
+    assert sum(phases.observations(labels={"phase": state})[0]
+               for state in left) == pytest.approx(migration.duration)
+    assert migration.duration > 0
+    assert tb.migrator.migration_seconds.observations(
+        labels={"reason": "test"}) == [migration.duration]
+
+
+# -- migrating a loaded workload --------------------------------------------
+
+
+def test_policy_queue_depth_triggers_migration_decision():
+    """With requests in flight at the source, the drain waits for them:
+    DRAINING lasts until the gateway's in-flight count is zero, and no
+    request is lost."""
+    tb = make_testbed(migration_kwargs={"drain_timeout": 1.0})
+    tb.add_lambda_nic_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+    seen = {}
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "bare-metal")
+        yield tb.manager.prepare_standby(spec.name, "lambda-nic")
+        proc = closed_loop(env, tb.gateway, spec.name, n_requests=40,
+                           concurrency=10)
+        yield env.timeout(0.002)  # host latencies are ms: all in flight
+        seen["depth"] = tb.gateway.inflight(spec.name)
+        migration = yield tb.migrator.migrate(spec.name,
+                                              target_kind="lambda-nic")
+        load = yield proc
+        return migration, load
+
+    migration, load = run_scenario(tb, scenario)
+    assert seen["depth"] >= 4
+    assert migration.outcome == "completed"
+    times = dict((state, at) for at, state in migration.history)
+    # Ended by the drained source, not by the drain timeout.
+    assert 0 < times[STATE_HANDOFF] - times[DRAINING] < 1.0
+    assert load.failures == 0 and len(load.latencies) == 40
+
+
+def test_policy_p99_over_slo_triggers_migration_decision():
+    """Moving web_server from bare-metal to the NIC cuts its tail
+    latency; the gateway histogram holds both phases' requests."""
+    tb = make_testbed()
+    tb.add_lambda_nic_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "bare-metal")
+        before = yield closed_loop(env, tb.gateway, spec.name,
+                                   n_requests=30)
+        yield tb.migrator.migrate(spec.name, target_kind="lambda-nic",
+                                  reason="slo")
+        after = yield closed_loop(env, tb.gateway, spec.name, n_requests=30)
+        return before, after
+
+    before, after = run_scenario(tb, scenario)
+    assert before.failures == after.failures == 0
+    assert after.percentile(99) < before.percentile(99)
+    assert tb.gateway.latency_histogram.count(
+        labels={"workload": spec.name}) == 60
+    assert tb.migrator.migrations_total.value(
+        labels={"reason": "slo", "outcome": "completed"}) == 1
+
+
+def test_policy_sees_injected_faults():
+    """An injected NIC kill reaches the failover driver, which moves the
+    workload off it as a forced migration naming the fault."""
+    from repro.faults import FaultPlan
+
+    tb = make_testbed(n_workers=1, with_failover=True,
+                      failover_kwargs={"check_interval": 0.1})
+    tb.add_lambda_nic_backend()
+    tb.add_bare_metal_backend()
+    spec = web_server_spec()
+
+    def scenario(env):
+        yield tb.manager.deploy(spec, "lambda-nic")
         tb.add_fault_injector(FaultPlan().kill_nic(env.now + 0.5, "m2-nic"))
-        yield env.timeout(1.0)
+        yield env.timeout(2.0)
 
     run_scenario(tb, scenario)
-    assert [(action, target) for _, action, target
-            in tb.migration_policy.faults_seen] == [("kill_nic", "m2-nic")]
+    [(fired_at, action, target)] = tb.injector.trace
+    assert (action, target) == ("kill_nic", "m2-nic")
+    [migration] = tb.migrator.migrations
+    assert (migration.reason, migration.forced) == ("fault", True)
+    assert migration.target_kind == "bare-metal"
+    assert "no live lambda-nic target" in migration.fault
+    assert fired_at < migration.started_at <= fired_at + 0.1
 
 
 def test_concurrent_migration_for_same_workload_is_rejected():

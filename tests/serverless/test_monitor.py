@@ -1,154 +1,210 @@
-"""Tests for the monitoring engine and watch service."""
+"""The failover driver's probe loop, the events it records, and the
+per-workload counters it and the gateway expose."""
 
 import pytest
 
-from repro.net import Network
+from repro.faults import FaultPlan
 from repro.serverless import (
-    Gateway,
-    MetricsRegistry,
-    MonitoringEngine,
-    TimeSeries,
-    WatchService,
+    FailoverEvent,
+    GatewayTimeout,
+    HealthMonitor,
+    Testbed,
+    closed_loop,
 )
-from repro.sim import Environment
+from repro.workloads import web_server_spec
+
+FAST_GATEWAY = {
+    "request_timeout": 0.01, "max_retries": 1,
+    "backoff_base": 0.001, "backoff_max": 0.005,
+    "breaker_reset_timeout": 0.25,
+}
+
+
+def deployed_testbed(**kwargs):
+    """Two λ-NIC workers with web_server deployed on both."""
+    kwargs.setdefault("gateway_kwargs", dict(FAST_GATEWAY))
+    tb = Testbed(seed=8, n_workers=2, **kwargs)
+    tb.add_lambda_nic_backend()
+    spec = web_server_spec()
+    tb.run(until=tb.manager.deploy(spec, "lambda-nic"))
+    return tb, spec.name
+
+
+def request_outcome(tb, workload):
+    """Run one gateway request to completion: True if it was answered."""
+    outcome = {}
+
+    def scenario(env):
+        try:
+            yield tb.gateway.request(workload)
+            outcome["ok"] = True
+        except GatewayTimeout:
+            outcome["ok"] = False
+
+    tb.run(until=tb.env.process(scenario(tb.env)))
+    return outcome["ok"]
+
+
+# -- FailoverEvent timing ----------------------------------------------------
 
 
 def test_time_series_rate():
-    series = TimeSeries()
-    for t, v in [(0, 0), (1, 100), (2, 200), (3, 300)]:
-        series.append(float(t), float(v))
-    assert series.rate(window_seconds=10, now=3.0) == pytest.approx(100.0)
-    assert series.rate(window_seconds=1.5, now=3.0) == pytest.approx(100.0)
-    assert series.latest().value == 300
+    """A failover event's duration is detection to route installed."""
+    event = FailoverEvent(at=2.0, workload="w", kind="degrade")
+    event.completed_at = 2.75
+    assert event.duration == pytest.approx(0.75)
 
 
 def test_time_series_rate_needs_two_samples():
-    series = TimeSeries()
-    series.append(0.0, 5.0)
-    assert series.rate(10, now=1.0) == 0.0
-    assert TimeSeries().rate(10, now=1.0) == 0.0
+    """An event not yet completed (``completed_at`` still 0) reads a
+    zero duration, never a negative one."""
+    event = FailoverEvent(at=5.0, workload="w", kind="restore")
+    assert event.completed_at == 0.0
+    assert event.duration == 0.0
 
 
 def test_time_series_counter_reset_clamped():
-    series = TimeSeries()
-    series.append(0.0, 100.0)
-    series.append(1.0, 10.0)  # counter reset
-    assert series.rate(10, now=1.0) == 0.0
+    """Mean time to failover is 0 with no events, else the mean of the
+    recorded durations."""
+    tb, name = deployed_testbed()
+    monitor = HealthMonitor(tb.env, tb.gateway, tb.manager)
+    assert monitor.mean_time_to_failover() == 0.0
+    monitor.events = [FailoverEvent(1.0, name, "degrade", completed_at=1.5),
+                      FailoverEvent(4.0, name, "restore", completed_at=4.1)]
+    assert monitor.mean_time_to_failover() == pytest.approx(0.3)
 
 
 def test_time_series_bounded():
-    series = TimeSeries(max_samples=10)
-    for index in range(50):
-        series.append(float(index), float(index))
-    assert len(series.samples) == 10
-    assert series.samples[0].at == 40.0
+    """A workload that is mid-transition is skipped by every check: at
+    most one failover action per workload runs at a time."""
+    tb, name = deployed_testbed()
+    monitor = HealthMonitor(tb.env, tb.gateway, tb.manager)
+    tb.nic("m2-nic").fail()
+    monitor._transitioning.add(name)
+    assert monitor.check() == []
+    assert tb.gateway.route_for(name).targets == ["m2-nic", "m3-nic"]
+    monitor._transitioning.discard(name)
+    [event] = monitor.check()
+    assert (event.kind, event.detail) == ("shrink", "m3-nic")
+
+
+# -- the registry's scrape and counter reads --------------------------------
 
 
 def test_monitoring_engine_scrapes_counters():
-    env = Environment()
-    registry = MetricsRegistry()
-    requests = registry.counter("requests")
-    engine = MonitoringEngine(env, registry, scrape_interval=1.0)
-
-    def load(env):
-        for _ in range(5):
-            requests.inc(100, labels={"workload": "web"})
-            yield env.timeout(1.0)
-        engine.stop()
-
-    engine.start()
-    env.process(load(env))
-    env.run(until=10.0)
-    assert engine.scrapes >= 4
-    rate = engine.rate("requests", labels={"workload": "web"},
-                       window_seconds=10.0)
-    assert 50 < rate < 200  # ~100/s
+    """A scrape lists the gateway's and the NICs' counters with their
+    values current at the scrape, tracked stats counters included."""
+    tb, name = deployed_testbed()
+    tb.run(until=closed_loop(tb.env, tb.gateway, name, n_requests=6))
+    scraped = tb.metrics.scrape()
+    assert scraped["gateway_requests_total"].value({"workload": name}) == 6
+    served = scraped["nic_requests_served_total"]
+    assert sum(value for _, value in served.items()) == 6
+    assert {labels["node"] for labels, _ in served.items()} <= \
+        {"m2-nic", "m3-nic"}
+    tb.run(until=closed_loop(tb.env, tb.gateway, name, n_requests=2))
+    assert served.total == 8  # the same counter object reads on
 
 
 def test_monitoring_engine_validates_interval():
-    env = Environment()
-    with pytest.raises(ValueError):
-        MonitoringEngine(env, MetricsRegistry(), scrape_interval=0)
+    tb, _ = deployed_testbed()
+    for interval in (0, -0.5):
+        with pytest.raises(ValueError, match="check interval"):
+            HealthMonitor(tb.env, tb.gateway, tb.manager,
+                          check_interval=interval)
 
 
-def make_gateway(env):
-    network = Network(env)
-    gateway = Gateway(env, network.add_node("gw"),
-                      metrics=MetricsRegistry())
-    gateway.set_route("web", wid=1, targets=["w1"])
-    return gateway
+# -- the gateway's per-workload counters -------------------------------------
 
 
 def test_watch_service_raises_alert_on_failures():
-    env = Environment()
-    gateway = make_gateway(env)
-    watch = WatchService(env, gateway, check_interval=1.0)
-    watch.check()  # baseline
-    gateway.failures_total.inc(3, labels={"workload": "web"})
-    raised = watch.check()
-    assert len(raised) == 1
-    assert raised[0].workload == "web"
-    assert watch.unhealthy() == ["web"]
+    """A request that finds no live target counts one failure for its
+    workload, under a ``reason`` label, and no success."""
+    tb, name = deployed_testbed()
+    for nic in tb.nics:
+        nic.fail()
+    assert request_outcome(tb, name) is False
+    labels = {"workload": name}
+    assert tb.gateway.failures_total.sum_matching(labels=labels) == 1
+    [(failure_labels, _)] = tb.gateway.failures_total.items()
+    assert failure_labels["workload"] == name and "reason" in failure_labels
+    assert tb.gateway.requests_total.value(labels=labels) == 0
 
 
 def test_watch_service_clears_alert_on_recovery():
-    env = Environment()
-    gateway = make_gateway(env)
-    watch = WatchService(env, gateway)
-    watch.check()
-    gateway.failures_total.inc(1, labels={"workload": "web"})
-    watch.check()
-    assert watch.unhealthy() == ["web"]
-    gateway.requests_total.inc(5, labels={"workload": "web"})
-    watch.check()
-    assert watch.unhealthy() == []
-    assert watch.alerts[0].cleared_at is not None
+    """Once the NICs are back, requests succeed again: the success
+    counter moves and the failure count stays where it was."""
+    tb, name = deployed_testbed()
+    for nic in tb.nics:
+        nic.fail()
+    assert request_outcome(tb, name) is False
+    for nic in tb.nics:
+        nic.restore()
+    tb.run(until=tb.env.now + 0.5)  # past the breaker reset timeout
+    assert request_outcome(tb, name) is True
+    labels = {"workload": name}
+    assert tb.gateway.requests_total.value(labels=labels) == 1
+    assert tb.gateway.failures_total.sum_matching(labels=labels) == 1
 
 
 def test_watch_service_quiet_when_healthy():
-    env = Environment()
-    gateway = make_gateway(env)
-    watch = WatchService(env, gateway)
-    watch.check()
-    gateway.requests_total.inc(10, labels={"workload": "web"})
-    assert watch.check() == []
-    assert watch.unhealthy() == []
+    """A healthy workload: requests all succeed, no failure is counted,
+    and a health check takes no action."""
+    tb, name = deployed_testbed()
+    monitor = HealthMonitor(tb.env, tb.gateway, tb.manager)
+    result = closed_loop(tb.env, tb.gateway, name, n_requests=10)
+    tb.run(until=result)
+    assert result.value.failures == 0
+    assert tb.gateway.requests_total.value(labels={"workload": name}) == 10
+    assert tb.gateway.failures_total.total == 0
+    assert monitor.check() == []
+    assert monitor.events == []
+
+
+# -- the probe loop -----------------------------------------------------------
 
 
 def test_watch_service_loop_runs():
-    env = Environment()
-    gateway = make_gateway(env)
-    watch = WatchService(env, gateway, check_interval=0.5)
-
-    def fail_then_stop(env):
-        yield env.timeout(0.6)
-        gateway.failures_total.inc(1, labels={"workload": "web"})
-        yield env.timeout(1.0)
-        watch.stop()
-
-    watch.start()
-    env.process(fail_then_stop(env))
-    env.run(until=3.0)
-    assert watch.alerts
+    """Started, the probe loop checks once per interval, and acts on an
+    injected fault at the first check after it fires (the injector's
+    trace records when)."""
+    tb, name = deployed_testbed(with_failover=True,
+                                failover_kwargs={"check_interval": 0.1})
+    start = tb.env.now
+    checks = []
+    check = tb.health.check
+    tb.health.check = lambda: checks.append(tb.env.now) or check()
+    tb.add_fault_injector(FaultPlan().kill_nic(start + 0.35, "m3-nic"))
+    tb.run(until=start + 0.55)
+    # The loop started with the testbed, so its ticks are multiples of
+    # the interval from time 0.
+    assert len(checks) == 5
+    assert [round(b - a, 9) for a, b in zip(checks, checks[1:])] == [0.1] * 4
+    assert tb.injector.trace == [(pytest.approx(start + 0.35), "kill_nic",
+                                  "m3-nic")]
+    [event] = tb.health.events
+    assert event.kind == "shrink"
+    assert start + 0.35 < event.at <= start + 0.45
+    assert tb.gateway.route_for(name).targets == ["m2-nic"]
 
 
 def test_stopped_loops_do_not_act_at_their_pending_tick():
     """A loop stopped mid-interval ends at its next tick without a last
-    scrape or check."""
-    env = Environment()
-    registry = MetricsRegistry()
-    registry.counter("requests").inc(1)
-    engine = MonitoringEngine(env, registry, scrape_interval=1.0)
-    watch = WatchService(env, make_gateway(env), check_interval=1.0)
+    check; a second start runs a new loop that checks again."""
+    tb, _ = deployed_testbed()
+    monitor = HealthMonitor(tb.env, tb.gateway, tb.manager,
+                            check_interval=1.0)
     checks = []
-    check = watch.check
-    watch.check = lambda: checks.append(env.now) or check()
-    engine_loop, watch_loop = engine.start(), watch.start()
-    env.run(until=1.5)
-    assert engine.scrapes == 1 and checks == [1.0]
-    engine.stop()
-    watch.stop()
-    env.run(until=3.0)
-    assert engine.scrapes == 1 and checks == [1.0]
-    assert not engine_loop.is_alive and not watch_loop.is_alive
-    assert len(engine.counter_series("requests").samples) == 1
+    check = monitor.check
+    monitor.check = lambda: checks.append(tb.env.now) or check()
+    start = tb.env.now
+    loop = monitor.start()
+    tb.run(until=start + 1.5)
+    assert checks == [pytest.approx(start + 1.0)]
+    monitor.stop()
+    tb.run(until=start + 3.0)
+    assert len(checks) == 1 and not loop.is_alive
+    again = monitor.start()
+    tb.run(until=start + 4.5)
+    assert checks[1:] == [pytest.approx(start + 4.0)]
+    assert again.is_alive
