@@ -35,8 +35,9 @@ def test_migration_storm(benchmark):
         issued = result.completed + result.failures
         assert issued > 0
         assert result.completed == len(result.latencies)
-    assert tb.gateway.duplicate_responses_total.total == \
-        tb.gateway.mirrored_requests_total.total  # dupes never delivered
+    # No request is ever sent twice at once (the storm does not hedge),
+    # so no response may arrive twice.
+    assert tb.gateway.duplicate_responses_total.total == 0
     for name in storm["during"]:
         assert not tb.gateway.held(name)
         assert tb.gateway.inflight(name) == 0

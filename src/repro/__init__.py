@@ -4,8 +4,8 @@ A full-system, simulation-based reproduction of "λ-NIC: Interactive
 Serverless Compute on Programmable SmartNICs" (ICDCS 2020). Subpackages:
 
 - :mod:`repro.sim` — discrete-event simulation kernel
-- :mod:`repro.net` — packets, links, switch, topology
-- :mod:`repro.transport` — message segmentation and NIC-side reordering
+- :mod:`repro.net` — packets, RDMA messages, links, switch, topology
+- :mod:`repro.transport` — NIC-side reordering of RDMA segments
 - :mod:`repro.isa` — the lambda IR and its interpreter/cost model
 - :mod:`repro.microc` — the Micro-C source language front-end
 - :mod:`repro.p4` — parsers, match-action tables, control blocks

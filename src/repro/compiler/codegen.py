@@ -92,7 +92,7 @@ class Firmware:
     #: Data bytes placed per memory region.
     region_layout: Dict[Region, int] = field(default_factory=dict)
     #: Static-verification result for the composed program (always
-    #: error-free when compilation succeeded in strict mode).
+    #: error-free: compilation refuses firmware with errors).
     verifier_report: Optional[VerifierReport] = None
 
     @property
@@ -102,10 +102,6 @@ class Firmware:
     @property
     def code_bytes(self) -> int:
         return self.instruction_count * INSTRUCTION_BYTES
-
-    @property
-    def data_bytes(self) -> int:
-        return self.program.data_bytes
 
     @property
     def ro_data_bytes(self) -> int:
@@ -125,25 +121,18 @@ class Firmware:
         """
         return FIRMWARE_BASE_BYTES + self.code_bytes + self.ro_data_bytes
 
-    def wid_for(self, lambda_name: str) -> int:
-        try:
-            return self.lambda_ids[lambda_name]
-        except KeyError:
-            raise KeyError(f"firmware has no lambda {lambda_name!r}") from None
 
-
-def check_resources(program: LambdaProgram, strict: bool = True,
+def check_resources(program: LambdaProgram,
                     liveness: Optional[InterproceduralLiveness] = None
                     ) -> VerifierReport:
     """Statically verify the firmware and enforce the NIC's hard limits.
 
     Runs the full :mod:`repro.isa.verify` pipeline — instruction store,
     memory bounds/isolation, uninitialized reads, loop bounds, WCET —
-    and returns the report. With ``strict`` (the default), any
-    error-grade finding aborts compilation: firmware that would fault
-    or run unbounded on the NIC is never flashed. Nothing is live after
-    the firmware (every exit of its entry ends the machine); the lint
-    reuses ``liveness`` if given.
+    and returns the report. Any error-grade finding aborts compilation:
+    firmware that would fault or run unbounded on the NIC is never
+    flashed. Nothing is live after the firmware (every exit of its
+    entry ends the machine); the lint reuses ``liveness`` if given.
     """
     report = verify_program(
         program, VerifyOptions(entry_exit_live=frozenset()), liveness)
@@ -151,7 +140,7 @@ def check_resources(program: LambdaProgram, strict: bool = True,
         raise CompileError(
             f"firmware data ({program.data_bytes} B) exceeds NIC memory"
         )
-    if strict and not report.ok:
+    if not report.ok:
         first = report.errors[0]
         raise CompileError(
             f"firmware failed verification with {len(report.errors)} "

@@ -1,10 +1,11 @@
-"""The λ-NIC runtime: compile, deploy, and route across a NIC fleet.
+"""The λ-NIC runtime: compile and deploy across a NIC fleet.
 
 This is the framework half of the paper's contribution: given a set of
 :class:`~repro.core.matchlambda.MatchLambdaWorkload` objects, the
 runtime assigns workload IDs, compiles them into one optimised firmware
 (§5.1), flashes every SmartNIC in the fleet (with swap downtime, §7),
-binds RDMA queue pairs, and answers "which NIC serves workload X".
+and binds RDMA queue pairs. Which NIC serves a request is the gateway
+route's choice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class LambdaNicRuntime:
         self.workloads: Dict[str, MatchLambdaWorkload] = {}
         self.firmware: Optional[Firmware] = None
         self._wid_counter = itertools.count(1)
-        self._rr = itertools.cycle(range(len(self.nics)))
 
     # -- registration / compilation -------------------------------------
 
@@ -57,13 +57,12 @@ class LambdaNicRuntime:
 
     # -- deployment --------------------------------------------------------
 
-    def deploy(self, swap: bool = True):
+    def deploy(self):
         """Process: compile and flash all NICs (with swap downtime)."""
         firmware = self.compile()
 
         def deployer():
-            loads = [nic.load_firmware(firmware, swap=swap)
-                     for nic in self.nics]
+            loads = [nic.load_firmware(firmware) for nic in self.nics]
             yield self.env.all_of(loads)
             self._bind_rdma()
             return firmware
@@ -99,7 +98,7 @@ class LambdaNicRuntime:
 
         def redeployer():
             if self.workloads:
-                firmware = yield self.deploy(swap=True)
+                firmware = yield self.deploy()
                 return firmware
             for nic in self.nics:
                 yield self.env.timeout(nic.firmware_swap_seconds)
@@ -109,23 +108,3 @@ class LambdaNicRuntime:
             return None
 
         return self.env.process(redeployer())
-
-    # -- routing -------------------------------------------------------------
-
-    def wid_for(self, name: str) -> int:
-        workload = self.workloads.get(name)
-        if workload is None or workload.wid is None:
-            raise KeyError(f"unknown workload {name!r}")
-        return workload.wid
-
-    def rdma_qp_for(self, name: str) -> Optional[int]:
-        workload = self.workloads.get(name)
-        if workload is None:
-            raise KeyError(f"unknown workload {name!r}")
-        return workload.rdma.qp if workload.rdma else None
-
-    def target_for(self, name: str) -> SmartNIC:
-        """Round-robin NIC selection for a workload's next request."""
-        if name not in self.workloads:
-            raise KeyError(f"unknown workload {name!r}")
-        return self.nics[next(self._rr)]

@@ -114,9 +114,8 @@ class NPUCore:
 class Island:
     """A cluster of cores sharing a Cluster Target Memory (CTM)."""
 
-    def __init__(self, island_id: int, ctm_bytes: int = 256 * 1024) -> None:
+    def __init__(self, island_id: int) -> None:
         self.island_id = island_id
-        self.ctm_bytes = ctm_bytes
         self.cores: Dict[int, NPUCore] = {}
 
     def add_core(self, core: NPUCore) -> None:

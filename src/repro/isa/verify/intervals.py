@@ -40,13 +40,12 @@ intrinsic arguments from points.
 
 Seeding
 -------
-``hload``/``mload`` results are seeded from the packet-format
-declarations
+``hload`` results are seeded from the packet-format declarations
 (:data:`repro.net.headers.Header.FIELD_RANGES` — the on-wire bit
-widths) and caller-supplied metadata ranges. :class:`RangeSeeds` scans
-the whole program first: a header field written by any ``hstore`` loses
-its seed, ``mstore`` keys lose theirs, and any ``intrinsic`` (which
-receives the raw machine and may mutate headers and metadata) drops all
+widths); ``mload`` results are ANY, since no metadata key declares a
+range. :class:`RangeSeeds` scans the whole program first: a header
+field written by any ``hstore`` loses its seed, and any ``intrinsic``
+(which receives the raw machine and may mutate headers) drops all
 seeds. ``trust_declared=False`` disables seeding entirely and keeps
 only machine-guaranteed ranges (hash outputs, word loads, immediates) —
 that is the mode the JIT uses for folding and bounds-check elision,
@@ -200,34 +199,25 @@ class RangeSeeds:
     #: Trust packet-format declarations at all (False: seed nothing —
     #: only machine-guaranteed ranges survive; the JIT's proof mode).
     trust_declared: bool = True
-    #: Caller-declared metadata key ranges (trusted like FIELD_RANGES).
-    meta_ranges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: (header, field) pairs some ``hstore`` may have overwritten.
     clobbered_fields: FrozenSet[Tuple[str, str]] = frozenset()
-    #: metadata keys some ``mstore`` may have overwritten.
-    clobbered_meta: FrozenSet[str] = frozenset()
 
     @classmethod
     def for_program(
         cls,
         program: Optional[LambdaProgram],
         function: Optional[Function] = None,
-        meta_ranges: Optional[Dict[str, Tuple[int, int]]] = None,
-        trust_declared: bool = True,
     ) -> "RangeSeeds":
         functions = list(program.functions.values()) if program is not None \
             else ([function] if function is not None else [])
         hstores: Set[Tuple[str, str]] = set()
-        mstores: Set[str] = set()
-        trust = trust_declared
+        trust = True
         for fn in functions:
             for instruction in fn.body:
                 op = instruction.op
                 if op is Op.HSTORE:
                     ref = instruction.args[0]
                     hstores.add((ref[1], ref[2]))
-                elif op is Op.MSTORE:
-                    mstores.add(instruction.args[0][1])
                 elif op is Op.INTRINSIC:
                     # Intrinsics receive the raw machine and may rewrite
                     # headers and metadata wholesale: distrust all seeds.
@@ -236,12 +226,7 @@ class RangeSeeds:
                     # Unknown callee (function-only scan): it may store
                     # anywhere.
                     trust = False
-        return cls(
-            trust_declared=trust,
-            meta_ranges=dict(meta_ranges or {}),
-            clobbered_fields=frozenset(hstores),
-            clobbered_meta=frozenset(mstores),
-        )
+        return cls(trust_declared=trust, clobbered_fields=frozenset(hstores))
 
     def header_field(self, header: str, field_name: str) -> Any:
         if not self.trust_declared \
@@ -250,14 +235,6 @@ class RangeSeeds:
         from ...net.headers import declared_field_range
 
         declared = declared_field_range(header, field_name)
-        if declared is None:
-            return ANY
-        return Interval(declared[0], declared[1])
-
-    def meta_key(self, key: str) -> Any:
-        if not self.trust_declared or key in self.clobbered_meta:
-            return ANY
-        declared = self.meta_ranges.get(key)
         if declared is None:
             return ANY
         return Interval(declared[0], declared[1])
@@ -447,9 +424,7 @@ class IntervalLattice:
             kind = operand[0]
             if kind == "hdr":
                 return seeds.header_field(operand[1], operand[2])
-            if kind == "meta":
-                return seeds.meta_key(operand[1])
-            return ANY  # mem refs and resolve addresses.
+            return ANY  # Metadata, mem refs and resolve addresses.
         return ANY  # Floats, string literals, anything else.
 
     @staticmethod
@@ -482,10 +457,8 @@ class IntervalLattice:
         elif op is Op.HLOAD:
             ref = args[1]
             new[dst] = seeds.header_field(ref[1], ref[2])
-        elif op is Op.MLOAD:
-            new[dst] = seeds.meta_key(args[1][1])
         else:
-            # resolve (address tuples) and anything unforeseen.
+            # mload, resolve (address tuples) and anything unforeseen.
             new[dst] = ANY
         return new
 
@@ -671,8 +644,6 @@ def interval_states(
     entry_state: Optional[Dict[str, Any]] = None,
     program: Optional[LambdaProgram] = None,
     seeds: Optional[RangeSeeds] = None,
-    meta_ranges: Optional[Dict[str, Tuple[int, int]]] = None,
-    trust_declared: bool = True,
 ) -> IntervalStates:
     """Interval analysis over one function.
 
@@ -684,10 +655,7 @@ def interval_states(
     cfg = function.decoded.cfg
     defs = cfg.defs
     if seeds is None:
-        seeds = RangeSeeds.for_program(
-            program, function=function, meta_ranges=meta_ranges,
-            trust_declared=trust_declared,
-        )
+        seeds = RangeSeeds.for_program(program, function=function)
     entry = dict(entry_state) if entry_state is not None \
         else IntervalLattice.entry_state()
     problem = _IntervalProblem(entry, seeds, defs)

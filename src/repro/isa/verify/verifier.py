@@ -11,7 +11,7 @@ lint-grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from ..analysis import reachable_functions
 from ..instructions import Op
@@ -35,30 +35,19 @@ MAX_INSTRUCTIONS_PER_CORE = 16 * 1024
 
 @dataclass
 class VerifyOptions:
-    """Knobs for :func:`verify_program`."""
+    """Knobs for :func:`verify_program`.
 
-    #: Entry function; defaults to the program's declared entry.
-    entry: Optional[str] = None
-    #: Registers exempt from dead-store / uninitialized-read findings;
-    #: defaults to the program's declared ``scratch_registers``.
-    scratch: Optional[FrozenSet[str]] = None
+    Verification always starts at the program's declared entry, exempts
+    its declared ``scratch_registers`` from the dead-store and
+    uninitialized-read findings, and runs every analysis.
+    """
+
     #: Registers assumed live after the entry function returns.
     #: ``ALL_REGISTERS`` is the safe default for a fragment that will be
     #: composed into larger firmware; a standalone whole program (whose
     #: exits all end the machine) is unaffected by this value.
     entry_exit_live: FrozenSet[str] = ALL_REGISTERS
-    check_uninitialized: bool = True
-    check_dead_stores: bool = True
-    check_memory: bool = True
-    check_wcet: bool = True
-    #: Extra caller-supplied metadata-key ranges seeding the interval
-    #: analysis (key -> inclusive (lo, hi)).
-    meta_ranges: Optional[Dict[str, Tuple[int, int]]] = None
     max_instructions: int = MAX_INSTRUCTIONS_PER_CORE
-
-
-def _program_scratch(program: LambdaProgram) -> FrozenSet[str]:
-    return frozenset(getattr(program, "scratch_registers", ()) or ())
 
 
 def verify_program(
@@ -72,13 +61,12 @@ def verify_program(
     for this program, entry and ``entry_exit_live``.
     """
     options = options or VerifyOptions()
-    entry = options.entry or program.entry
+    entry = program.entry
     expected = (program, entry, options.entry_exit_live)
     if liveness is not None and expected != (
             liveness.program, liveness.entry, liveness.entry_exit_live):
         raise ValueError("liveness was solved for other assumptions")
-    scratch = options.scratch if options.scratch is not None \
-        else _program_scratch(program)
+    scratch = frozenset(getattr(program, "scratch_registers", ()) or ())
 
     report = VerifierReport(
         program=program.name,
@@ -112,7 +100,7 @@ def verify_program(
             ),
         ))
 
-    seeds = RangeSeeds.for_program(program, meta_ranges=options.meta_ranges)
+    seeds = RangeSeeds.for_program(program)
     ranges: Dict[str, IntervalStates] = {
         name: interval_states(function, seeds=seeds)
         for name, function in program.functions.items()
@@ -150,7 +138,7 @@ def verify_program(
 
     # 4. Uninitialized register reads (error-grade: the simulator
     # zero-fills, the real NPU does not).
-    if options.check_uninitialized and has_entry:
+    if has_entry:
         for name, index, reg in uninitialized_reads(
             program, entry=entry, scratch=scratch
         ):
@@ -165,7 +153,7 @@ def verify_program(
             ))
 
     # 5. Dead stores (lint-grade; the DSE pass can delete the pure ones).
-    if options.check_dead_stores and has_entry:
+    if has_entry:
         for name, index, reg in dead_stores(
             program, liveness=liveness, entry=entry,
             entry_exit_live=options.entry_exit_live, scratch=scratch,
@@ -180,11 +168,10 @@ def verify_program(
             ))
 
     # 6. Memory bounds / isolation / capacity.
-    if options.check_memory:
-        findings.extend(check_memory(program, ranges))
+    findings.extend(check_memory(program, ranges))
 
     # 7. WCET and loop bounds.
-    if options.check_wcet and has_entry:
+    if has_entry:
         wcet = estimate_wcet(program, entry=entry, ranges=ranges)
         findings.extend(wcet.findings)
         report.wcet_cycles = wcet.total_cycles
@@ -208,9 +195,9 @@ def verify_program(
                     index=loop.exit_index,
                 ))
 
-    # 8. Intrinsics without a static cost model: advisory even when the
-    # WCET pass is off (which would otherwise be the only thing that
-    # notices, as a warning on its own path).
+    # 8. Intrinsics without a static cost model: advisory, for every
+    # intrinsic in every function (the WCET pass's no-wcet-model
+    # warning covers only what it costs from the entry).
     from ..interpreter import intrinsic_wcet
 
     for name, function in program.functions.items():

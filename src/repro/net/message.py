@@ -23,6 +23,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from .headers import Header, HeaderStack, LambdaHeader, RdmaHeader
 from .packet import Packet, reserve_packet_ids
 
+#: Payload bytes per RDMA write segment (RoCEv2-style; the NIC's RDMA
+#: MTU).
+RDMA_SEGMENT_BYTES = 4096
+
 
 class Segment(Packet):
     """One segment of a :class:`Message`, made into a packet.

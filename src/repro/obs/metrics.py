@@ -1,12 +1,10 @@
 """The typed metrics registry (single canonical implementation).
 
 Counters, gauges, and histograms with label support, percentile and
-ECDF queries, and commutative merging. ``repro.serverless.metrics``
-re-exports these types, so every consumer (gateway, manager, migration
-controller, NIC/host stats) shares one implementation
-— the percentile logic that used to be duplicated (and re-sorted the
-raw observation list on every call) now lives in :func:`percentile_of`
-over a histogram-maintained sorted cache.
+ECDF queries, and commutative merging. Every consumer (gateway,
+manager, migration controller, NIC/host stats) imports them from here;
+``repro.serverless`` re-exports the public names. Percentiles come
+from :func:`percentile_of` over a histogram-maintained sorted cache.
 """
 
 from __future__ import annotations
@@ -100,19 +98,6 @@ class Counter:
 
     def value(self, labels: Optional[Dict[str, str]] = None) -> float:
         return self._sync().get(_labelset(labels), 0.0)
-
-    def sum_matching(self, labels: Optional[Dict[str, str]] = None) -> float:
-        """Sum over every labelset containing all the given pairs.
-
-        :meth:`value` is an exact-labelset lookup; this aggregates over
-        the remaining label dimensions — e.g. all ``reason`` values of
-        one ``workload`` on a failure counter split by cause.
-        """
-        want = _labelset(labels)
-        if not want:
-            return self.total
-        return sum(value for key, value in self._sync().items()
-                   if all(pair in key for pair in want))
 
     def items(self) -> List[Tuple[Dict[str, str], float]]:
         """(labels dict, value) pairs for every labelset seen."""

@@ -55,13 +55,12 @@ class EtcdCluster:
         network: Network,
         n_nodes: int = 3,
         rng: Optional[RngRegistry] = None,
-        name_prefix: str = "etcd",
     ) -> None:
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
         rng = rng or RngRegistry(seed=0)
         self.env = env
-        self.names = [f"{name_prefix}{index}" for index in range(1, n_nodes + 1)]
+        self.names = [f"etcd{index}" for index in range(1, n_nodes + 1)]
         self.stores: Dict[str, EtcdStore] = {}
         self.nodes: Dict[str, RaftNode] = {}
         for name in self.names:

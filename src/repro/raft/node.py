@@ -28,8 +28,12 @@ FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
 
-#: Timer granularity: how often a node checks its election deadline.
+#: Timer granularity: how often a node checks its election deadline
+#: and a leader sends its heartbeat (AppendEntries) round.
 TICK_SECONDS = 0.010
+#: Election timeouts are drawn uniformly from this range (seconds).
+ELECTION_TIMEOUT_MIN = 0.150
+ELECTION_TIMEOUT_MAX = 0.300
 
 
 class RaftNode:
@@ -42,9 +46,6 @@ class RaftNode:
         peers: List[str],
         apply_fn: Callable[[Tuple[str, ...]], Any],
         rng,
-        election_timeout_min: float = 0.150,
-        election_timeout_max: float = 0.300,
-        heartbeat_interval: float = 0.050,
     ) -> None:
         self.env = env
         self.node = node
@@ -52,9 +53,6 @@ class RaftNode:
         self.peers = [peer for peer in peers if peer != self.name]
         self.apply_fn = apply_fn
         self.rng = rng
-        self.election_timeout_min = election_timeout_min
-        self.election_timeout_max = election_timeout_max
-        self.heartbeat_interval = heartbeat_interval
 
         # Persistent state.
         self.current_term = 0
@@ -104,9 +102,7 @@ class RaftNode:
     # -- timers --------------------------------------------------------------
 
     def _reset_election_deadline(self) -> None:
-        timeout = self.rng.uniform(
-            self.election_timeout_min, self.election_timeout_max
-        )
+        timeout = self.rng.uniform(ELECTION_TIMEOUT_MIN, ELECTION_TIMEOUT_MAX)
         self._election_deadline = self.env.now + timeout
 
     def _ticker(self):

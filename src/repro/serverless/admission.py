@@ -16,14 +16,22 @@ flashes anything, the admission layer runs the static verifier
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
-from ..isa.verify import VerifierReport, VerifyOptions, verify_program
+from ..isa.verify import VerifierReport, verify_program
 from ..workloads import WorkloadSpec
 
 #: Agilio CX NPU clock (paper §6.1.2: 1.6 ns/cycle ≈ 633 MHz).
 NIC_CLOCK_HZ = 633e6
+
+#: Backend kinds whose deployments run lambda IR on the NIC (and
+#: therefore must pass the verifier).
+NIC_BACKEND_KINDS = ("lambda-nic",)
+
+#: Host substrates tried, in order, when a verified-but-slow lambda is
+#: bounced off the NIC.
+HOST_FALLBACK_ORDER = ("bare-metal", "container")
 
 
 class AdmissionError(Exception):
@@ -55,20 +63,16 @@ class AdmissionDecision:
 
 @dataclass
 class AdmissionPolicy:
-    """Admission rules the workload manager applies before deploying."""
+    """Admission rules the workload manager applies before deploying.
+
+    The lambda is verified with the verifier's default options and its
+    WCET timed at :data:`NIC_CLOCK_HZ`; a slow one falls back to the
+    first of :data:`HOST_FALLBACK_ORDER` that is available.
+    """
 
     #: Response-time budget for one NIC invocation. The default is the
     #: interactive-microservice bar the paper targets (<1 ms on-NIC).
     nic_slo_seconds: float = 1e-3
-    clock_hz: float = NIC_CLOCK_HZ
-    #: Backend kinds whose deployments run lambda IR on the NIC (and
-    #: therefore must pass the verifier).
-    nic_backend_kinds: Tuple[str, ...] = ("lambda-nic",)
-    #: Host substrates tried (in order) when a verified-but-slow lambda
-    #: is bounced off the NIC.
-    host_fallback_order: Tuple[str, ...] = ("bare-metal", "container")
-    #: Verifier knobs (entry/scratch default from the program itself).
-    verify_options: VerifyOptions = field(default_factory=VerifyOptions)
 
     def evaluate(
         self,
@@ -82,14 +86,14 @@ class AdmissionPolicy:
         findings, or when its WCET misses the SLO and no host fallback
         is available.
         """
-        if backend_kind not in self.nic_backend_kinds:
+        if backend_kind not in NIC_BACKEND_KINDS:
             return AdmissionDecision(
                 workload=spec.name,
                 requested_kind=backend_kind,
                 admitted_kind=backend_kind,
                 reason="not-nic",
             )
-        report = verify_program(spec.nic_program(), self.verify_options)
+        report = verify_program(spec.nic_program())
         if not report.ok:
             first = report.errors[0]
             raise AdmissionError(
@@ -97,7 +101,7 @@ class AdmissionPolicy:
                 f"{len(report.errors)} error(s); first: {first}",
                 report=report,
             )
-        wcet_seconds = report.wcet_seconds(self.clock_hz)
+        wcet_seconds = report.wcet_seconds(NIC_CLOCK_HZ)
         if wcet_seconds is not None and wcet_seconds <= self.nic_slo_seconds:
             return AdmissionDecision(
                 workload=spec.name,
@@ -111,7 +115,7 @@ class AdmissionPolicy:
         reason = "rerouted-unbounded" if wcet_seconds is None \
             else "rerouted-wcet"
         fallback = next(
-            (kind for kind in self.host_fallback_order
+            (kind for kind in HOST_FALLBACK_ORDER
              if kind in set(available_kinds)),
             None,
         )

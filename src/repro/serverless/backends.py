@@ -112,15 +112,13 @@ class HostBackend(Backend):
     """Shared logic for the container and bare-metal backends."""
 
     def __init__(self, env: Environment, servers: List[HostServer],
-                 runtime_factory, rng=None,
-                 memcached_server: str = "memcached") -> None:
+                 runtime_factory, rng=None) -> None:
         if not servers:
             raise ValueError("backend needs at least one worker server")
         self.env = env
         self.servers = list(servers)
         self.runtime_factory = runtime_factory
         self.rng = rng
-        self.memcached_server = memcached_server
 
     @property
     def targets(self) -> List[str]:
@@ -147,8 +145,6 @@ class HostBackend(Backend):
                 kwargs = dict(spec.host_kwargs)
                 if self.rng is not None:
                     kwargs.setdefault("rng", self.rng)
-                if spec.kind == "kv":
-                    kwargs.setdefault("server", self.memcached_server)
                 handler = spec.host_factory(**kwargs)
                 server.deploy(
                     spec.name, wid=wid, handler=handler,
@@ -180,8 +176,8 @@ class ContainerBackend(HostBackend):
     kind = "container"
 
     def __init__(self, env: Environment, servers: List[HostServer],
-                 rng=None, memcached_server: str = "memcached") -> None:
-        super().__init__(env, servers, ContainerRuntime, rng, memcached_server)
+                 rng=None) -> None:
+        super().__init__(env, servers, ContainerRuntime, rng)
 
 
 class BareMetalBackend(HostBackend):
@@ -190,8 +186,8 @@ class BareMetalBackend(HostBackend):
     kind = "bare-metal"
 
     def __init__(self, env: Environment, servers: List[HostServer],
-                 rng=None, memcached_server: str = "memcached") -> None:
-        super().__init__(env, servers, BareMetalRuntime, rng, memcached_server)
+                 rng=None) -> None:
+        super().__init__(env, servers, BareMetalRuntime, rng)
 
 
 class LambdaNicBackend(Backend):
@@ -264,7 +260,7 @@ class LambdaNicBackend(Backend):
             self.runtime.register(workload)
             # Firmware (re)build: the slow NIC toolchain.
             yield self.env.timeout(self.compile_seconds)
-            firmware = yield self.runtime.deploy(swap=True)
+            firmware = yield self.runtime.deploy()
             if rdma is not None:
                 qualified = f"{workload.name}.{rdma.object_name}"
                 for nic in self.runtime.nics:

@@ -18,12 +18,12 @@ from ..hw import SmartNIC
 from ..kvcache import MemcachedServer
 from ..net import Network
 from ..obs import Tracer
+from ..obs.metrics import MetricsRegistry
 from ..raft import EtcdClient, EtcdCluster
 from ..sim import Environment, RngRegistry
 from .backends import BareMetalBackend, ContainerBackend, LambdaNicBackend
 from .gateway import Gateway
 from .manager import WorkloadManager
-from .metrics import MetricsRegistry
 from .migration import MigrationController
 from .monitor import HealthMonitor
 from .overload import CoDelShedder, OverloadConfig
@@ -144,7 +144,6 @@ class Testbed:
             ov.backend_shed_target_seconds,
             interval_seconds=ov.shed_interval_seconds,
             rng=self.rng.stream(f"overload:{name}"),
-            max_probability=ov.shed_max_probability,
         )
 
     def _make_host_servers(self, suffix: str) -> List[HostServer]:

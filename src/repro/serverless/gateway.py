@@ -26,11 +26,12 @@ from ..net import (
     Packet,
     UDPHeader,
 )
+from ..net.message import RDMA_SEGMENT_BYTES
 from ..net.network import Node
 from ..obs import Tracer
+from ..obs.metrics import MetricsRegistry
 from ..sim import Environment, Event, Server
 from .breaker import STATE_VALUES, CircuitBreaker
-from .metrics import MetricsRegistry
 from .overload import CoDelShedder, DEADLINE_META, OverloadConfig, RetryBudget
 
 
@@ -119,7 +120,7 @@ class _Call:
         self.backoff_span = None
 
 
-#: Upper bound on remembered dual-routed request ids (dedup window).
+#: Upper bound on remembered hedged request ids (dedup window).
 MIRROR_DEDUP_WINDOW = 4096
 
 
@@ -133,7 +134,7 @@ class Gateway:
         metrics: Optional[MetricsRegistry] = None,
         proxy_seconds: float = 17.2e-6,
         proxy_concurrency: int = 1,
-        rdma_segment_bytes: int = 4096,
+        rdma_segment_bytes: int = RDMA_SEGMENT_BYTES,
         request_timeout: float = 5.0,
         max_retries: int = 1,
         rng=None,
@@ -172,7 +173,6 @@ class Gateway:
                 overload.shed_target_seconds,
                 interval_seconds=overload.shed_interval_seconds,
                 rng=overload_rng if overload_rng is not None else rng,
-                max_probability=overload.shed_max_probability,
             )
         self._proxy = Server(proxy_concurrency)
         self._routes: Dict[str, Route] = {}
@@ -184,11 +184,8 @@ class Gateway:
         #: Migration draining state: workloads whose new requests are
         #: queued behind an event (released at cutover or rollback).
         self._holds: Dict[str, Any] = {}
-        #: Dual-route overlays: workload -> shadow Route on the
-        #: migration target (same request ids, deduped on response).
-        self._mirrors: Dict[str, Route] = {}
-        #: request_id -> outstanding copies for dual-routed requests;
-        #: bounded LRU so a dead mirror target cannot grow it.
+        #: request_id -> outstanding copies for hedged requests; bounded
+        #: LRU so a dead hedge target cannot grow it.
         self._mirrored: "OrderedDict[int, int]" = OrderedDict()
         #: Per-workload requests sent and awaiting a response (held
         #: requests are *not* counted — draining waits on this).
@@ -215,11 +212,7 @@ class Gateway:
         )
         self.duplicate_responses_total = self.metrics.counter(
             "gateway_duplicate_responses_total",
-            "dual-routed responses deduplicated by request id",
-        )
-        self.mirrored_requests_total = self.metrics.counter(
-            "gateway_mirrored_requests_total",
-            "request copies sent to a migration mirror target",
+            "hedged responses deduplicated by request id",
         )
         self.shed_total = self.metrics.counter(
             "gateway_shed_total",
@@ -272,11 +265,7 @@ class Gateway:
             raise KeyError(f"no route for workload {workload!r}")
         return route
 
-    @property
-    def workloads(self) -> List[str]:
-        return sorted(self._routes)
-
-    # -- migration draining (holds, mirrors, dedup) ------------------------
+    # -- migration draining (holds) and hedge dedup -----------------------
 
     def hold_route(self, workload: str) -> None:
         """Queue new requests for ``workload`` until :meth:`release_route`.
@@ -297,23 +286,6 @@ class Gateway:
 
     def held(self, workload: str) -> bool:
         return workload in self._holds
-
-    def mirror_route(self, workload: str, wid: int, targets: List[str],
-                     rdma_qp: Optional[int] = None) -> None:
-        """Dual-route: copy each request to the migration target too.
-
-        Copies share the original request id; the first response wins
-        and later ones are absorbed by the request-id dedup (counted in
-        ``gateway_duplicate_responses_total``), so clients observe
-        exactly one response per request.
-        """
-        if not targets:
-            raise ValueError(f"mirror for {workload!r} needs targets")
-        self._mirrors[workload] = Route(workload, wid, list(targets), rdma_qp)
-
-    def clear_mirror(self, workload: str) -> None:
-        """Stop dual-routing ``workload``. Idempotent."""
-        self._mirrors.pop(workload, None)
 
     def inflight(self, workload: str) -> int:
         """Requests sent for ``workload`` still awaiting a response.
@@ -399,8 +371,7 @@ class Gateway:
         """Count one terminal failure, split by cause.
 
         The ``reason`` label distinguishes degradation modes; the
-        counter's unlabeled ``total`` still sums every failure, and
-        per-workload aggregates use ``sum_matching``.
+        counter's unlabeled ``total`` still sums every failure.
         """
         self.failures_total.inc(labels={"workload": workload,
                                         "reason": reason})
@@ -413,8 +384,7 @@ class Gateway:
         budget = self._retry_budgets.get(workload)
         if budget is None:
             budget = RetryBudget(ov.retry_budget_ratio,
-                                 floor=ov.retry_budget_floor,
-                                 cap=ov.retry_budget_cap)
+                                 floor=ov.retry_budget_floor)
             self._retry_budgets[workload] = budget
         return budget
 
@@ -499,9 +469,9 @@ class Gateway:
         waiter = self._pending.pop(request_id, None)
         if waiter is None:
             if copies is not None:
-                # A dual-routed copy already answered this request:
-                # absorb the duplicate so the caller observes exactly
-                # one response.
+                # A hedged copy already answered this request: absorb
+                # the duplicate so the caller observes exactly one
+                # response.
                 self.duplicate_responses_total.inc()
                 return
             # The waiter was already popped on timeout (or resolved):
@@ -649,22 +619,13 @@ class Gateway:
             tracer.end(call.proxy_span, tags={"target": target})
         self._send_request(route, target, request_id, call.payload,
                            call.size, span=call.root, deadline=call.deadline)
-        mirror = self._mirrors.get(workload)
-        if mirror is not None:
-            # Dual-route the same request id to the migration target;
-            # _receive dedups whichever answers second.
-            self._register_mirrored(request_id, 2)
-            self.mirrored_requests_total.inc(labels={"workload": workload})
-            self._send_request(mirror, mirror.next_target(), request_id,
-                               call.payload, call.size, span=call.root,
-                               deadline=call.deadline)
         wait_timeout = self.request_timeout
         if call.deadline is not None:
             # Waiting past the deadline is pointless: the caller has
             # already given up on this request.
             wait_timeout = min(wait_timeout, max(0.0, call.deadline - now))
         hedge_delay = None
-        if mirror is None and call.retries == 0 and len(route.targets) > 1:
+        if call.retries == 0 and len(route.targets) > 1:
             hedge_delay = self._hedge_delay(workload)
         if hedge_delay is not None and hedge_delay < wait_timeout:
             # Tail-at-scale hedging: wait out the configured percentile
@@ -726,7 +687,7 @@ class Gateway:
             call.request_id
         self._pending.pop(request_id, None)
         self._drop_outstanding(workload)
-        # Forget any mirror copies for the timed-out id: arrivals from
+        # Forget any hedge copies for the timed-out id: arrivals from
         # here on are late responses, not duplicates.
         self._mirrored.pop(request_id, None)
         now = self.env.now

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional
 
+from ..obs.metrics import percentile_of
 from ..sim import Environment, exponential
 from .gateway import (
     Gateway,
@@ -20,7 +21,6 @@ from .gateway import (
     RequestShed,
     RetryBudgetExhausted,
 )
-from .metrics import percentile_of
 
 #: Arrival processes :func:`open_loop` understands.
 ARRIVAL_PROCESSES = ("poisson", "pareto", "mmpp")

@@ -18,13 +18,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..obs.metrics import MetricsRegistry
 from ..raft import EtcdClient
 from ..sim import Environment
 from ..workloads import WorkloadSpec
 from .admission import AdmissionDecision, AdmissionError, AdmissionPolicy
 from .backends import Backend, DeployResult
 from .gateway import Gateway
-from .metrics import MetricsRegistry
 from .storage import ObjectStorage
 
 #: Order in which fallback substrates are tried during degradation;

@@ -17,11 +17,9 @@ as a crash-safe state machine::
 * **PREPARED** — the target deployment exists, is verified healthy,
   and is warm (a reused home copy, a pre-warmed standby, or a fresh
   deploy).
-* **DRAINING** — the gateway either *queues* new requests behind a
-  hold (default: loss-free, bounded latency bump) or *dual-routes*
-  copies to the target (stateless lambdas: zero added latency,
-  request-id dedup guarantees exactly-once observable responses),
-  then waits for in-flight requests to the source to finish.
+* **DRAINING** — the gateway *queues* new requests behind a hold
+  (loss-free, a bounded latency bump), then waits for in-flight
+  requests to the source to finish.
 * **STATE_HANDOFF** — the lambda's persistent memory objects are
   exported at a source epoch, shipped over the RDMA substrate, and the
   epoch re-checked: any concurrent write bumps the source's
@@ -31,8 +29,8 @@ as a crash-safe state machine::
   the gateway route, update the deployment record, release held
   requests. Either everything flips or nothing does.
 * **ABORTED** — reachable from every pre-cutover state; the source
-  route was never touched, so rollback is: release holds, clear
-  mirrors, keep the (now warm) target copy as a standby.
+  route was never touched, so rollback is: release holds, keep the
+  (now warm) target copy as a standby.
 
 The controller journals each transition to etcd, so an idempotent
 :meth:`MigrationController.recover` on restart rolls an interrupted
@@ -54,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..net.message import RDMA_SEGMENT_BYTES
 from ..sim import Environment
-from ..transport import segment_message
 from .backends import StateSnapshot
 from .gateway import Gateway
 from .manager import DeploymentRecord, WorkloadManager
@@ -98,7 +96,6 @@ class Migration:
     #: The fault detail that triggered a forced migration, if any.
     fault: str = ""
     forced: bool = False
-    drain_mode: str = "queue"  # "queue" | "dual"
     #: Chosen target addressing: route targets installed at cutover.
     targets: List[str] = field(default_factory=list)
     state_bytes: int = 0
@@ -176,8 +173,7 @@ class MigrationController:
 
     def migrate(self, workload: str, target_kind: Optional[str] = None,
                 target: Optional[str] = None, reason: str = "manual",
-                fault: str = "", forced: bool = False,
-                drain_mode: str = "queue"):
+                fault: str = "", forced: bool = False):
         """Process: migrate ``workload``; returns the Migration on
         success (CUTOVER reached), None when it rolled back or another
         migration for the workload is already running.
@@ -191,7 +187,7 @@ class MigrationController:
             raise ValueError(
                 f"migrating {workload!r} needs a target_kind unless forced")
         return self.env.process(self._migrate(
-            workload, target_kind, target, reason, fault, forced, drain_mode,
+            workload, target_kind, target, reason, fault, forced,
         ))
 
     def migration_for(self, workload: str) -> Optional[Migration]:
@@ -219,7 +215,7 @@ class MigrationController:
             )
 
     def _migrate(self, workload, target_kind, target, reason, fault,
-                 forced, drain_mode):
+                 forced):
         if workload in self.active:
             return None
         try:
@@ -238,7 +234,6 @@ class MigrationController:
             workload=workload, source_kind=source_kind,
             target_kind=target_kind, reason=reason,
             started_at=self.env.now, fault=fault, forced=forced,
-            drain_mode=drain_mode,
         )
         self.migrations.append(migration)
         self.active[workload] = migration
@@ -317,17 +312,10 @@ class MigrationController:
         return result
 
     def _drain(self, migration: Migration, record: DeploymentRecord):
-        """Quiesce the source: queue (hold) or dual-route (mirror)."""
+        """Quiesce the source: hold new requests, wait out in-flight."""
         workload = migration.workload
         gateway = self.gateway
-        if migration.drain_mode == "dual":
-            result = (record.result if migration.source_kind ==
-                      migration.target_kind else
-                      self._target_result(record, migration))
-            gateway.mirror_route(workload, result.wid, migration.targets,
-                                 rdma_qp=result.rdma_qp)
-        else:
-            gateway.hold_route(workload)
+        gateway.hold_route(workload)
         source_alive = bool(
             set(self.manager.healthy_targets(migration.source_kind))
             & set(record.result.targets)
@@ -391,7 +379,7 @@ class MigrationController:
         size = snapshot.size_bytes
         if size <= 0:
             return
-        n_segments = len(segment_message(size))
+        n_segments = -(-size // RDMA_SEGMENT_BYTES)
         seconds = (size * 8 / HANDOFF_BANDWIDTH_BPS +
                    n_segments * HANDOFF_SEGMENT_SECONDS)
         yield self.env.timeout(seconds)
@@ -423,7 +411,6 @@ class MigrationController:
             manager.failover_seconds.observe(
                 self.env.now - migration.started_at,
                 labels={"kind": legacy})
-        self.gateway.clear_mirror(workload)
         self.gateway.release_route(workload)
         # Placement record: fire-and-forget (etcd may be mid-election;
         # routing must not wait for it).
@@ -436,7 +423,6 @@ class MigrationController:
         """ABORTED from any pre-cutover state: source keeps serving."""
         workload = migration.workload
         self.gateway.release_route(workload)
-        self.gateway.clear_mirror(workload)
         migration.error = error
         self._set_state(migration, ABORTED)
         self._finish(migration, "rolled-back")

@@ -17,6 +17,9 @@ from ..sim import Environment
 from .gateway import Gateway
 from .manager import WorkloadManager
 
+#: How long a probe of a breaker-ejected target waits for its answer.
+PROBE_TIMEOUT_SECONDS = 0.1
+
 
 @dataclass
 class FailoverEvent:
@@ -61,8 +64,6 @@ class HealthMonitor:
         gateway: Gateway,
         manager: WorkloadManager,
         check_interval: float = 0.25,
-        probe_timeout: float = 0.1,
-        probe_ejected: bool = True,
         migrator=None,
     ) -> None:
         if check_interval <= 0:
@@ -75,8 +76,6 @@ class HealthMonitor:
         #: plane); legacy metrics and events are preserved.
         self.migrator = migrator
         self.check_interval = check_interval
-        self.probe_timeout = probe_timeout
-        self.probe_ejected = probe_ejected
         self.events: List[FailoverEvent] = []
         self.errors = 0
         self._transitioning: Set[str] = set()
@@ -158,8 +157,7 @@ class HealthMonitor:
                 )
             return event
 
-        if self.probe_ejected:
-            self._probe_ejected_targets(workload, route.targets)
+        self._probe_open_breakers(workload, route.targets)
         return None
 
     def _home_alive(self, record) -> bool:
@@ -168,13 +166,13 @@ class HealthMonitor:
         healthy = set(self.manager.healthy_targets(record.home_backend))
         return any(t in healthy for t in record.home_result.targets)
 
-    def _probe_ejected_targets(self, workload: str,
+    def _probe_open_breakers(self, workload: str,
                                targets: List[str]) -> None:
         for target in targets:
             breaker = self.gateway._breakers.get(target)
             if breaker is not None and breaker.ejected:
                 self.gateway.probe_target(workload, target,
-                                          timeout=self.probe_timeout)
+                                          timeout=PROBE_TIMEOUT_SECONDS)
 
     # -- slow transitions (degrade / restore) ------------------------------
 

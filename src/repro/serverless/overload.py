@@ -21,9 +21,9 @@ layer is zero-cost when unused):
   probability ramping with persistence), and recovers the moment the
   wait drops back under the target.
 * **Hedged requests** — configured on :class:`OverloadConfig` and
-  implemented by the gateway on top of the migration-mirror dedup
-  machinery (same request id to a second target, first response wins,
-  the late copy is absorbed), guarded by the retry budget.
+  implemented by the gateway's request-id dedup (same request id to a
+  second target, first response wins, the late copy is absorbed),
+  guarded by the retry budget.
 """
 
 from __future__ import annotations
@@ -39,8 +39,18 @@ __all__ = [
     "CoDelShedder",
     "DEADLINE_META",
     "OverloadConfig",
+    "RETRY_BUDGET_CAP",
     "RetryBudget",
+    "SHED_MAX_PROBABILITY",
 ]
+
+#: Retry-budget bucket capacity: bounds how large a burst of retries an
+#: idle period can bank.
+RETRY_BUDGET_CAP = 100.0
+
+#: Ceiling on a shedder's drop probability (never sheds 100%: admitted
+#: requests are how it observes recovery).
+SHED_MAX_PROBABILITY = 0.95
 
 
 @dataclass
@@ -60,17 +70,11 @@ class OverloadConfig:
     #: Initial bucket balance: a reserve so cold workloads can still
     #: retry sporadic failures.
     retry_budget_floor: float = 10.0
-    #: Bucket capacity: bounds how large a burst of retries an idle
-    #: period can bank.
-    retry_budget_cap: float = 100.0
     #: Gateway proxy-queue sojourn target; above it for a full interval
     #: the gateway starts shedding arrivals. None disables.
     shed_target_seconds: Optional[float] = None
     #: How long sojourn must stay above target before shedding starts.
     shed_interval_seconds: float = 0.1
-    #: Ceiling on the shedder's drop probability (never sheds 100%:
-    #: admitted requests are how it observes recovery).
-    shed_max_probability: float = 0.95
     #: Per-backend (NIC / host server) dispatch-wait target for the
     #: backend-local shedders. None disables backend shedding.
     backend_shed_target_seconds: Optional[float] = None
@@ -96,20 +100,19 @@ class OverloadConfig:
 class RetryBudget:
     """Token bucket bounding retries to a fraction of request volume.
 
-    Fresh requests deposit ``ratio`` tokens (clamped to ``cap``);
-    retries and hedges withdraw one each. The ``floor`` seeds the
-    bucket so low-traffic workloads can still retry isolated failures.
+    Fresh requests deposit ``ratio`` tokens (clamped to
+    :data:`RETRY_BUDGET_CAP`); retries and hedges withdraw one each. The
+    ``floor`` seeds the bucket so low-traffic workloads can still retry
+    isolated failures.
     """
 
-    def __init__(self, ratio: float, floor: float = 10.0,
-                 cap: float = 100.0) -> None:
+    def __init__(self, ratio: float, floor: float = 10.0) -> None:
         if ratio < 0:
             raise ValueError("retry budget ratio must be non-negative")
-        if cap < floor:
-            raise ValueError("retry budget cap must be >= floor")
+        if floor > RETRY_BUDGET_CAP:
+            raise ValueError("retry budget floor must be <= its cap")
         self.ratio = ratio
         self.floor = floor
-        self.cap = cap
         self.balance = float(floor)
         self.deposited = 0.0
         self.withdrawn = 0
@@ -117,7 +120,7 @@ class RetryBudget:
 
     def note_request(self) -> None:
         """One fresh (non-retry) request: deposit ``ratio`` tokens."""
-        self.balance = min(self.cap, self.balance + self.ratio)
+        self.balance = min(RETRY_BUDGET_CAP, self.balance + self.ratio)
         self.deposited += self.ratio
 
     def withdraw(self) -> bool:
@@ -138,19 +141,18 @@ class CoDelShedder:
     has exceeded ``target_seconds`` continuously for
     ``interval_seconds``, ramps its drop probability with the number of
     consecutive above-target observations (``1 - 1/sqrt(1 + n)``, the
-    CoDel control law's flavor of gradual escalation), and resets the
-    instant a sojourn lands back at or under the target.
+    CoDel control law's flavor of gradual escalation, capped at
+    :data:`SHED_MAX_PROBABILITY`), and resets the instant a sojourn
+    lands back at or under the target.
     """
 
     def __init__(self, target_seconds: float,
                  interval_seconds: float = 0.1,
-                 rng=None,
-                 max_probability: float = 0.95) -> None:
+                 rng=None) -> None:
         if target_seconds <= 0:
             raise ValueError("shed target must be positive")
         self.target = target_seconds
         self.interval = interval_seconds
-        self.max_probability = max_probability
         self.rng = rng if rng is not None else random.Random(0xC0DE1)
         self.shedding = False
         self.shed_count = 0
@@ -174,7 +176,7 @@ class CoDelShedder:
     def drop_probability(self) -> float:
         if not self.shedding:
             return 0.0
-        return min(self.max_probability,
+        return min(SHED_MAX_PROBABILITY,
                    1.0 - 1.0 / math.sqrt(1.0 + self._above_count))
 
     def should_shed(self) -> bool:

@@ -12,6 +12,9 @@ from typing import Dict, Optional
 
 from ..sim import Environment
 
+#: Fixed cost of every transfer (request round trip, first byte).
+BASE_LATENCY_SECONDS = 2e-3
+
 
 class StorageError(KeyError):
     """Raised for missing objects."""
@@ -29,18 +32,17 @@ class ObjectStorage:
     """A bandwidth-limited blob store."""
 
     def __init__(self, env: Environment,
-                 bandwidth_bytes_per_second: float = 200 * 1024 * 1024,
-                 base_latency_seconds: float = 2e-3) -> None:
+                 bandwidth_bytes_per_second: float = 200 * 1024 * 1024
+                 ) -> None:
         self.env = env
         self.bandwidth = bandwidth_bytes_per_second
-        self.base_latency = base_latency_seconds
         self._objects: Dict[str, StoredObject] = {}
         self.uploads = 0
         self.downloads = 0
         self.bytes_transferred = 0
 
     def _transfer_seconds(self, size_bytes: int) -> float:
-        return self.base_latency + size_bytes / self.bandwidth
+        return BASE_LATENCY_SECONDS + size_bytes / self.bandwidth
 
     def put(self, name: str, size_bytes: int, content_hash: int = 0):
         """Process: upload a blob; returns the stored object record."""

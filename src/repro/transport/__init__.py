@@ -1,6 +1,7 @@
-"""Transport: message segmentation and NIC-side reordering (paper D3).
+"""Transport: NIC-side reordering of RDMA segments (paper D3).
 
-The weakly-consistent RPC half of D3, per-attempt timeouts and retries,
+Segmenting a message is :class:`repro.net.message.Message`'s job. The
+weakly-consistent RPC half of D3, per-attempt timeouts and retries,
 lives in the gateway (:mod:`repro.serverless.gateway`).
 """
 
@@ -9,19 +10,9 @@ from .reorder import (
     ReorderBuffer,
     ReorderError,
 )
-from .segmentation import (
-    DEFAULT_SEGMENT_BYTES,
-    Segment,
-    reassemble,
-    segment_message,
-)
 
 __all__ = [
-    "DEFAULT_SEGMENT_BYTES",
     "REORDER_INSTRUCTIONS_PER_SEGMENT",
     "ReorderBuffer",
     "ReorderError",
-    "Segment",
-    "reassemble",
-    "segment_message",
 ]

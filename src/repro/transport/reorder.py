@@ -181,17 +181,6 @@ class ReorderBuffer:
         message = self._messages.get(message_id)
         return -1 if message is None else message.highest_seen
 
-    def pending(self, message_id: Any) -> int:
-        """Segments still missing for an in-flight message (0 if unknown)."""
-        message = self._messages.get(message_id)
-        if message is None:
-            return 0
-        return message.total - message.received
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._messages)
-
     def instructions_for(self, total_segments: int) -> int:
         """The paper's reordering cost for one message."""
         return REORDER_INSTRUCTIONS_PER_SEGMENT * total_segments

@@ -24,8 +24,10 @@ TILE_BLOCK_PAD = 18
 #: Bytes of the acknowledgement sent back after a transform.
 ACK_BYTES = 256
 
-#: Host-side per-pixel compute cost (partially vectorised runtime).
+#: Host-side per-pixel compute cost (partially vectorised runtime),
+#: and the sigma of its lognormal jitter.
 HOST_SECONDS_PER_PIXEL = 0.36e-6
+HOST_SIGMA = 0.15
 
 
 def image_bytes(width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT) -> int:
@@ -107,17 +109,15 @@ def grayscale_reference(rgba: bytes) -> bytes:
 def image_transformer_host(
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
-    seconds_per_pixel: float = HOST_SECONDS_PER_PIXEL,
     rng=None,
-    sigma: float = 0.15,
 ):
     """Host handler: per-pixel transform on the CPU."""
     pixels = width * height
 
     def handler(ctx):
-        service = pixels * seconds_per_pixel
+        service = pixels * HOST_SECONDS_PER_PIXEL
         if rng is not None:
-            service *= rng.lognormvariate(0.0, sigma)
+            service *= rng.lognormvariate(0.0, HOST_SIGMA)
         yield ctx.compute(service, gil=False)
         ctx.response_bytes = ACK_BYTES
         ctx.response_meta["pixels"] = pixels

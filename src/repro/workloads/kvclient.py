@@ -17,6 +17,13 @@ DEFAULT_KEYS = 64
 KEY_BLOCK_PAD = 25
 #: Response size returned to the client after customisation.
 KV_RESPONSE_BYTES = 128
+#: Host handler: the memcached node it calls, the value size of a SET,
+#: its mean CPU time around the call, and the sigma of that time's
+#: lognormal jitter.
+MEMCACHED_SERVER = "memcached"
+HOST_VALUE_BYTES = 64
+HOST_CPU_SECONDS = 40e-6
+HOST_SIGMA = 0.35
 
 
 def kv_client_nic(
@@ -80,29 +87,21 @@ def kv_client_nic(
     return builder.build()
 
 
-def kv_client_host(
-    server: str = "memcached",
-    method: str = "GET",
-    keys: int = DEFAULT_KEYS,
-    cpu_seconds: float = 40e-6,
-    value_bytes: int = 64,
-    rng=None,
-    sigma: float = 0.35,
-):
+def kv_client_host(method: str = "GET", rng=None):
     """Host handler: memcached round trip plus customisation compute."""
 
     def handler(ctx):
-        key = f"user{ctx.request_id % keys}"
-        pre = cpu_seconds / 2
-        post = cpu_seconds / 2
+        key = f"user{ctx.request_id % DEFAULT_KEYS}"
+        pre = HOST_CPU_SECONDS / 2
+        post = HOST_CPU_SECONDS / 2
         if rng is not None:
-            jitter = rng.lognormvariate(0.0, sigma)
+            jitter = rng.lognormvariate(0.0, HOST_SIGMA)
             pre *= jitter
             post *= jitter
         yield ctx.compute(pre)
         response = yield ctx.call(
-            server, method=method, key=key,
-            request_bytes=value_bytes if method == "SET" else 64,
+            MEMCACHED_SERVER, method=method, key=key,
+            request_bytes=HOST_VALUE_BYTES if method == "SET" else 64,
         )
         status = response.headers.require("RpcHeader").status
         yield ctx.compute(post)

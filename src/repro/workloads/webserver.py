@@ -20,6 +20,10 @@ DEFAULT_PAGES = 64
 DEFAULT_PAGE_BYTES = 1400
 #: Per-page routing-block padding (bounds checks, content-type logic).
 PAGE_BLOCK_PAD = 19
+#: Host handler: mean CPU time to serve one page, and the sigma of its
+#: lognormal jitter.
+HOST_CPU_SECONDS = 150e-6
+HOST_SIGMA = 0.35
 
 
 def web_server_nic(
@@ -77,20 +81,15 @@ def populate_content(memory: bytearray, pages: int = DEFAULT_PAGES,
         memory[start:start + page_bytes] = bytes([page % 251] * page_bytes)
 
 
-def web_server_host(
-    page_bytes: int = DEFAULT_PAGE_BYTES,
-    cpu_seconds: float = 150e-6,
-    rng=None,
-    sigma: float = 0.35,
-):
+def web_server_host(rng=None):
     """Host handler: render/serve one page of content."""
 
     def handler(ctx):
-        service = cpu_seconds
+        service = HOST_CPU_SECONDS
         if rng is not None:
-            service *= rng.lognormvariate(0.0, sigma)
+            service *= rng.lognormvariate(0.0, HOST_SIGMA)
         yield ctx.compute(service)
-        ctx.response_bytes = page_bytes
+        ctx.response_bytes = DEFAULT_PAGE_BYTES
         ctx.response_meta["page"] = ctx.request_id % DEFAULT_PAGES
 
     return handler

@@ -240,10 +240,10 @@ def test_firmware_resource_check():
 def test_firmware_sizes_and_layout():
     firmware = compile_unit(make_unit())
     assert firmware.binary_size_bytes > firmware.code_bytes
-    assert sum(firmware.region_layout.values()) == firmware.data_bytes
-    assert firmware.wid_for("web") == 1
-    with pytest.raises(KeyError):
-        firmware.wid_for("ghost")
+    assert sum(firmware.region_layout.values()) == \
+        firmware.program.data_bytes
+    assert firmware.lambda_ids["web"] == 1
+    assert "ghost" not in firmware.lambda_ids
 
 
 def test_optimized_beats_unoptimized_cycles():

@@ -209,7 +209,8 @@ def test_wfq_weights_default_when_unallocated():
     program = LambdaProgram("big", [Function("big", body)])
     with pytest.raises(CompileError, match="instr-overflow"):
         check_resources(program)
-    report = check_resources(program, strict=False)
+    report = verify_program(program)
     assert report.instruction_count == MAX_INSTRUCTIONS_PER_CORE + 1
+    assert "instr-overflow" in {finding.code for finding in report.errors}
     fitting = LambdaProgram("fits", [Function("fits", body[1:])])
     assert check_resources(fitting).ok

@@ -5,6 +5,7 @@ import pytest
 from repro.core import LambdaNicRuntime, MatchLambdaWorkload, RdmaBinding
 from repro.hw import SmartNIC
 from repro.net import Network
+from repro.serverless.gateway import Route
 from repro.sim import Environment, RngRegistry
 from repro.workloads import image_transformer_nic, web_server_nic
 
@@ -27,7 +28,7 @@ def test_register_assigns_wids():
     wid1 = runtime.register(MatchLambdaWorkload(web_server_nic("a")))
     wid2 = runtime.register(MatchLambdaWorkload(web_server_nic("b")))
     assert wid1 != wid2
-    assert runtime.wid_for("a") == wid1
+    assert runtime.workloads["a"].wid == wid1
 
 
 def test_duplicate_registration_rejected():
@@ -51,7 +52,7 @@ def test_deploy_with_swap_takes_time():
     env, network, nics = make_fleet()
     runtime = LambdaNicRuntime(env, nics)
     runtime.register(MatchLambdaWorkload(web_server_nic("web")))
-    process = runtime.deploy(swap=True)
+    process = runtime.deploy()
     env.run(until=process)
     assert env.now == pytest.approx(nics[0].firmware_swap_seconds)
     assert all(nic.firmware is not None for nic in nics)
@@ -67,7 +68,7 @@ def test_rdma_binding_applied_on_deploy():
     )
     runtime.register(workload)
     runtime.deploy_instant()
-    assert runtime.rdma_qp_for("img") == 7
+    assert runtime.workloads["img"].rdma.qp == 7
     for nic in nics:
         assert nic._rdma_bindings[7] == ("img", "img.image")
 
@@ -82,10 +83,13 @@ def test_rdma_binding_validated():
 
 
 def test_target_round_robin():
+    """Requests spread over the fleet through the gateway route's
+    round robin, one NIC per request in turn."""
     env, network, nics = make_fleet(n_nics=3)
     runtime = LambdaNicRuntime(env, nics)
-    runtime.register(MatchLambdaWorkload(web_server_nic("web")))
-    targets = [runtime.target_for("web").name for _ in range(6)]
+    wid = runtime.register(MatchLambdaWorkload(web_server_nic("web")))
+    route = Route("web", wid, [nic.name for nic in nics])
+    targets = [route.next_target() for _ in range(6)]
     assert len(set(targets[:3])) == 3
     assert targets[:3] == targets[3:]
 
@@ -94,11 +98,8 @@ def test_unknown_workload_queries_raise():
     env, network, nics = make_fleet()
     runtime = LambdaNicRuntime(env, nics)
     with pytest.raises(KeyError):
-        runtime.wid_for("ghost")
-    with pytest.raises(KeyError):
-        runtime.target_for("ghost")
-    with pytest.raises(KeyError):
-        runtime.rdma_qp_for("ghost")
+        runtime.unregister("ghost")
+    assert "ghost" not in runtime.workloads
 
 
 def test_runtime_requires_nics():
@@ -117,8 +118,8 @@ def test_incremental_deploy_preserves_old_lambdas():
     runtime = LambdaNicRuntime(env, nics)
     runtime.register(MatchLambdaWorkload(web_server_nic("first")))
     runtime.deploy_instant()
-    first_wid = runtime.wid_for("first")
+    first_wid = runtime.workloads["first"].wid
     runtime.register(MatchLambdaWorkload(web_server_nic("second")))
     firmware = runtime.deploy_instant()
-    assert firmware.wid_for("first") == first_wid
-    assert firmware.wid_for("second") != first_wid
+    assert firmware.lambda_ids["first"] == first_wid
+    assert firmware.lambda_ids["second"] != first_wid

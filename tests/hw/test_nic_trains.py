@@ -144,7 +144,7 @@ def run(nic_class, messages, changes, made=False, traced=False) -> dict:
     actions = {
         "fail": lambda event: nic.fail(),
         "restore": lambda event: nic.restore(),
-        "swap": lambda event: nic.load_firmware(firmware, swap=True),
+        "swap": lambda event: nic.load_firmware(firmware),
         "install": lambda event: nic.install_firmware(firmware),
         "take_back": take_back,
     }

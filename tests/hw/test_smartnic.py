@@ -148,7 +148,7 @@ def test_firmware_swap_drops_during_downtime():
     client.attach(lambda p: None)
 
     def exercise(env):
-        nic.load_firmware(firmware, swap=True)  # starts downtime
+        nic.load_firmware(firmware)  # starts downtime
         yield env.timeout(0.1)  # well inside the 2 s swap window
         client.send(lambda_packet(wid=1))
         yield env.timeout(5.0)  # swap done
@@ -341,24 +341,43 @@ def test_kv_lambda_service_call_roundtrip():
     assert memcached.rx_packets == 1
     assert nic.stats.requests_served == 1
 
+    # A hedged copy calls the service under the same id. The first
+    # answer resumes the lambda; the second finds nothing waiting and
+    # is dropped, not served as a request (which would call memcached
+    # again, and again at each answer).
+    for _ in range(2):
+        client.send(lambda_packet(wid=1, request_id=78))
+    env.run(until=env.now + 1.0)
+    assert len(responses) == 2
+    assert memcached.rx_packets == 3
+
 
 def test_hitless_firmware_update_serves_during_flash():
-    """§7: hitless updates keep the old firmware serving (no drops)."""
+    """§7: no flash is hitless. A bare NIC's first flash has no old
+    firmware to serve with, so it counts no swap downtime and what
+    arrives mid-flash drops as no-firmware; the flash still takes the
+    whole swap window."""
     env, network, client, nic, firmware = make_setup()
+    bare = SmartNIC(env, network.add_node("bare"), n_cores=4,
+                    threads_per_core=2, rng=RngRegistry(seed=7).stream("b"))
     responses = []
     client.attach(lambda p: responses.append(p))
 
     def exercise(env):
-        nic.load_firmware(firmware, swap=True, hitless=True)
+        flash = bare.load_firmware(firmware)
         yield env.timeout(0.1)  # mid-flash
-        client.send(lambda_packet(wid=1))
-        yield env.timeout(5.0)
-        client.send(lambda_packet(wid=1))
+        client.send(lambda_packet(wid=1, dst="bare"))
+        yield flash
+        assert env.now == pytest.approx(bare.firmware_swap_seconds)
+        client.send(lambda_packet(wid=1, dst="bare"))
 
     env.process(exercise(env))
     env.run()
-    assert nic.stats.dropped_during_swap == 0
-    assert len(responses) == 2
+    assert bare.stats.dropped_no_firmware == 1
+    assert bare.stats.dropped_during_swap == 0
+    assert bare.stats.swap_downtime_seconds == 0.0
+    assert bare.stats.firmware_swaps == 1
+    assert len(responses) == 1
 
 
 # -- state epoch: every persistent-memory write moves the fence ------------

@@ -166,7 +166,7 @@ def test_rdma_message_cut_short_is_evicted_by_the_next_one():
             spec.name, payload_bytes=spec.request_bytes)
         assert first.retries == 1
         stranded = tb.nic("m2-nic")._reorder
-        assert stranded.in_flight == 1
+        assert len(stranded._messages) == 1
         result = yield closed_loop(env, tb.gateway, spec.name,
                                    n_requests=len(tb.nics),
                                    payload_bytes=spec.request_bytes)
@@ -175,6 +175,7 @@ def test_rdma_message_cut_short_is_evicted_by_the_next_one():
     process = tb.env.process(scenario(tb.env))
     tb.run(until=process)
     assert process.value.completed == len(tb.nics)
-    assert [nic._reorder.in_flight for nic in tb.nics] == [0] * len(tb.nics)
+    assert [len(nic._reorder._messages) for nic in tb.nics] == \
+        [0] * len(tb.nics)
     assert tb.nic("m2-nic").stats.rdma_messages == 1
     assert [nic.stats.rdma_evicted for nic in tb.nics] == [1, 0, 0, 0]

@@ -27,6 +27,7 @@ from repro.isa.interpreter import register_intrinsic
 from repro.isa.verify import (
     ANY,
     Interval,
+    RangeSeeds,
     Severity,
     estimate_wcet,
     interval_states,
@@ -351,8 +352,8 @@ def test_untrusted_seeds_use_machine_guarantees_only():
     ranges must not be assumed — but hash's machine guarantee holds."""
     program = seg_loop_program()
     function = program.functions["segs"]
-    states = interval_states(function, program=program,
-                             trust_declared=False)
+    states = interval_states(function,
+                             seeds=RangeSeeds(trust_declared=False))
     # hload result: no declared wire range may be assumed.
     assert states.value_before(1, "r1") is ANY
 
@@ -363,7 +364,7 @@ def test_untrusted_seeds_use_machine_guarantees_only():
 
     hashed = build(hashing, name="hashing")
     hashed_states = interval_states(hashed.functions["hashing"],
-                                    program=hashed, trust_declared=False)
+                                    seeds=RangeSeeds(trust_declared=False))
     assert hashed_states.range_before(2, "r2") == Interval(0, 0xFFFFFFFF)
 
 

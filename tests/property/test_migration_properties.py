@@ -3,10 +3,10 @@
 Two contracts, fuzzed rather than scripted:
 
 * **Exactly-once under chaos** — for any fault schedule crossed with
-  any migration point and drain mode, every issued request resolves to
-  exactly one observable outcome (success or failure — never zero,
-  never two), the gateway is left with no dangling hold or mirror, and
-  the migration counters exactly account for every state machine run.
+  any migration point, every issued request resolves to exactly one
+  observable outcome (success or failure — never zero, never two), the
+  gateway is left with no dangling hold, and the migration counters
+  exactly account for every state machine run.
 * **Tracing is inert** — with migrations in the schedule, a traced run
   and an untraced run of the same seed are byte-identical in every
   observable output (exact latencies, migration history timestamps,
@@ -41,7 +41,7 @@ def _apply_fault(plan: FaultPlan, kind: str, at: float) -> None:
         plan.link_flap(at, "m3-nic", down_for=0.05)
 
 
-def _run_chaos(seed, faults, migrate_at, drain_mode, with_tracing=False):
+def _run_chaos(seed, faults, migrate_at, with_tracing=False):
     tb = Testbed(seed=seed, n_workers=2, with_failover=True,
                  with_migration=True, with_tracing=with_tracing,
                  gateway_kwargs=dict(GATEWAY),
@@ -64,7 +64,7 @@ def _run_chaos(seed, faults, migrate_at, drain_mode, with_tracing=False):
                          duration=0.6, rng=tb.rng.stream("load"))
         yield env.timeout(migrate_at)
         yield tb.migrator.migrate(spec.name, target_kind="bare-metal",
-                                  reason="fuzz", drain_mode=drain_mode)
+                                  reason="fuzz")
         result = yield load
         yield env.timeout(1.0)  # let failover + stragglers settle
         return result
@@ -82,12 +82,11 @@ def _run_chaos(seed, faults, migrate_at, drain_mode, with_tracing=False):
                   st.sampled_from(FAULTS)),
         min_size=0, max_size=3),
     migrate_at=st.floats(min_value=0.0, max_value=0.4),
-    drain_mode=st.sampled_from(["queue", "dual"]),
 )
 @settings(max_examples=12, deadline=None)
 def test_exactly_once_under_fuzzed_faults_and_migrations(
-        seed, faults, migrate_at, drain_mode):
-    tb, spec, load = _run_chaos(seed, faults, migrate_at, drain_mode)
+        seed, faults, migrate_at):
+    tb, spec, load = _run_chaos(seed, faults, migrate_at)
 
     # Exactly-once observable outcomes: every issued request resolved
     # to exactly one success or one failure.
@@ -95,13 +94,12 @@ def test_exactly_once_under_fuzzed_faults_and_migrations(
     assert issued > 0
     assert load.completed == len(load.latencies)
     # Whatever the interleaving, the gateway is left clean: no hold,
-    # no mirror, nothing still in flight.
+    # nothing still in flight.
     assert not tb.gateway.held(spec.name)
     assert tb.gateway.inflight(spec.name) == 0
-    # Duplicates were absorbed at the gateway, never delivered: they
-    # can only exist for requests that were actually mirrored.
-    dupes = tb.gateway.duplicate_responses_total.total
-    assert dupes <= tb.gateway.mirrored_requests_total.total
+    # Each request was sent to one target at a time: no response ever
+    # arrived twice.
+    assert tb.gateway.duplicate_responses_total.total == 0
 
     # The migration counters are a complete, monotone account of every
     # state machine run: each attempt ended in exactly one outcome.
@@ -121,16 +119,15 @@ def test_exactly_once_under_fuzzed_faults_and_migrations(
     assert tb.gateway.route_for(spec.name).targets
 
 
-def _fingerprint(seed, faults, migrate_at, drain_mode, with_tracing):
-    tb, spec, load = _run_chaos(seed, faults, migrate_at, drain_mode,
+def _fingerprint(seed, faults, migrate_at, with_tracing):
+    tb, spec, load = _run_chaos(seed, faults, migrate_at,
                                 with_tracing=with_tracing)
     lines = [
         f"completed={load.completed!r} failures={load.failures!r}",
         f"latencies={[f'{x!r}' for x in load.latencies]}",
         f"now={tb.env.now!r}",
         f"held={tb.gateway.held_requests_total.total!r} "
-        f"dupes={tb.gateway.duplicate_responses_total.total!r} "
-        f"mirrored={tb.gateway.mirrored_requests_total.total!r}",
+        f"dupes={tb.gateway.duplicate_responses_total.total!r}",
     ]
     for m in tb.migrator.migrations:
         lines.append(
@@ -145,14 +142,12 @@ def _fingerprint(seed, faults, migrate_at, drain_mode, with_tracing):
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 10),
     migrate_at=st.floats(min_value=0.0, max_value=0.3),
-    drain_mode=st.sampled_from(["queue", "dual"]),
 )
 @settings(max_examples=6, deadline=None)
-def test_traced_run_is_byte_identical_with_migration(
-        seed, migrate_at, drain_mode):
+def test_traced_run_is_byte_identical_with_migration(seed, migrate_at):
     """Tracing must not perturb migration timing or outcomes."""
     faults = [(0.2, "kill_m2")]
-    untraced = _fingerprint(seed, faults, migrate_at, drain_mode, False)
-    traced = _fingerprint(seed, faults, migrate_at, drain_mode, True)
+    untraced = _fingerprint(seed, faults, migrate_at, False)
+    traced = _fingerprint(seed, faults, migrate_at, True)
     assert traced == untraced
     assert "migration" in untraced  # the fingerprint is non-trivial

@@ -3,7 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transport import ReorderBuffer, reassemble, segment_message
+from repro.net import Message, UDPHeader
+from repro.transport import ReorderBuffer
+
+
+def message(size, segment_bytes, payload=None):
+    return Message("gw", "nic", [UDPHeader()], wid=1, request_id=9, qp=3,
+                   size=size, segment_bytes=segment_bytes, payload=payload)
 
 
 @given(
@@ -12,23 +18,25 @@ from repro.transport import ReorderBuffer, reassemble, segment_message
 )
 @settings(deadline=None)
 def test_segmentation_covers_message_exactly(size, segment_bytes):
-    segments = segment_message(size, segment_bytes=segment_bytes)
-    assert sum(segment.length for segment in segments) == size
-    assert segments[0].offset == 0
+    segments = message(size, segment_bytes).segments()
+    rdma = [segment.headers.require("RdmaHeader") for segment in segments]
+    assert sum(header.length for header in rdma) == size
+    assert segments.payload_bytes() == size
+    assert rdma[0].remote_address == 0
     # Contiguous, non-overlapping coverage.
-    for previous, current in zip(segments, segments[1:]):
-        assert current.offset == previous.offset + previous.length
-    assert segments[-1].is_last
-    assert all(segment.total == len(segments) for segment in segments)
+    for previous, current in zip(rdma, rdma[1:]):
+        assert current.remote_address == \
+            previous.remote_address + previous.length
+    assert [segment.seq for segment in segments] == list(range(len(rdma)))
+    assert all(segment.total == len(rdma) for segment in segments)
 
 
 @given(data=st.binary(min_size=0, max_size=50_000),
        segment_bytes=st.integers(min_value=1, max_value=4096))
 @settings(max_examples=50)
 def test_segment_reassemble_roundtrip(data, segment_bytes):
-    segments = segment_message(len(data), segment_bytes=segment_bytes,
-                               payload=data)
-    assert reassemble(segments) == data
+    segments = message(len(data), segment_bytes, payload=data).segments()
+    assert b"".join(segment.payload for segment in segments) == data
 
 
 @given(
@@ -81,7 +89,7 @@ def test_reorder_buffer_interleaved_messages_all_complete(
     assert len(completed) == n_messages
     for message, items in completed.items():
         assert items == [(message, seq) for seq in range(n_segments)]
-    assert buffer.in_flight == 0
+    assert buffer._messages == {}
 
 
 @given(data=st.data(), total=st.integers(min_value=1, max_value=12))
@@ -107,10 +115,12 @@ def test_runs_leave_the_buffer_as_their_segments_one_by_one(data, total):
         assert [(index, flat(ordered)) for index, ordered in completed] \
             == by_seq.add_train("m", total, first, items)
         for name in ("completed_messages", "total_segments",
-                     "duplicate_segments", "in_flight"):
+                     "duplicate_segments"):
             assert getattr(by_run, name) == getattr(by_seq, name), name
+        assert by_run._messages.keys() == by_seq._messages.keys()
         assert by_run.highest_seq("m") == by_seq.highest_seq("m")
-        assert by_run.pending("m") == by_seq.pending("m")
-        if by_seq.in_flight:
+        if by_seq._messages:
+            assert by_run._messages["m"].received == \
+                by_seq._messages["m"].received
             assert by_run._messages["m"].out_of_order == \
                 by_seq._messages["m"].out_of_order

@@ -232,17 +232,6 @@ class LegacyGateway(Gateway):
                     tracer.end(proxy_span, tags={"target": target})
                 self._send_request(route, target, request_id, payload, size,
                                    span=root, deadline=deadline)
-                mirror = self._mirrors.get(workload)
-                if mirror is not None:
-                    # Dual-route the same request id to the migration
-                    # target; _receive dedups whichever answers second.
-                    self._register_mirrored(request_id, 2)
-                    self.mirrored_requests_total.inc(
-                        labels={"workload": workload}
-                    )
-                    self._send_request(mirror, mirror.next_target(),
-                                       request_id, payload, size, span=root,
-                                       deadline=deadline)
             wait_timeout = self.request_timeout
             if deadline is not None:
                 # Waiting past the deadline is pointless: the caller
@@ -250,7 +239,7 @@ class LegacyGateway(Gateway):
                 wait_timeout = min(wait_timeout,
                                    max(0.0, deadline - self.env.now))
             hedge_delay = None
-            if mirror is None and retries == 0 and len(route.targets) > 1:
+            if retries == 0 and len(route.targets) > 1:
                 hedge_delay = self._hedge_delay(workload)
             if hedge_delay is not None and hedge_delay < wait_timeout:
                 # Tail-at-scale hedging: wait out the configured
@@ -301,7 +290,7 @@ class LegacyGateway(Gateway):
                     tracer.end(root, tags={"ok": 1, "target": target,
                                            "retries": retries})
                 return RequestOutcome(workload, latency, response, True, retries)
-            # Forget any mirror copies for the timed-out id: arrivals
+            # Forget any hedge copies for the timed-out id: arrivals
             # from here on are late responses, not duplicates.
             self._mirrored.pop(request_id, None)
             if deadline is not None and self.env.now >= deadline:

@@ -7,8 +7,8 @@ timeouts plus callbacks over deque-and-counter servers;
 implementation of the same model. Both run the same random scenario:
 an open loop of requests at random instants against one or two NIC or
 host workers, with retries, hedges, deadlines, shedding and a retry
-budget drawn at random, and a host crash, a NIC failure, a migration
-hold and a mirror at random instants, traced or not.
+budget drawn at random, and a host crash, a NIC failure and a
+migration hold at random instants, traced or not.
 
 Arrivals and faults fall at continuous random instants and host service
 times are random, so no two unrelated stages share an instant (DESIGN.md
@@ -67,7 +67,7 @@ scenarios = st.fixed_dictionaries({
     "overload": overloads,
     #: (kind, start, length) as fractions of the arrival span.
     "faults": st.lists(st.tuples(
-        st.sampled_from(["crash", "nic_fail", "hold", "mirror"]),
+        st.sampled_from(["crash", "nic_fail", "hold"]),
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.01, max_value=0.5)), max_size=2),
     "trace": st.booleans(),
@@ -121,12 +121,6 @@ def run(scenario) -> dict:
             tb.gateway.hold_route("web_server")
             yield env.timeout(length)
             tb.gateway.release_route("web_server")
-        elif kind == "mirror":
-            route = tb.gateway.route_for("web_server")
-            tb.gateway.mirror_route("web_server", route.wid, route.targets,
-                                    route.rdma_qp)
-            yield env.timeout(length)
-            tb.gateway.clear_mirror("web_server")
 
     def body(env):
         for name in names:
@@ -227,12 +221,12 @@ def scenario(backend, gap, overload, nic_kwargs=None, faults=(),
     deadline_seconds=2e-2, backend_shed_target_seconds=2e-5,
     shed_interval_seconds=1e-4), nic_kwargs=SMALL_NIC, n_workers=1,
     request_timeout=0.05))
-# ... expiries at the NPU thread grant, hedges, the retry budget, a
-# mirror and a NIC failure, ...
+# ... expiries at the NPU thread grant, hedges, the retry budget and a
+# NIC failure, ...
 @example(scenario=scenario("lambda-nic", 1e-4, OverloadConfig(
     deadline_seconds=2e-3, retry_budget_ratio=0.2, hedge_quantile=50.0,
     hedge_min_samples=3), nic_kwargs=SMALL_NIC,
-    faults=[("mirror", 0.2, 0.3), ("nic_fail", 0.5, 0.2)]))
+    faults=[("nic_fail", 0.5, 0.2)]))
 # ... and a host crash, a hold and the host's shedder.
 @example(scenario=scenario("bare-metal", 2e-4, OverloadConfig(
     deadline_seconds=2e-2, backend_shed_target_seconds=2e-5,

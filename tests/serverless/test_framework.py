@@ -245,7 +245,8 @@ def test_undeploy_lambda_nic_reflashes_without_workload():
     process = tb.env.process(scenario(tb.env))
     tb.run(until=process)
     assert process.value.completed == 5
-    assert "web_a" not in tb.gateway.workloads
+    with pytest.raises(KeyError):
+        tb.gateway.route_for("web_a")
     assert "web_a" not in tb.nic_runtime.workloads
     assert "web_a" not in tb.nics[0].firmware.lambda_ids
     with pytest.raises(KeyError):

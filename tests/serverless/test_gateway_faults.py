@@ -60,7 +60,8 @@ def test_retries_and_late_responses_are_counted():
     # One initial attempt + 3 retries, each counted individually.
     assert tb.gateway.retries_total.value(labels=labels) == 4
     # Failures carry a ``reason`` label; sum across it for the total.
-    assert tb.gateway.failures_total.sum_matching(labels=labels) == 1
+    assert sum(value for found, value in tb.gateway.failures_total.items()
+               if found["workload"] == spec.name) == 1
     assert tb.gateway.failures_total.value(
         labels={**labels, "reason": "timeout"}) == 1
     # The NIC answered every attempt — just after the waiter timed out.

@@ -18,7 +18,7 @@ from repro.serverless.migration import (
     HANDOFF_BANDWIDTH_BPS,
     HANDOFF_SEGMENT_SECONDS,
 )
-from repro.transport import segment_message
+from repro.net.message import RDMA_SEGMENT_BYTES
 from repro.workloads import standard_workloads, web_server_spec
 
 FAST_GATEWAY = {
@@ -224,10 +224,13 @@ def test_epoch_fence_churn_rolls_back_and_releases_held_requests():
     assert tb.gateway.route_for(spec.name).targets == ["m2-nic", "m3-nic"]
 
 
-# -- dual-routing (mirror) drain --------------------------------------------
+# -- exactly-once delivery across a drain -----------------------------------
 
 
 def test_dual_mode_dedups_mirrored_responses_exactly_once():
+    """A NIC -> NIC drain holds requests that arrive mid-drain instead
+    of copying them to the target: every request is answered exactly
+    once, by one target, and no duplicate response ever arrives."""
     tb = make_testbed(migration_kwargs={"drain_timeout": 0.05})
     tb.add_lambda_nic_backend()
     spec = web_server_spec()
@@ -238,12 +241,10 @@ def test_dual_mode_dedups_mirrored_responses_exactly_once():
         first = [tb.gateway.request(spec.name) for _ in range(8)]
         yield env.timeout(1e-6)
         proc = tb.migrator.migrate(
-            spec.name, target_kind="lambda-nic", target="m3-nic",
-            drain_mode="dual")
-        # ... and requests arriving mid-drain get dual-routed (no
-        # queueing delay in dual mode, unlike the hold).
+            spec.name, target_kind="lambda-nic", target="m3-nic")
+        # ... and requests arriving mid-drain queue behind the hold.
         yield env.timeout(1e-5)
-        assert not tb.gateway.held(spec.name)
+        assert tb.gateway.held(spec.name)
         second = [tb.gateway.request(spec.name) for _ in range(5)]
         migration = yield proc
         outcomes = yield env.all_of(first + second)
@@ -251,16 +252,12 @@ def test_dual_mode_dedups_mirrored_responses_exactly_once():
 
     migration, outcomes = run_scenario(tb, scenario)
     assert migration is not None and migration.outcome == "completed"
-    assert migration.drain_mode == "dual"
-    # Requests in flight during the drain were sent to both source and
-    # target; the second copy of each response was absorbed, so the
-    # caller saw every request complete exactly once: one duplicate
-    # absorbed per mirrored request, and all 13 outcomes delivered.
-    mirrored = tb.gateway.mirrored_requests_total.total
-    assert mirrored >= 5
-    assert tb.gateway.duplicate_responses_total.total == mirrored
+    assert tb.gateway.held_requests_total.total == 5
+    assert tb.gateway.duplicate_responses_total.total == 0
+    assert tb.gateway.late_responses_total.total == 0
     assert len(outcomes) == 13
     assert all(outcome.latency > 0 for outcome in outcomes)
+    assert tb.gateway.requests_total.total == 13
 
 
 # -- crash + recovery -------------------------------------------------------
@@ -467,7 +464,7 @@ def test_scorer_headroom_is_capacity_minus_wcet_occupancy():
     size = migration.state_bytes
     assert size > 0
     expected = (size * 8 / HANDOFF_BANDWIDTH_BPS +
-                len(segment_message(size)) * HANDOFF_SEGMENT_SECONDS)
+                -(-size // RDMA_SEGMENT_BYTES) * HANDOFF_SEGMENT_SECONDS)
     times = dict((state, at) for at, state in migration.history)
     assert times[CUTOVER] - times[STATE_HANDOFF] == pytest.approx(expected)
 

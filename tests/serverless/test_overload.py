@@ -16,6 +16,7 @@ from repro.serverless import (
     RetryBudgetExhausted,
     Testbed,
 )
+from repro.serverless.overload import RETRY_BUDGET_CAP, SHED_MAX_PROBABILITY
 from repro.serverless.loadgen import (
     ARRIVAL_PROCESSES,
     LoadResult,
@@ -30,7 +31,7 @@ from repro.workloads import web_server_spec
 
 
 def test_retry_budget_deposits_and_withdrawals():
-    budget = RetryBudget(ratio=0.5, floor=2.0, cap=10.0)
+    budget = RetryBudget(ratio=0.5, floor=2.0)
     assert budget.balance == 2.0  # seeded at the floor
     for _ in range(4):
         budget.note_request()
@@ -47,17 +48,18 @@ def test_retry_budget_deposits_and_withdrawals():
 
 
 def test_retry_budget_caps_banked_tokens():
-    budget = RetryBudget(ratio=1.0, floor=0.0, cap=3.0)
-    for _ in range(100):
+    budget = RetryBudget(ratio=1.0, floor=0.0)
+    for _ in range(2 * int(RETRY_BUDGET_CAP)):
         budget.note_request()
-    assert budget.balance == 3.0  # an idle period cannot bank unbounded retries
+    # An idle period cannot bank unbounded retries.
+    assert budget.balance == RETRY_BUDGET_CAP == 100.0
 
 
 def test_retry_budget_rejects_bad_parameters():
     with pytest.raises(ValueError):
         RetryBudget(ratio=-0.1)
     with pytest.raises(ValueError):
-        RetryBudget(ratio=0.1, floor=10.0, cap=5.0)
+        RetryBudget(ratio=0.1, floor=RETRY_BUDGET_CAP + 1)
 
 
 # -- CoDel-style shedder ---------------------------------------------------
@@ -70,7 +72,7 @@ def test_shedder_trips_only_after_a_full_interval_above_target():
     assert not shedder.shedding  # above target, but not for long enough
     shedder.observe(0.05, now=0.11)
     assert shedder.shedding
-    assert 0.0 < shedder.drop_probability <= shedder.max_probability
+    assert 0.0 < shedder.drop_probability <= SHED_MAX_PROBABILITY
 
 
 def test_shedder_resets_the_moment_sojourn_recovers():
@@ -91,7 +93,7 @@ def test_shedder_probability_ramps_with_persistence():
         shedder.observe(0.05, now=0.01 * i)
         probabilities.append(shedder.drop_probability)
     assert probabilities == sorted(probabilities)
-    assert probabilities[-1] <= shedder.max_probability
+    assert probabilities[-1] <= SHED_MAX_PROBABILITY
 
 
 def test_shedder_consumes_no_randomness_while_idle():

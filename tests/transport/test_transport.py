@@ -1,68 +1,97 @@
-"""Tests for segmentation, reordering, and the gateway's weakly-consistent
-RPC: per-attempt timeouts, retries and late-response accounting (D3)."""
+"""Tests for segmentation (:class:`repro.net.Message`), reordering, and
+the gateway's weakly-consistent RPC: per-attempt timeouts, retries and
+late-response accounting (D3)."""
 
 import pytest
 
 from repro.net import (
     HeaderStack,
     LambdaHeader,
+    Message,
     Network,
     Packet,
     RpcHeader,
     UDPHeader,
 )
+from repro.net.message import RDMA_SEGMENT_BYTES
 from repro.serverless import Gateway, GatewayTimeout, MetricsRegistry
 from repro.sim import Environment, RngRegistry
 from repro.transport import (
     REORDER_INSTRUCTIONS_PER_SEGMENT,
     ReorderBuffer,
     ReorderError,
-    reassemble,
-    segment_message,
 )
 
 
+def message(size, segment_bytes=RDMA_SEGMENT_BYTES, payload=None):
+    return Message("gw", "nic", [UDPHeader()], wid=1, request_id=9, qp=3,
+                   size=size, segment_bytes=segment_bytes, payload=payload)
+
+
+def rdma_fields(packet):
+    return packet.headers.require("RdmaHeader")
+
+
 def test_segment_message_sizes():
-    segments = segment_message(10_000, segment_bytes=4096)
-    assert [s.length for s in segments] == [4096, 4096, 1808]
-    assert [s.offset for s in segments] == [0, 4096, 8192]
-    assert segments[-1].is_last
+    segments = message(10_000).segments()
+    assert [rdma_fields(s).length for s in segments] == [4096, 4096, 1808]
+    assert [rdma_fields(s).remote_address for s in segments] == \
+        [0, 4096, 8192]
+    assert [s.seq for s in segments] == [0, 1, 2]
     assert all(s.total == 3 for s in segments)
+    header_bytes = segments.message.header_bytes
+    assert segments.sizes() == [header_bytes + 4096, header_bytes + 4096,
+                                header_bytes + 1808]
+    assert segments.payload_bytes() == 10_000
 
 
 def test_segment_single_packet():
-    segments = segment_message(100)
+    segments = message(100).segments()
     assert len(segments) == 1
-    assert segments[0].length == 100
+    assert rdma_fields(segments[0]).length == 100
+    assert segments[0].headers.require("LambdaHeader").total_segments == 1
 
 
 def test_segment_zero_bytes():
-    segments = segment_message(0)
+    segments = message(0).segments()
     assert len(segments) == 1
-    assert segments[0].length == 0
+    assert rdma_fields(segments[0]).length == 0
+    assert segments.payload_bytes() == 0
 
 
 def test_segment_with_payload_roundtrip():
     blob = bytes(range(256)) * 40  # 10240 bytes
-    segments = segment_message(len(blob), segment_bytes=4096, payload=blob)
-    assert reassemble(segments) == blob
-    # Reassembly works regardless of order.
-    assert reassemble(list(reversed(segments))) == blob
+    segments = message(len(blob), payload=blob).segments()
+    assert b"".join(s.payload for s in segments) == blob
+    # Any run of the message carries its slice of the bytes, in order.
+    tail = segments[1:]
+    assert b"".join(s.payload for s in tail) == blob[4096:]
+    # A segment is made once: every view reaches the same packet.
+    assert tail[0] is segments[1]
 
 
 def test_segment_validation():
+    """A segment view indexes in range, slices with step 1 and loses
+    only its tail."""
+    segments = message(10_000).segments()
+    with pytest.raises(IndexError):
+        segments[3]
     with pytest.raises(ValueError):
-        segment_message(-1)
+        segments[::2]
     with pytest.raises(ValueError):
-        segment_message(10, segment_bytes=0)
-    with pytest.raises(ValueError):
-        segment_message(10, payload=b"wrong-length-payload")
+        del segments[:1]
+    del segments[2:]
+    assert len(segments) == 2 and segments[-1].seq == 1
 
 
 def test_reassemble_missing_segment_raises():
-    segments = segment_message(10_000, segment_bytes=4096, payload=b"\0" * 10_000)
-    with pytest.raises(ValueError):
-        reassemble(segments[:-1])
+    """A view short of the last segment carries only full segments:
+    neither its sizes nor its payload count the short tail."""
+    segments = message(10_000, payload=b"\0" * 10_000).segments()
+    head = segments[:-1]
+    assert head.payload_bytes() == 2 * 4096
+    assert head.sizes() == [head.message.header_bytes + 4096] * 2
+    assert len(b"".join(s.payload for s in head)) == 2 * 4096
 
 
 def test_reorder_buffer_in_order():
@@ -71,7 +100,7 @@ def test_reorder_buffer_in_order():
     assert buffer.add("m", 1, 3, "b") is None
     assert buffer.add("m", 2, 3, "c") == ["a", "b", "c"]
     assert buffer.completed_messages == 1
-    assert buffer.in_flight == 0
+    assert buffer._messages == {}
 
 
 def test_reorder_buffer_out_of_order():
@@ -94,7 +123,7 @@ def test_reorder_buffer_interleaved_messages():
     buffer = ReorderBuffer()
     buffer.add("m1", 0, 2, "x0")
     buffer.add("m2", 0, 2, "y0")
-    assert buffer.in_flight == 2
+    assert len(buffer._messages) == 2
     assert buffer.add("m2", 1, 2, "y1") == ["y0", "y1"]
     assert buffer.add("m1", 1, 2, "x1") == ["x0", "x1"]
 
@@ -113,9 +142,10 @@ def test_reorder_buffer_validation():
 def test_reorder_buffer_pending_and_evict():
     buffer = ReorderBuffer()
     buffer.add("m", 0, 4, "a")
-    assert buffer.pending("m") == 3
+    held = buffer._messages["m"]
+    assert held.total - held.received == 3
     assert buffer.evict("m") == 1
-    assert buffer.pending("m") == 0
+    assert "m" not in buffer._messages
     assert buffer.evict("m") == 0
 
 
